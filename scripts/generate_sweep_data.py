@@ -10,6 +10,7 @@ groups.  Rerunning the script reproduces the files byte for byte.
 import argparse
 from pathlib import Path
 
+from aggeval.cli import _sweep_csv
 from aggeval.description import load_description
 from aggeval.hierarchy import sweep
 
@@ -20,23 +21,6 @@ TARGETS = (
     ("weak_element_n5.json", "s1"),
     ("two_group.json", "s1"),
 )
-
-
-def rows_to_csv(rows) -> str:
-    with_hybrid = rows[0].hybrid is not None
-    header = "varied,wem,wlam,nam" + (",hybrid" if with_hybrid else "")
-    lines = [header]
-    for row in rows:
-        cells = [
-            f"{row.varied:g}",
-            f"{row.wem:.6f}",
-            f"{row.wlam:.6f}",
-            "" if row.nam is None else f"{row.nam:.6f}",
-        ]
-        if with_hybrid:
-            cells.append(f"{row.hybrid:.6f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def main() -> None:
@@ -68,7 +52,7 @@ def main() -> None:
         )
         target = out_dir / f"{Path(name).stem}.csv"
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(rows_to_csv(rows))
+            handle.write(_sweep_csv(rows))
         print(f"wrote {target} ({len(rows)} rows)")
 
 

@@ -23,6 +23,7 @@ from .core import (
     EvaluationError,
     GroupedSystem,
     Method,
+    PriorityVector,
     adequacy_wem_nam,
     adequacy_wem_wlam,
     hybrid_grouped,
@@ -45,7 +46,6 @@ from .priority import (
     PriorityBasis,
     PriorityStrategy,
     group_by_priority,
-    derive_priorities,
     rank_nodes,
 )
 
@@ -286,7 +286,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_lines(rows: list) -> list[str]:
+def _sweep_csv(rows: list) -> str:
     with_hybrid = rows[0].hybrid is not None
     header = "varied,wem,wlam,nam" + (",hybrid" if with_hybrid else "")
     lines = [header]
@@ -296,7 +296,7 @@ def _sweep_lines(rows: list) -> list[str]:
         if with_hybrid:
             line += f",{row.hybrid:.6f}"
         lines.append(line)
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -304,12 +304,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(
         desc.hierarchy_root(), desc.scale, args.vary, args.start, args.stop, args.steps
     )
-    lines = _sweep_lines(rows)
+    text = _sweep_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
     else:
-        _line_out(lines)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -325,9 +325,8 @@ def _cmd_priorities(args: argparse.Namespace) -> int:
         cells.append([str(position), entry.node, _g(entry.score), _g(entry.priority)])
     _line_out(_table(cells))
     if args.group_tolerance is not None:
-        groups = group_by_priority(
-            derive_priorities(desc.network, strategy), args.group_tolerance
-        )
+        priorities = PriorityVector(tuple((r.node, r.priority) for r in ranked))
+        groups = group_by_priority(priorities, args.group_tolerance)
         print(f"groups (tolerance {args.group_tolerance:g}):")
         for group in groups:
             print(
@@ -421,6 +420,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (DescriptionError, HierarchyValidationError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:
+        # Finite inputs whose sums or powers exceed the float range: the
+        # request cannot be computed, which the exit codes class as invalid.
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

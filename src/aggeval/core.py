@@ -228,12 +228,6 @@ class PriorityVector:
     def ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.weights)
 
-    def rho(self, element_id: str) -> float:
-        for i, r in self.weights:
-            if i == element_id:
-                return r
-        raise KeyError(element_id)
-
 
 @dataclass(frozen=True)
 class Group:
@@ -293,9 +287,6 @@ class GroupedSystem:
         if problems:
             raise EvaluationError("invalid grouping: " + "; ".join(problems))
 
-    def group_vector(self, group: Group) -> EvaluationVector:
-        return self.evals.subset(group.members)
-
 
 def wem(evals: EvaluationVector) -> float:
     """Weakest element method: the minimum evaluation."""
@@ -308,6 +299,20 @@ def weakest_ids(evals: EvaluationVector) -> tuple[str, ...]:
     return tuple(i for i, v in evals.entries if v == low)
 
 
+def _wlam(values: Sequence[float], weights: Sequence[float] | None) -> float:
+    """Weighted mean of ``values``; ``weights`` aligned with them or None for 1s."""
+    if min(values) == max(values):
+        # Any weighted mean of equal values is that value; returning it
+        # directly keeps the equality guarantees exact at float level.
+        return values[0]
+    # fsum keeps both sums exactly rounded, which makes the result
+    # independent of element order.
+    if weights is None:
+        return math.fsum(values) / len(values)
+    numerator = math.fsum(rho * v for rho, v in zip(weights, values))
+    return numerator / math.fsum(weights)
+
+
 def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> float:
     """Weighted linear aggregation: ``sum(rho * e) / sum(rho)``.
 
@@ -316,7 +321,7 @@ def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> floa
     order of the two vectors is irrelevant.
     """
     if weights is None:
-        weights = PriorityVector.unit(evals.ids)
+        return _wlam(evals.values, None)
     want = set(evals.ids)
     have = set(weights.ids)
     if want != have:
@@ -328,28 +333,12 @@ def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> floa
         if extra:
             parts.append("priorities for unknown ids " + ", ".join(extra))
         raise EvaluationError("; ".join(parts))
-    values = evals.values
-    if min(values) == max(values):
-        # Any weighted mean of equal values is that value; returning it
-        # directly keeps the equality guarantees exact at float level.
-        return values[0]
     rho = dict(weights.weights)
-    # fsum keeps both sums exactly rounded, which makes the result
-    # independent of element order.
-    numerator = math.fsum(rho[i] * v for i, v in evals.entries)
-    denominator = math.fsum(rho[i] for i in evals.ids)
-    return numerator / denominator
+    return _wlam(evals.values, [rho[i] for i in evals.ids])
 
 
-def nam(evals: EvaluationVector) -> float:
-    """Nonlinear aggregation: ``prod(e) / mean(e) ** (N - 1)``.
-
-    Equals the common value when all evaluations agree and drops sharply
-    as they spread out.  Any zero evaluation forces the result to zero.
-    Large systems (more than 30 elements) and very large or very small
-    values are handled in the log domain to avoid overflow and underflow.
-    """
-    values = evals.values
+def _nam(values: Sequence[float]) -> float:
+    """:func:`nam` over a nonempty sequence of nonnegative finite floats."""
     n = len(values)
     if n == 1 or min(values) == max(values):
         # Equal values aggregate to themselves; the closed formula would
@@ -374,6 +363,29 @@ def nam(evals: EvaluationVector) -> float:
     return product / mean ** (n - 1)
 
 
+def nam(evals: EvaluationVector) -> float:
+    """Nonlinear aggregation: ``prod(e) / mean(e) ** (N - 1)``.
+
+    Equals the common value when all evaluations agree and drops sharply
+    as they spread out.  Any zero evaluation forces the result to zero.
+    Large systems (more than 30 elements) and very large or very small
+    values are handled in the log domain to avoid overflow and underflow.
+    """
+    return _nam(evals.values)
+
+
+def _hybrid(
+    values: Sequence[float], groups: Sequence[tuple[Sequence[int], float]]
+) -> float:
+    """:func:`hybrid_grouped` over ``values``, one ``(positions, priority)`` per group."""
+    numerator = math.fsum(
+        priority * _nam([values[k] for k in positions])
+        for positions, priority in groups
+    )
+    denominator = math.fsum(priority for _, priority in groups)
+    return numerator / denominator
+
+
 def hybrid_grouped(system: GroupedSystem) -> float:
     """Grouped aggregation: nonlinear inside groups, linear across them.
 
@@ -382,21 +394,26 @@ def hybrid_grouped(system: GroupedSystem) -> float:
     group this reduces to :func:`nam`, and with singleton groups to
     :func:`wlam` under the group priorities.
     """
-    numerator = math.fsum(
-        g.priority * nam(system.group_vector(g)) for g in system.groups
+    position = {element_id: k for k, element_id in enumerate(system.evals.ids)}
+    return _hybrid(
+        system.evals.values,
+        [([position[m] for m in g.members], g.priority) for g in system.groups],
     )
-    denominator = math.fsum(g.priority for g in system.groups)
-    return numerator / denominator
 
 
-def _masking_ratio(aggregate: float, weakest: float) -> float:
+def _signed_gap(aggregate: float, weakest: float) -> float:
+    """``(aggregate - weakest) / aggregate``, defined as 0 at a zero aggregate."""
     if aggregate == 0.0:
         # Zero aggregate forces a zero weakest element; there is nothing
         # being masked, so the measure is defined as 0.
         return 0.0
+    return (aggregate - weakest) / aggregate
+
+
+def _masking_ratio(aggregate: float, weakest: float) -> float:
     # Clamp tiny negative rounding residue; the true value is in [0, 1]
     # because 0 <= weakest <= aggregate.
-    return max(0.0, (aggregate - weakest) / aggregate)
+    return max(0.0, _signed_gap(aggregate, weakest))
 
 
 def adequacy_wem_wlam(
@@ -468,7 +485,7 @@ def wem_then_aggregate(
     method: Method = Method.WLAM,
     weights: PriorityVector | None = None,
 ) -> CriticalGroupResult:
-    """Score the critical subset by its weakest element, the rest by a mean.
+    """Aggregate the whole vector and measure it against a critical minimum.
 
     The critical ids are collapsed with :func:`wem`; the whole vector is
     aggregated with ``method`` (:data:`Method.WLAM` or :data:`Method.NAM`).
@@ -494,14 +511,10 @@ def wem_then_aggregate(
         raise EvaluationError(
             f"critical-first evaluation aggregates with wlam or nam, got {method.value!r}"
         )
-    if aggregate == 0.0:
-        adequacy = 0.0
-    else:
-        adequacy = (aggregate - critical_wem) / aggregate
     return CriticalGroupResult(
         critical_wem=critical_wem,
         aggregate=aggregate,
-        adequacy=adequacy,
+        adequacy=_signed_gap(aggregate, critical_wem),
         method=method,
     )
 

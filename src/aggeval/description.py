@@ -517,7 +517,13 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
 def load_description(path: str) -> SystemDescription:
     """Read and parse a description file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_description(handle.read(), source=path)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DescriptionError(
+                [f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}"]
+            ) from exc
+    return parse_description(text, source=path)
 
 
 def _method_to_doc(config: MethodConfig) -> dict:

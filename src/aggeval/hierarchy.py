@@ -15,19 +15,15 @@ from typing import Iterator
 
 from .core import (
     EvaluationError,
-    EvaluationVector,
-    Group,
-    GroupedSystem,
     Method,
-    PriorityVector,
     Scale,
-    hybrid_grouped,
-    nam,
-    wem,
-    wem_then_aggregate,
-    wlam,
+    _hybrid,
+    _masking_ratio,
+    _nam,
+    _signed_gap,
+    _wlam,
 )
-from .network import HierarchyNode, MethodConfig, validate_hierarchy
+from .network import HierarchyNode, validate_hierarchy
 
 __all__ = [
     "AggregationReport",
@@ -116,51 +112,80 @@ class SweepRow:
     hybrid: float | None
 
 
-def _signed_gap(aggregate_value: float, weakest: float) -> float:
-    if aggregate_value == 0.0:
-        return 0.0
-    return (aggregate_value - weakest) / aggregate_value
+_Pair = tuple[AggregationReport, float]
 
 
-def _child_weights(node: HierarchyNode) -> PriorityVector | None:
-    """Configured child priorities, or None when all are defaulted."""
+def _child_weights(node: HierarchyNode) -> list[float] | None:
+    """Configured child priorities in child order, or None when all are defaulted."""
     if all(child.priority is None for child in node.children):
         return None
-    return PriorityVector(
-        tuple(
-            (child.id, 1.0 if child.priority is None else child.priority)
-            for child in node.children
-        )
+    return [1.0 if child.priority is None else child.priority for child in node.children]
+
+
+def _group_plan(node: HierarchyNode) -> list[tuple[list[int], float]]:
+    """Child positions (in member order) and priority of each configured group."""
+    if node.config is None:
+        return []
+    position = {child.id: k for k, child in enumerate(node.children)}
+    return [
+        ([position[member] for member in group.members], group.priority)
+        for group in node.config.groups
+    ]
+
+
+def _weakest(pairs: list[_Pair]) -> tuple[float, tuple[str, ...]]:
+    """Smallest leaf value below ``pairs`` and the leaves attaining it, in order."""
+    low = min(minimum for _, minimum in pairs)
+    return low, tuple(
+        weak_id
+        for report, minimum in pairs
+        if minimum == low
+        for weak_id in report.weakest_ids
     )
 
 
-def _apply_method(
-    node: HierarchyNode, evals: EvaluationVector
-) -> tuple[str, float, float]:
+def _metrics(
+    values: list[float],
+    weights: list[float] | None,
+    plan: list[tuple[list[int], float]],
+) -> tuple[float, float, float | None, float | None]:
+    """wem, wlam, nam (None under child priorities), hybrid (None without groups)."""
+    return (
+        min(values),
+        _wlam(values, weights),
+        None if weights is not None else _nam(values),
+        _hybrid(values, plan) if plan else None,
+    )
+
+
+def _apply_method(node: HierarchyNode, values: list[float]) -> tuple[str, float, float]:
     """Run the node's configured operator; returns (label, value, adequacy)."""
-    config = node.config or MethodConfig(Method.WLAM)
-    method = config.method
+    config = node.config
+    method = config.method if config is not None else Method.WLAM
     if method is Method.WEM:
-        value = wem(evals)
+        value = min(values)
     elif method is Method.WLAM:
-        value = wlam(evals, _child_weights(node))
+        value = _wlam(values, _child_weights(node))
     elif method is Method.NAM:
-        value = nam(evals)
+        value = _nam(values)
     elif method is Method.HYBRID_GROUPED:
-        value = hybrid_grouped(GroupedSystem(config.groups, evals))
+        value = _hybrid(values, _group_plan(node))
     else:
-        fallback = config.fallback or Method.WLAM
-        weights = _child_weights(node) if fallback is Method.WLAM else None
-        result = wem_then_aggregate(evals, config.critical_ids, fallback, weights)
-        return (method.value, result.aggregate, result.adequacy)
-    return (method.value, value, _signed_gap(value, wem(evals)))
+        if config.fallback is Method.NAM:
+            value = _nam(values)
+        else:
+            value = _wlam(values, _child_weights(node))
+        position = {child.id: k for k, child in enumerate(node.children)}
+        critical = min(values[position[i]] for i in config.critical_ids)
+        return (method.value, value, _signed_gap(value, critical))
+    return (method.value, value, _signed_gap(value, min(values)))
 
 
 def _roll(
     node: HierarchyNode,
     scale: Scale,
-    registry: dict[str, tuple["AggregationReport", float]] | None = None,
-) -> tuple[AggregationReport, float]:
+    registry: dict[str, _Pair] | None = None,
+) -> _Pair:
     """Aggregate a subtree; returns (report, minimum leaf value below)."""
     if node.is_leaf:
         value = float(node.value)
@@ -177,23 +202,11 @@ def _roll(
             registry[node.id] = (report, value)
         return report, value
     pairs = [_roll(child, scale, registry) for child in node.children]
-    evals = EvaluationVector(
-        tuple(
-            (child.id, pair[0].value) for child, pair in zip(node.children, pairs)
-        ),
-        scale,
-    )
-    label, value, adequacy = _apply_method(node, evals)
+    label, value, adequacy = _apply_method(node, [report.value for report, _ in pairs])
     # Rounding in the means can overshoot the scale by a few ulps; reported
     # values stay inside the declared interval.
     value = scale.clamp(value)
-    low = min(minimum for _, minimum in pairs)
-    weakest = tuple(
-        weak_id
-        for report, minimum in pairs
-        if minimum == low
-        for weak_id in report.weakest_ids
-    )
+    low, weakest = _weakest(pairs)
     warnings: tuple[str, ...] = ()
     config = node.config
     if config is not None and config.adequacy_threshold is not None:
@@ -233,20 +246,15 @@ def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
 
 def _comparison_row(
     row_id: str,
-    evals: EvaluationVector,
-    weights: PriorityVector | None,
-    groups: tuple[Group, ...] | None,
+    values: list[float],
+    weights: list[float] | None,
+    plan: list[tuple[list[int], float]],
     weakest: tuple[str, ...],
     threshold: float,
 ) -> MethodComparison:
-    wem_value = wem(evals)
-    wlam_value = wlam(evals, weights)
-    nam_value = None if weights is not None else nam(evals)
-    hybrid_value = (
-        hybrid_grouped(GroupedSystem(groups, evals)) if groups else None
-    )
-    sigma_12 = max(0.0, _signed_gap(wlam_value, wem_value))
-    sigma_13 = None if nam_value is None else max(0.0, _signed_gap(nam_value, wem_value))
+    wem_value, wlam_value, nam_value, hybrid_value = _metrics(values, weights, plan)
+    sigma_12 = _masking_ratio(wlam_value, wem_value)
+    sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
     warnings: tuple[str, ...] = ()
     if sigma_12 > threshold:
         warnings = (
@@ -268,65 +276,35 @@ def _comparison_row(
 
 def _compare_node(
     node: HierarchyNode,
-    scale: Scale,
     threshold: float,
-    registry: dict[str, tuple[AggregationReport, float]],
+    registry: dict[str, _Pair],
     rows: list[MethodComparison],
 ) -> None:
     if node.is_leaf:
         return
     pairs = [registry[child.id] for child in node.children]
-    evals = EvaluationVector(
-        tuple(
-            (child.id, report.value)
-            for child, (report, _) in zip(node.children, pairs)
-        ),
-        scale,
-    )
-    low = min(minimum for _, minimum in pairs)
-    weakest = tuple(
-        weak_id
-        for report, minimum in pairs
-        if minimum == low
-        for weak_id in report.weakest_ids
-    )
-    groups = node.config.groups if node.config else ()
+    values = [report.value for report, _ in pairs]
+    plan = _group_plan(node)
     rows.append(
         _comparison_row(
-            node.id,
-            evals,
-            _child_weights(node),
-            groups or None,
-            weakest,
-            threshold,
+            node.id, values, _child_weights(node), plan, _weakest(pairs)[1], threshold
         )
     )
-    for group in groups:
-        member_pairs = [
-            (child, registry[child.id])
-            for child in node.children
-            if child.id in group.members
-        ]
-        group_evals = evals.subset(group.members)
-        group_low = min(minimum for _, (_, minimum) in member_pairs)
-        group_weakest = tuple(
-            weak_id
-            for _, (report, minimum) in member_pairs
-            if minimum == group_low
-            for weak_id in report.weakest_ids
-        )
+    groups = node.config.groups if node.config else ()
+    for group, (positions, _) in zip(groups, plan):
+        # Group values in member order; weakest leaves in child order.
         rows.append(
             _comparison_row(
                 f"{node.id}/{group.id}",
-                group_evals,
+                [values[k] for k in positions],
                 None,
-                None,
-                group_weakest,
+                [],
+                _weakest([pairs[k] for k in sorted(positions)])[1],
                 threshold,
             )
         )
     for child in node.children:
-        _compare_node(child, scale, threshold, registry, rows)
+        _compare_node(child, threshold, registry, rows)
 
 
 def compare_methods(
@@ -346,10 +324,10 @@ def compare_methods(
     violations = validate_hierarchy(root, scale)
     if violations:
         raise HierarchyValidationError(violations)
-    registry: dict[str, tuple[AggregationReport, float]] = {}
+    registry: dict[str, _Pair] = {}
     _roll(root, scale, registry)
     rows: list[MethodComparison] = []
-    _compare_node(root, scale, adequacy_threshold, registry, rows)
+    _compare_node(root, adequacy_threshold, registry, rows)
     return rows
 
 
@@ -396,32 +374,13 @@ def sweep(
     violations = validate_hierarchy(root, scale)
     if violations:
         raise HierarchyValidationError(violations)
+    weights = _child_weights(root)
+    plan = _group_plan(root)
     rows: list[SweepRow] = []
     span = stop - start
     for index in range(steps):
         varied = stop if index == steps - 1 else start + span * index / (steps - 1)
-        mutated = _with_leaf_value(root, vary_id, varied)
-        registry: dict[str, tuple[AggregationReport, float]] = {}
-        _roll(mutated, scale, registry)
-        pairs = [registry[child.id] for child in mutated.children]
-        evals = EvaluationVector(
-            tuple(
-                (child.id, report.value)
-                for child, (report, _) in zip(mutated.children, pairs)
-            ),
-            scale,
-        )
-        weights = _child_weights(mutated)
-        groups = mutated.config.groups if mutated.config else ()
-        rows.append(
-            SweepRow(
-                varied=varied,
-                wem=wem(evals),
-                wlam=wlam(evals, weights),
-                nam=None if weights is not None else nam(evals),
-                hybrid=(
-                    hybrid_grouped(GroupedSystem(groups, evals)) if groups else None
-                ),
-            )
-        )
+        report, _ = _roll(_with_leaf_value(root, vary_id, varied), scale)
+        values = [child.value for child in report.children]
+        rows.append(SweepRow(varied, *_metrics(values, weights, plan)))
     return rows

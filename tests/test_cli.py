@@ -617,3 +617,43 @@ class TestPriorities:
         )
         assert code == 2
         assert err == "error: description has no network section\n"
+
+
+class TestHostileInput:
+    def test_non_utf8_file_is_one_diagnostic(self, capsys, tmp_path):
+        data = b'{"scale": {"min": 0, "max": 100}, "elements": [{"id": "s\xff", "evaluation": 1}]}'
+        path = tmp_path / "latin.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        offset = data.index(b"\xff")
+        assert err == (
+            f"error: {path}: not valid UTF-8: invalid start byte at byte {offset}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "scale": {"min": 0, "max": 100},
+                "elements": [
+                    {"id": "a", "evaluation": 50, "priority": 1e308},
+                    {"id": "b", "evaluation": 60, "priority": 1e308},
+                ],
+            },
+            {
+                "scale": {"min": 0, "max": 1e308},
+                "elements": [
+                    {"id": "a", "evaluation": 1e308},
+                    {"id": "b", "evaluation": 9e307},
+                ],
+            },
+        ],
+        ids=["huge-priorities", "huge-evaluations"],
+    )
+    def test_overflowing_sums_are_an_impossible_request(self, capsys, tmp_path, payload):
+        code, out, err = run(capsys, "evaluate", "--input", write_doc(tmp_path, payload))
+        assert code == 2
+        assert out == ""
+        assert err == "error: numeric overflow: intermediate overflow in fsum\n"
