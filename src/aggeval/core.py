@@ -299,18 +299,35 @@ def weakest_ids(evals: EvaluationVector) -> tuple[str, ...]:
     return tuple(i for i, v in evals.entries if v == low)
 
 
+def _weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
+    """``sum(w * v) / sum(w)`` for finite positive weights aligned with ``values``."""
+    # fsum keeps both sums exactly rounded, which makes the result
+    # independent of element order.  A weight total beyond the float range
+    # is an impossible request and raises OverflowError.
+    total = math.fsum(weights)
+    try:
+        numerator = math.fsum(w * v for w, v in zip(weights, values))
+    except OverflowError:  # finite products whose sum leaves the float range
+        numerator = math.inf
+    if math.isfinite(numerator):
+        return numerator / total
+    # A huge weight overflows the products although the mean is in range;
+    # weights relative to the largest keep them finite.
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    return math.fsum(w * v for w, v in zip(scaled, values)) / math.fsum(scaled)
+
+
 def _wlam(values: Sequence[float], weights: Sequence[float] | None) -> float:
     """Weighted mean of ``values``; ``weights`` aligned with them or None for 1s."""
     if min(values) == max(values):
         # Any weighted mean of equal values is that value; returning it
         # directly keeps the equality guarantees exact at float level.
         return values[0]
-    # fsum keeps both sums exactly rounded, which makes the result
-    # independent of element order.
     if weights is None:
+        # fsum is exactly rounded, which makes the mean independent of order.
         return math.fsum(values) / len(values)
-    numerator = math.fsum(rho * v for rho, v in zip(weights, values))
-    return numerator / math.fsum(weights)
+    return _weighted_mean(values, weights)
 
 
 def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> float:
@@ -378,12 +395,10 @@ def _hybrid(
     values: Sequence[float], groups: Sequence[tuple[Sequence[int], float]]
 ) -> float:
     """:func:`hybrid_grouped` over ``values``, one ``(positions, priority)`` per group."""
-    numerator = math.fsum(
-        priority * _nam([values[k] for k in positions])
-        for positions, priority in groups
+    return _weighted_mean(
+        [_nam([values[k] for k in positions]) for positions, _ in groups],
+        [priority for _, priority in groups],
     )
-    denominator = math.fsum(priority for _, priority in groups)
-    return numerator / denominator
 
 
 def hybrid_grouped(system: GroupedSystem) -> float:

@@ -10,7 +10,7 @@ value moves across a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
@@ -65,9 +65,12 @@ class AggregationReport:
     children: tuple["AggregationReport", ...]
 
     def walk(self) -> Iterator["AggregationReport"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This report and every report below it, in preorder."""
+        stack = [self]
+        while stack:
+            report = stack.pop()
+            yield report
+            stack.extend(reversed(report.children))
 
     def to_dict(self) -> dict:
         return {
@@ -182,51 +185,64 @@ def _apply_method(node: HierarchyNode, values: list[float]) -> tuple[str, float,
 
 
 def _roll(
-    node: HierarchyNode,
+    root: HierarchyNode,
     scale: Scale,
     registry: dict[str, _Pair] | None = None,
 ) -> _Pair:
-    """Aggregate a subtree; returns (report, minimum leaf value below)."""
-    if node.is_leaf:
-        value = float(node.value)
+    """Aggregate a subtree; returns (report, minimum leaf value below).
+
+    Rolls without recursion, so depth is bounded by memory only.  Every
+    node's pair lands in ``registry`` under its id (unique once validated).
+    """
+    if registry is None:
+        registry = {}
+    # Preorder with the children pushed left to right visits them right to
+    # left; read backwards, that is the left-to-right post-order.
+    preorder = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(node.children)
+    for node in reversed(preorder):
+        if node.is_leaf:
+            value = float(node.value)
+            report = AggregationReport(
+                node_id=node.id,
+                method="leaf",
+                value=value,
+                weakest_ids=(node.id,),
+                adequacy=0.0,
+                warnings=(),
+                children=(),
+            )
+            registry[node.id] = (report, value)
+            continue
+        pairs = [registry[child.id] for child in node.children]
+        label, value, adequacy = _apply_method(node, [report.value for report, _ in pairs])
+        # Rounding in the means can overshoot the scale by a few ulps; reported
+        # values stay inside the declared interval.
+        value = scale.clamp(value)
+        low, weakest = _weakest(pairs)
+        warnings: tuple[str, ...] = ()
+        config = node.config
+        if config is not None and config.adequacy_threshold is not None:
+            if adequacy > config.adequacy_threshold:
+                warnings = (
+                    f"adequacy {adequacy:.6g} exceeds threshold "
+                    f"{config.adequacy_threshold:g}; weakest: {', '.join(weakest)}",
+                )
         report = AggregationReport(
             node_id=node.id,
-            method="leaf",
+            method=label,
             value=value,
-            weakest_ids=(node.id,),
-            adequacy=0.0,
-            warnings=(),
-            children=(),
+            weakest_ids=weakest,
+            adequacy=adequacy,
+            warnings=warnings,
+            children=tuple(report for report, _ in pairs),
         )
-        if registry is not None:
-            registry[node.id] = (report, value)
-        return report, value
-    pairs = [_roll(child, scale, registry) for child in node.children]
-    label, value, adequacy = _apply_method(node, [report.value for report, _ in pairs])
-    # Rounding in the means can overshoot the scale by a few ulps; reported
-    # values stay inside the declared interval.
-    value = scale.clamp(value)
-    low, weakest = _weakest(pairs)
-    warnings: tuple[str, ...] = ()
-    config = node.config
-    if config is not None and config.adequacy_threshold is not None:
-        if adequacy > config.adequacy_threshold:
-            warnings = (
-                f"adequacy {adequacy:.6g} exceeds threshold "
-                f"{config.adequacy_threshold:g}; weakest: {', '.join(weakest)}",
-            )
-    report = AggregationReport(
-        node_id=node.id,
-        method=label,
-        value=value,
-        weakest_ids=weakest,
-        adequacy=adequacy,
-        warnings=warnings,
-        children=tuple(report for report, _ in pairs),
-    )
-    if registry is not None:
         registry[node.id] = (report, low)
-    return report, low
+    return registry[root.id]
 
 
 def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
@@ -280,14 +296,18 @@ def _compare_node(
     registry: dict[str, _Pair],
     rows: list[MethodComparison],
 ) -> None:
-    if node.is_leaf:
-        return
+    """Append the rows of one subsystem: its own, then one per group."""
     pairs = [registry[child.id] for child in node.children]
     values = [report.value for report, _ in pairs]
     plan = _group_plan(node)
     rows.append(
         _comparison_row(
-            node.id, values, _child_weights(node), plan, _weakest(pairs)[1], threshold
+            node.id,
+            values,
+            _child_weights(node),
+            plan,
+            registry[node.id][0].weakest_ids,
+            threshold,
         )
     )
     groups = node.config.groups if node.config else ()
@@ -303,8 +323,6 @@ def _compare_node(
                 threshold,
             )
         )
-    for child in node.children:
-        _compare_node(child, threshold, registry, rows)
 
 
 def compare_methods(
@@ -327,19 +345,29 @@ def compare_methods(
     registry: dict[str, _Pair] = {}
     _roll(root, scale, registry)
     rows: list[MethodComparison] = []
-    _compare_node(root, adequacy_threshold, registry, rows)
+    for node in root.walk():
+        if not node.is_leaf:
+            _compare_node(node, adequacy_threshold, registry, rows)
     return rows
 
 
-def _with_leaf_value(
-    node: HierarchyNode, leaf_id: str, value: float
-) -> HierarchyNode:
-    if node.is_leaf:
-        return replace(node, value=value) if node.id == leaf_id else node
-    return replace(
-        node,
-        children=tuple(_with_leaf_value(c, leaf_id, value) for c in node.children),
-    )
+def _path_to(root: HierarchyNode, node_id: str) -> list[tuple[HierarchyNode, int]]:
+    """Nodes from ``root`` down to the first node in preorder with ``node_id``.
+
+    Each node comes with its position among its parent's children; the
+    list is empty when no node has that id.
+    """
+    path: list[tuple[HierarchyNode, int]] = []
+    stack = [(root, 0, 0)]
+    while stack:
+        node, depth, slot = stack.pop()
+        del path[depth:]
+        path.append((node, slot))
+        if node.id == node_id:
+            return path
+        children = node.children
+        stack.extend((children[k], depth + 1, k) for k in reversed(range(len(children))))
+    return []
 
 
 def sweep(
@@ -354,7 +382,9 @@ def sweep(
 
     The grid has ``steps`` points including both endpoints.  Every row
     reports wem, wlam, and (when applicable) nam and hybrid over the
-    root's children, each recomputed on the mutated tree.
+    root's children, each as a full roll-up of the mutated tree would
+    give them.  Subtrees off the varied leaf's path are rolled once; each
+    grid point recomputes only the leaf's ancestors.
     """
     if steps < 2:
         raise EvaluationError(f"steps must be at least 2, got {steps}")
@@ -366,21 +396,40 @@ def sweep(
             )
     if root.is_leaf:
         raise EvaluationError("sweep needs a subsystem root with children")
-    target = next((n for n in root.walk() if n.id == vary_id), None)
-    if target is None:
+    path = _path_to(root, vary_id)
+    if not path:
         raise EvaluationError(f"unknown element id {vary_id!r}")
-    if not target.is_leaf:
+    if not path[-1][0].is_leaf:
         raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
     violations = validate_hierarchy(root, scale)
     if violations:
         raise HierarchyValidationError(violations)
+    # One (ancestor, child values, slot of the path child) per level, root
+    # first.  Only the subtrees off the path are rolled here: a full re-roll
+    # never evaluates the path at the leaf's stored value, so neither does this.
+    levels = [
+        (
+            node,
+            [
+                0.0 if k == slot else _roll(child, scale)[0].value
+                for k, child in enumerate(node.children)
+            ],
+            slot,
+        )
+        for (node, _), (_, slot) in zip(path, path[1:])
+    ]
+    root_values = levels[0][1]
     weights = _child_weights(root)
     plan = _group_plan(root)
     rows: list[SweepRow] = []
     span = stop - start
     for index in range(steps):
         varied = stop if index == steps - 1 else start + span * index / (steps - 1)
-        report, _ = _roll(_with_leaf_value(root, vary_id, varied), scale)
-        values = [child.value for child in report.children]
-        rows.append(SweepRow(varied, *_metrics(values, weights, plan)))
+        value = float(varied)
+        # The root's own operator runs too: its value is not reported, but
+        # an overflow in it ends the sweep as it ends a full roll-up.
+        for node, values, slot in reversed(levels):
+            values[slot] = value
+            value = scale.clamp(_apply_method(node, values)[1])
+        rows.append(SweepRow(varied, *_metrics(root_values, weights, plan)))
     return rows

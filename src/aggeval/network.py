@@ -156,9 +156,11 @@ class HierarchyNode:
 
     def walk(self) -> Iterator["HierarchyNode"]:
         """All nodes in preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaf_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.walk() if n.is_leaf)

@@ -657,3 +657,61 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert err == "error: numeric overflow: intermediate overflow in fsum\n"
+
+    # One priority of 1e308 makes its product 50 * 1e308 overflow while the
+    # weighted mean itself is about 50; it must be computed, not reported as inf.
+    HUGE_ONE = {
+        "scale": {"min": 0, "max": 100},
+        "elements": [
+            {"id": "a", "evaluation": 50, "priority": 1e308},
+            {"id": "b", "evaluation": 60},
+        ],
+    }
+    HUGE_IN_SUBSYSTEM = {
+        "scale": {"min": 0, "max": 100},
+        "elements": [
+            {"id": "a", "evaluation": 50, "priority": 1e308},
+            {"id": "b", "evaluation": 60},
+            {"id": "c", "evaluation": 70},
+        ],
+        "hierarchy": {"id": "root", "children": [{"id": "s", "children": ["a", "b"]}, "c"]},
+    }
+
+    def test_one_huge_priority_is_a_finite_weighted_mean(self, capsys, tmp_path):
+        code, out, err = run(capsys, "evaluate", "--input", write_doc(tmp_path, self.HUGE_ONE))
+        assert (code, err) == (0, "")
+        assert out == "wem 50\nwlam 50\nnam n/a\nsigma_12 0\nsigma_13 n/a\n"
+
+    def test_one_huge_priority_inside_a_subsystem(self, capsys, tmp_path):
+        path = write_doc(tmp_path, self.HUGE_IN_SUBSYSTEM)
+        code, out, err = run(capsys, "evaluate", "--input", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            "root [wlam] = 60 (adequacy 0.166667; weakest a)",
+            "  s [wlam] = 50 (adequacy 0; weakest a)",
+        ]
+        code, out, err = run(capsys, "compare", "--input", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split() == ["s", "50", "50", "-", "-", "0", "-", "-"]
+
+    def test_one_huge_priority_in_a_sweep(self, capsys, tmp_path):
+        path = write_doc(tmp_path, self.HUGE_IN_SUBSYSTEM)
+        code, out, err = run(
+            capsys, "sweep", "--input", path, "--vary", "b",
+            "--from", "0", "--to", "100", "--steps", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "0,50.000000,60.000000,58.333333"
+
+    def test_one_huge_group_priority_is_a_finite_hybrid(self, capsys, tmp_path):
+        payload = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": "a", "evaluation": 50}, {"id": "b", "evaluation": 60}],
+            "groups": [
+                {"id": "g1", "members": ["a"], "priority": 1e308},
+                {"id": "g2", "members": ["b"], "priority": 1},
+            ],
+        }
+        path = write_doc(tmp_path, payload)
+        code, out, err = run(capsys, "evaluate", "--input", path, "--method", "hybrid")
+        assert (code, out, err) == (0, "50\n", "")

@@ -132,6 +132,16 @@ class TestWlam:
         scaled = PriorityVector((("s1", 7.0), ("s2", 14.0), ("s3", 21.0)))
         assert wlam(v, scaled) == pytest.approx(wlam(v, base), rel=1e-12)
 
+    def test_products_beyond_float_range_with_a_finite_weight_total(self):
+        # 2 * 6e307 and 3 * 6e307 overflow when summed; the weights do not.
+        weights = PriorityVector((("s1", 6e307), ("s2", 6e307)))
+        assert wlam(vec(2, 3), weights) == 2.5
+
+    def test_weight_total_beyond_float_range_raises(self):
+        weights = PriorityVector((("s1", 1e308), ("s2", 1e308)))
+        with pytest.raises(OverflowError):
+            wlam(vec(50, 60), weights)
+
 
 class TestNam:
     def test_weak_element_example(self):

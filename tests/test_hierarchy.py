@@ -1,18 +1,26 @@
 """Tests for bottom-up aggregation, method comparison, and sweeps."""
 
+import sys
+
 import pytest
 
 from aggeval import (
     EvaluationError,
+    EvaluationVector,
     Group,
     HierarchyNode,
     HierarchyValidationError,
     Method,
     MethodConfig,
     PERCENT,
+    SweepRow,
     aggregate,
     compare_methods,
+    nam,
     sweep,
+    validate_hierarchy,
+    wem,
+    wlam,
 )
 
 NAM_WEAK = 20.408163265306122  # 10 * 100 * 100 / 70 ** 2
@@ -298,3 +306,57 @@ class TestSweep:
         tree = sub("root", [sub("inner", [leaf("a", 10)]), leaf("b", 20)])
         with pytest.raises(EvaluationError, match="only leaves can vary"):
             sweep(tree, PERCENT, "inner", 0, 100, 5)
+
+
+class TestDeepChain:
+    """A chain far deeper than the recursion limit runs through every traversal."""
+
+    DEPTH = 20 * sys.getrecursionlimit()
+
+    @classmethod
+    def value(cls, k):
+        """Distinct leaf values, so every node has a single weakest leaf."""
+        return 10 + 80 * k / (cls.DEPTH + 1)
+
+    @classmethod
+    def chain(cls):
+        # Node n<k> holds leaf c<k> and the rest of the chain; wlam and nam alternate.
+        node = leaf(f"c{cls.DEPTH}", cls.value(cls.DEPTH))
+        for k in reversed(range(cls.DEPTH)):
+            method = Method.WLAM if k % 2 == 0 else Method.NAM
+            node = sub(f"n{k}", [leaf(f"c{k}", cls.value(k)), node], MethodConfig(method))
+        return node
+
+    @classmethod
+    def below_root(cls, bottom):
+        """Value of node n1 by a bottom-up loop over the public operators."""
+        value = bottom
+        for k in reversed(range(1, cls.DEPTH)):
+            evals = EvaluationVector(((f"c{k}", cls.value(k)), ("rest", value)), PERCENT)
+            value = PERCENT.clamp(wlam(evals) if k % 2 == 0 else nam(evals))
+        return EvaluationVector((("c0", cls.value(0)), ("n1", value)), PERCENT)
+
+    def test_every_traversal_completes(self):
+        depth = self.DEPTH
+        root = self.chain()
+        assert validate_hierarchy(root, PERCENT) == []
+        ids = [node.id for node in root.walk()]
+        expected = [name for k in range(depth) for name in (f"n{k}", f"c{k}")]
+        assert ids == [*expected, f"c{depth}"]
+
+        stored = self.below_root(self.value(depth))
+        report = aggregate(root, PERCENT)
+        assert report.value == PERCENT.clamp(wlam(stored))
+        assert report.weakest_ids == ("c0",)
+        assert sum(1 for _ in report.walk()) == 2 * depth + 1
+
+        rows = compare_methods(root, PERCENT)
+        assert [row.node_id for row in rows] == [f"n{k}" for k in range(depth)]
+        assert [row.weakest_ids for row in rows[:2]] == [("c0",), ("c1",)]
+
+        swept = sweep(root, PERCENT, f"c{depth}", self.value(depth), 100, 2)
+        top = self.below_root(100.0)
+        assert swept == [
+            SweepRow(self.value(depth), wem(stored), wlam(stored), nam(stored), None),
+            SweepRow(100, wem(top), wlam(top), nam(top), None),
+        ]

@@ -1,16 +1,17 @@
-"""Roll-up and comparison agree exactly with the public operators.
+"""Roll-up, comparison and sweep agree exactly with the public operators.
 
 The hierarchy runs the operators on plain child-value lists after one
 validation of the whole tree.  These properties rebuild every node's
 child vector as an :class:`EvaluationVector` and require the public
-operators to give the very same floats, on random two-level trees that
-mix every method, child priorities, reordered group members and both
-wem-then fallbacks.
+operators to give the very same floats, on random trees that mix every
+method, child priorities, reordered group members and both wem-then
+fallbacks.  The incremental sweep must equal a full re-roll of the
+rebuilt tree at every grid point.
 """
 
 from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggeval.core import (
     PERCENT,
@@ -27,7 +28,7 @@ from aggeval.core import (
     wem_then_aggregate,
     wlam,
 )
-from aggeval.hierarchy import aggregate, compare_methods
+from aggeval.hierarchy import SweepRow, aggregate, compare_methods, sweep
 from aggeval.network import HierarchyNode, MethodConfig
 
 values = st.one_of(
@@ -185,3 +186,91 @@ def test_compare_rows_match_public_operators(root):
         )
         for r in rows
     ] == expected
+
+
+@st.composite
+def hanging(draw, node_id, height):
+    """A leaf, or a subsystem whose leaves lie at most ``height`` levels down."""
+    if height == 1 or draw(st.booleans()):
+        return HierarchyNode(node_id, value=draw(values))
+    children = [
+        draw(hanging(f"{node_id}_{k}", height - 1)) for k in range(draw(st.integers(1, 3)))
+    ]
+    return draw(configured(node_id, children))
+
+
+@st.composite
+def swept_trees(draw):
+    """A tree at most three levels deep whose leaf ``v`` sits at depth 1, 2 or 3."""
+    node = HierarchyNode("v", value=draw(values))
+    for level in reversed(range(draw(st.integers(1, 3)))):
+        siblings = [
+            draw(hanging(f"n{level}_{k}", 3 - level)) for k in range(draw(st.integers(0, 3)))
+        ]
+        siblings.insert(draw(st.integers(0, len(siblings))), node)
+        node = draw(configured(f"p{level}" if level else "root", siblings))
+    return node
+
+
+grid_ends = st.one_of(st.integers(0, 100), st.floats(min_value=0, max_value=100))
+
+
+@st.composite
+def grids(draw):
+    start = draw(grid_ends)
+    stop = draw(st.just(start) | grid_ends)
+    return start, stop, draw(st.integers(2, 6))
+
+
+def full_reroll(root, vary_id, start, stop, steps):
+    """Sweep rows from rebuilding the tree and aggregating it at every grid point."""
+
+    def with_value(node, value):
+        if node.is_leaf:
+            return replace(node, value=value) if node.id == vary_id else node
+        return replace(node, children=tuple(with_value(c, value) for c in node.children))
+
+    weights = child_weights(root)
+    groups = root.config.groups if root.config else ()
+    rows = []
+    for index in range(steps):
+        varied = stop if index == steps - 1 else start + (stop - start) * index / (steps - 1)
+        report = aggregate(with_value(root, varied), PERCENT)
+        evals = child_vector(root, [child.value for child in report.children])
+        rows.append(
+            SweepRow(
+                varied,
+                wem(evals),
+                wlam(evals, weights),
+                nam(evals) if weights is None else None,
+                hybrid_grouped(GroupedSystem(groups, evals)) if groups else None,
+            )
+        )
+    return rows
+
+
+# The weighted mean of 100 and 99.99999999999999 under weights 2 and 0.3
+# rounds to 100.00000000000001; the sweep must clamp it as a roll-up does.
+OVERSHOOT = HierarchyNode(
+    "root",
+    children=(
+        HierarchyNode(
+            "p1",
+            children=(
+                HierarchyNode("a", value=100.0, priority=2.0),
+                HierarchyNode("v", value=0.0, priority=0.3),
+            ),
+        ),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(swept_trees(), grids())
+@example(OVERSHOOT, (99.99999999999999, 99.99999999999999, 2))
+def test_incremental_sweep_equals_a_full_reroll(root, grid):
+    start, stop, steps = grid
+    rows = sweep(root, PERCENT, "v", start, stop, steps)
+    expected = full_reroll(root, "v", start, stop, steps)
+    assert [vars(row) for row in rows] == [vars(row) for row in expected]
+    assert [type(row.varied) for row in rows] == [type(row.varied) for row in expected]

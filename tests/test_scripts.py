@@ -1,0 +1,32 @@
+"""The experiment scripts keep the promises the README makes for them."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_sweep_data_is_reproduced_byte_for_byte(tmp_path, monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / "generate_sweep_data.py"))["main"]
+    steps = 101
+    runs = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["generate_sweep_data.py", "--out-dir", str(out_dir), "--steps", str(steps)],
+        )
+        main()
+        runs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    first, second = runs
+    assert sorted(first) == [
+        "two_group.csv",
+        "weak_element.csv",
+        "weak_element_n4.csv",
+        "weak_element_n5.csv",
+    ]
+    assert first == second
+    for data in first.values():
+        assert data.count(b"\n") == steps + 1
