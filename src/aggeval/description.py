@@ -463,6 +463,10 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
         raise DescriptionError(
             [f"{source}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:
+        raise DescriptionError(
+            [f"{source}: nesting deeper than the JSON decoder allows"]
+        ) from exc
     if not isinstance(doc, dict):
         raise DescriptionError(["document: expected a top-level object"])
     diag = _Collector()

@@ -11,7 +11,6 @@ similar weight into priority groups.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,36 +86,44 @@ def betweenness_centrality(net: Network) -> dict[str, float]:
     dependencies source by source, which visits each edge O(|V|) times
     instead of enumerating paths.
     """
-    successors = net.successors()
-    centrality = {n: 0.0 for n in net.nodes}
-    for source in net.nodes:
-        # BFS phase: shortest-path counts sigma and predecessor lists.
-        order: list[str] = []
-        predecessors: dict[str, list[str]] = {n: [] for n in net.nodes}
-        sigma = {n: 0 for n in net.nodes}
-        sigma[source] = 1
-        distance = {n: -1 for n in net.nodes}
+    # Index each distinct id once; edges from undeclared nodes are
+    # skipped, as in Network.successors().
+    nodes = list(dict.fromkeys(net.nodes))
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for a, b in net.edges:
+        if a in index:
+            successors[index[a]].append(index[b])
+    centrality = [0.0] * n
+    for source in range(n):
+        # BFS phase: shortest-path counts sigma and predecessor lists;
+        # the growing visit order doubles as the queue.
+        distance = [-1] * n
         distance[source] = 0
-        queue: deque[str] = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        sigma = [0] * n
+        sigma[source] = 1
+        predecessors: list[list[int] | None] = [None] * n
+        order = [source]
+        for v in order:
+            step = distance[v] + 1
             for w in successors[v]:
                 if distance[w] < 0:
-                    distance[w] = distance[v] + 1
-                    queue.append(w)
-                if distance[w] == distance[v] + 1:
+                    distance[w] = step
+                    sigma[w] = sigma[v]
+                    predecessors[w] = [v]
+                    order.append(w)
+                elif distance[w] == step:
                     sigma[w] += sigma[v]
                     predecessors[w].append(v)
-        # Accumulation phase, farthest nodes first.
-        delta = {n: 0.0 for n in net.nodes}
-        while order:
-            w = order.pop()
+        # Accumulation phase, farthest nodes first; the source has no
+        # predecessors and earns no credit.
+        delta = [0.0] * n
+        for w in reversed(order[1:]):
             for v in predecessors[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                centrality[w] += delta[w]
-    return centrality
+            centrality[w] += delta[w]
+    return dict(zip(nodes, centrality))
 
 
 @dataclass

@@ -715,3 +715,30 @@ class TestHostileInput:
         path = write_doc(tmp_path, payload)
         code, out, err = run(capsys, "evaluate", "--input", path, "--method", "hybrid")
         assert (code, out, err) == (0, "50\n", "")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["evaluate"],
+            ["compare"],
+            ["sweep", "--vary", "a", "--from", "0", "--to", "100", "--steps", "3"],
+        ],
+        ids=["evaluate", "compare", "sweep"],
+    )
+    def test_nesting_too_deep_to_decode_is_one_diagnostic(self, capsys, tmp_path, extra):
+        # Built as a string: json.dumps would itself recurse this deep.
+        depth = 5000
+        text = (
+            '{"scale": {"min": 0, "max": 100},'
+            ' "elements": [{"id": "a", "evaluation": 50}], "hierarchy": '
+            + '{"id": "s", "children": [' * depth
+            + '"a"'
+            + "]}" * depth
+            + "}"
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, extra[0], "--input", str(path), *extra[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: nesting deeper than the JSON decoder allows\n"

@@ -1,6 +1,7 @@
 """Tests for network-derived priorities and priority grouping."""
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from aggeval import (
     group_by_priority,
     rank_nodes,
     route_priority,
+    validate_network,
 )
 
 PATH = Network(("a", "b", "c"), (("a", "b"), ("b", "c")))
@@ -142,6 +144,137 @@ class TestBetweennessCentrality:
         got = betweenness_centrality(net)
         expected = brute_betweenness(net)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_duplicate_ids_count_once(self):
+        net = Network(("a", "b", "c", "a"), (("a", "b"), ("b", "c")))
+        assert betweenness_centrality(net) == {"a": 0.0, "b": 1.0, "c": 0.0}
+
+
+def _reference_betweenness(net):
+    """The str-keyed Brandes kernel the indexed one replaced, kept as oracle.
+
+    Valid for networks that pass validate_network; the indexed kernel must
+    reproduce its floats bit for bit and its key order.
+    """
+    successors = net.successors()
+    centrality = {n: 0.0 for n in net.nodes}
+    for source in net.nodes:
+        order = []
+        predecessors = {n: [] for n in net.nodes}
+        sigma = {n: 0 for n in net.nodes}
+        sigma[source] = 1
+        distance = {n: -1 for n in net.nodes}
+        distance[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in successors[v]:
+                if distance[w] < 0:
+                    distance[w] = distance[v] + 1
+                    queue.append(w)
+                if distance[w] == distance[v] + 1:
+                    sigma[w] += sigma[v]
+                    predecessors[w].append(v)
+        delta = {n: 0.0 for n in net.nodes}
+        while order:
+            w = order.pop()
+            for v in predecessors[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != source:
+                centrality[w] += delta[w]
+    return centrality
+
+
+def mixed_digraph(rng, n):
+    """A valid digraph with ties, isolated nodes and unreachable pairs.
+
+    Nodes are declared in shuffled order.  Beside sparse random edges it
+    carries a chain of diamonds and a directed grid, both full of tied
+    shortest paths, and a few nodes with no edges at all.
+    """
+    nodes = [f"n{i}" for i in range(n)]
+    rng.shuffle(nodes)
+    pool = nodes[: n - rng.randint(0, min(3, n - 1))]
+    edges = set()
+    start = 0
+    while start + 3 < len(pool) and rng.random() < 0.6:
+        a, b, c, d = pool[start : start + 4]
+        edges.update({(a, b), (a, c), (b, d), (c, d)})
+        start += 3
+    side = rng.randint(2, 4)
+    if start + side * side <= len(pool):
+        grid = pool[start : start + side * side]
+        for r in range(side):
+            for c in range(side):
+                here = grid[r * side + c]
+                if c + 1 < side:
+                    edges.add((here, grid[r * side + c + 1]))
+                if r + 1 < side:
+                    edges.add((here, grid[(r + 1) * side + c]))
+    p = rng.uniform(0.0, 3.0 / len(pool))
+    edges.update(
+        (a, b) for a in pool for b in pool if a != b and rng.random() < p
+    )
+    edge_list = sorted(edges)
+    rng.shuffle(edge_list)
+    net = Network(tuple(nodes), tuple(edge_list))
+    assert validate_network(net) == []
+    return net
+
+
+def workload_digraph(rng):
+    """200 nodes and 800 distinct edges, like the priorities benchmark."""
+    nodes = [f"n{k:03d}" for k in range(200)]
+    edges = set()
+    while len(edges) < 800:
+        a, b = rng.sample(nodes, 2)
+        edges.add((a, b))
+    return Network(tuple(nodes), tuple(sorted(edges)))
+
+
+def assert_bit_identical(got, expected):
+    assert got == expected
+    assert list(got) == list(expected)
+    assert [repr(v) for v in got.values()] == [repr(v) for v in expected.values()]
+
+
+class TestBetweennessBitIdentity:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_kernel_on_mixed_digraphs(self, seed):
+        rng = random.Random(seed)
+        net = mixed_digraph(rng, rng.randint(2, 60))
+        assert_bit_identical(betweenness_centrality(net), _reference_betweenness(net))
+
+    def test_matches_reference_kernel_on_workload_shaped_digraph(self):
+        net = workload_digraph(random.Random(5))
+        assert_bit_identical(betweenness_centrality(net), _reference_betweenness(net))
+
+    def test_tied_paths_give_fractional_credit(self):
+        # Diamonds and grids split credit between tied shortest paths, so
+        # the generator must yield fractional scores for the checks above
+        # to cover the sigma ratios.
+        rng = random.Random(0)
+        found = False
+        for _ in range(20):
+            scores = betweenness_centrality(mixed_digraph(rng, 40))
+            found = found or any(v != int(v) for v in scores.values())
+        assert found
+
+
+class TestBetweennessAgainstNetworkx:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_networkx_on_random_digraphs(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(100 + seed)
+        net = mixed_digraph(rng, rng.randint(2, 40))
+        graph = nx.DiGraph()
+        graph.add_nodes_from(net.nodes)
+        graph.add_edges_from(net.edges)
+        expected = nx.betweenness_centrality(graph, normalized=False)
+        assert betweenness_centrality(net) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12
+        )
 
 
 class TestFlowVolume:
