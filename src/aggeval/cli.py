@@ -24,8 +24,7 @@ from .core import (
     GroupedSystem,
     Method,
     PriorityVector,
-    adequacy_wem_nam,
-    adequacy_wem_wlam,
+    _masking_ratio,
     hybrid_grouped,
     nam,
     wem,
@@ -36,10 +35,11 @@ from .description import DescriptionError, SystemDescription, load_description
 from .hierarchy import (
     AggregationReport,
     HierarchyValidationError,
-    MethodComparison,
-    aggregate,
-    compare_methods,
-    sweep,
+    _aggregate,
+    _check_threshold,
+    _compare,
+    _sweep,
+    _sweep_path,
 )
 from .priority import (
     Normalization,
@@ -90,8 +90,7 @@ def _g(value: float) -> str:
 
 
 def _line_out(lines: Iterable[str]) -> None:
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
 
 
 def _emit_value(method: Method, value: float, fmt: str) -> None:
@@ -168,20 +167,23 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
     return EXIT_OK
 
 
-def _report_lines(report: AggregationReport, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    if not report.children:
-        lines = [f"{pad}{report.node_id} = {_g(report.value)}"]
-    else:
-        lines = [
-            f"{pad}{report.node_id} [{report.method}] = {_g(report.value)} "
-            f"(adequacy {_g(report.adequacy)}; weakest "
-            f"{', '.join(report.weakest_ids)})"
-        ]
-    for warning in report.warnings:
-        lines.append(f"{pad}  warning: {warning}")
-    for child in report.children:
-        lines.extend(_report_lines(child, depth + 1))
+def _report_lines(root: AggregationReport) -> list[str]:
+    """The indented text tree, one line per node plus one per warning."""
+    lines: list[str] = []
+    stack = [(root, "")]
+    while stack:
+        report, pad = stack.pop()
+        if not report.children:
+            lines.append(f"{pad}{report.node_id} = {_g(report.value)}")
+        else:
+            lines.append(
+                f"{pad}{report.node_id} [{report.method}] = {_g(report.value)} "
+                f"(adequacy {_g(report.adequacy)}; weakest "
+                f"{', '.join(report.weakest_ids)})"
+            )
+        for warning in report.warnings:
+            lines.append(f"{pad}  warning: {warning}")
+        stack.extend((child, pad + "  ") for child in reversed(report.children))
     return lines
 
 
@@ -211,8 +213,8 @@ def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     hybrid_value = (
         hybrid_grouped(GroupedSystem(desc.groups, evals)) if desc.groups else None
     )
-    sigma_12 = adequacy_wem_wlam(evals, weights)
-    sigma_13 = None if weighted else adequacy_wem_nam(evals)
+    sigma_12 = _masking_ratio(wlam_value, wem_value)
+    sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
     if fmt == "text":
         lines = [f"wem {_g(wem_value)}", f"wlam {_g(wlam_value)}"]
         lines.append(f"nam {_g(nam_value)}" if nam_value is not None else "nam n/a")
@@ -248,12 +250,17 @@ def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     return EXIT_OK
 
 
+# load_description has validated the tree (hierarchy_root's synthetic
+# root included), so the commands below call the roll-up past the public
+# functions' second validation pass; argument checks still run.
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     if args.method is not None:
         return _evaluate_method(desc, Method(args.method), args.format)
     if desc.hierarchy is not None:
-        _emit_report(aggregate(desc.hierarchy, desc.scale), args.format)
+        _emit_report(_aggregate(desc.hierarchy, desc.scale), args.format)
         return EXIT_OK
     return _evaluate_summary(desc, args.format)
 
@@ -265,7 +272,8 @@ def _table(rows: list[list[str]]) -> list[str]:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    rows = compare_methods(desc.hierarchy_root(), desc.scale, args.threshold)
+    _check_threshold(args.threshold)
+    rows = _compare(desc.hierarchy_root(), desc.scale, args.threshold)
     cells = [["node", "wem", "wlam", "nam", "hybrid", "sigma_12", "sigma_13", "warnings"]]
     for row in rows:
         cells.append(
@@ -301,9 +309,10 @@ def _sweep_csv(rows: list) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    rows = sweep(
+    path = _sweep_path(
         desc.hierarchy_root(), desc.scale, args.vary, args.start, args.stop, args.steps
     )
+    rows = _sweep(desc.scale, path, args.start, args.stop, args.steps)
     text = _sweep_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

@@ -73,15 +73,31 @@ class AggregationReport:
             stack.extend(reversed(report.children))
 
     def to_dict(self) -> dict:
-        return {
-            "node": self.node_id,
-            "method": self.method,
-            "value": self.value,
-            "weakest": list(self.weakest_ids),
-            "adequacy": self.adequacy,
-            "warnings": list(self.warnings),
-            "children": [c.to_dict() for c in self.children],
-        }
+        """This report and its subtree as nested dicts and lists.
+
+        Built without recursion, so depth is bounded by memory only.
+        """
+
+        def fields(report: AggregationReport) -> dict:
+            return {
+                "node": report.node_id,
+                "method": report.method,
+                "value": report.value,
+                "weakest": list(report.weakest_ids),
+                "adequacy": report.adequacy,
+                "warnings": list(report.warnings),
+                "children": [],
+            }
+
+        doc = fields(self)
+        stack = [(self, doc["children"])]
+        while stack:
+            report, out = stack.pop()
+            for child in report.children:
+                child_doc = fields(child)
+                out.append(child_doc)
+                stack.append((child, child_doc["children"]))
+        return doc
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,9 @@ class SweepRow:
     hybrid: float | None
 
 
-_Pair = tuple[AggregationReport, float]
+# One node's roll-up: value, smallest leaf value below, weakest leaf ids,
+# method label, adequacy and warnings.
+_Row = tuple[float, float, tuple[str, ...], str, float, tuple[str, ...]]
 
 
 def _child_weights(node: HierarchyNode) -> list[float] | None:
@@ -136,15 +154,10 @@ def _group_plan(node: HierarchyNode) -> list[tuple[list[int], float]]:
     ]
 
 
-def _weakest(pairs: list[_Pair]) -> tuple[float, tuple[str, ...]]:
-    """Smallest leaf value below ``pairs`` and the leaves attaining it, in order."""
-    low = min(minimum for _, minimum in pairs)
-    return low, tuple(
-        weak_id
-        for report, minimum in pairs
-        if minimum == low
-        for weak_id in report.weakest_ids
-    )
+def _weakest(rows: list[_Row]) -> tuple[float, tuple[str, ...]]:
+    """Smallest leaf value below ``rows`` and the leaves attaining it, in order."""
+    low = min(row[1] for row in rows)
+    return low, tuple(weak_id for row in rows if row[1] == low for weak_id in row[2])
 
 
 def _metrics(
@@ -184,46 +197,38 @@ def _apply_method(node: HierarchyNode, values: list[float]) -> tuple[str, float,
     return (method.value, value, _signed_gap(value, min(values)))
 
 
-def _roll(
-    root: HierarchyNode,
-    scale: Scale,
-    registry: dict[str, _Pair] | None = None,
-) -> _Pair:
-    """Aggregate a subtree; returns (report, minimum leaf value below).
-
-    Rolls without recursion, so depth is bounded by memory only.  Every
-    node's pair lands in ``registry`` under its id (unique once validated).
-    """
-    if registry is None:
-        registry = {}
+def _postorder(root: HierarchyNode) -> list[HierarchyNode]:
+    """The subtree's nodes, each after its children, children left to right."""
     # Preorder with the children pushed left to right visits them right to
     # left; read backwards, that is the left-to-right post-order.
-    preorder = []
+    order = []
     stack = [root]
     while stack:
         node = stack.pop()
-        preorder.append(node)
+        order.append(node)
         stack.extend(node.children)
-    for node in reversed(preorder):
+    order.reverse()
+    return order
+
+
+def _roll(order: list[HierarchyNode], scale: Scale) -> dict[str, _Row]:
+    """Aggregate the nodes of a post-order; returns each node's row by id.
+
+    Rolls without recursion, so depth is bounded by memory only.  Ids are
+    unique once the tree is validated.
+    """
+    rows: dict[str, _Row] = {}
+    for node in order:
         if node.is_leaf:
             value = float(node.value)
-            report = AggregationReport(
-                node_id=node.id,
-                method="leaf",
-                value=value,
-                weakest_ids=(node.id,),
-                adequacy=0.0,
-                warnings=(),
-                children=(),
-            )
-            registry[node.id] = (report, value)
+            rows[node.id] = (value, value, (node.id,), "leaf", 0.0, ())
             continue
-        pairs = [registry[child.id] for child in node.children]
-        label, value, adequacy = _apply_method(node, [report.value for report, _ in pairs])
+        child_rows = [rows[child.id] for child in node.children]
+        label, value, adequacy = _apply_method(node, [row[0] for row in child_rows])
         # Rounding in the means can overshoot the scale by a few ulps; reported
         # values stay inside the declared interval.
         value = scale.clamp(value)
-        low, weakest = _weakest(pairs)
+        low, weakest = _weakest(child_rows)
         warnings: tuple[str, ...] = ()
         config = node.config
         if config is not None and config.adequacy_threshold is not None:
@@ -232,17 +237,32 @@ def _roll(
                     f"adequacy {adequacy:.6g} exceeds threshold "
                     f"{config.adequacy_threshold:g}; weakest: {', '.join(weakest)}",
                 )
-        report = AggregationReport(
-            node_id=node.id,
-            method=label,
-            value=value,
-            weakest_ids=weakest,
-            adequacy=adequacy,
-            warnings=warnings,
-            children=tuple(report for report, _ in pairs),
+        rows[node.id] = (value, low, weakest, label, adequacy, warnings)
+    return rows
+
+
+def _check_tree(root: HierarchyNode, scale: Scale) -> None:
+    violations = validate_hierarchy(root, scale)
+    if violations:
+        raise HierarchyValidationError(violations)
+
+
+def _aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
+    """:func:`aggregate` on a tree already validated."""
+    order = _postorder(root)
+    rows = _roll(order, scale)
+    # In post-order a node's children are the last reports built, left to
+    # right; each row is dropped once its report exists.
+    reports: list[AggregationReport] = []
+    for node in order:
+        value, _, weakest, label, adequacy, warnings = rows.pop(node.id)
+        split = len(reports) - len(node.children)
+        children = tuple(reports[split:])
+        del reports[split:]
+        reports.append(
+            AggregationReport(node.id, label, value, weakest, adequacy, warnings, children)
         )
-        registry[node.id] = (report, low)
-    return registry[root.id]
+    return reports[0]
 
 
 def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
@@ -253,11 +273,8 @@ def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
     aggregated values.  Raises :class:`HierarchyValidationError` listing
     every structural violation if the tree is unsound.
     """
-    violations = validate_hierarchy(root, scale)
-    if violations:
-        raise HierarchyValidationError(violations)
-    report, _ = _roll(root, scale)
-    return report
+    _check_tree(root, scale)
+    return _aggregate(root, scale)
 
 
 def _comparison_row(
@@ -293,12 +310,12 @@ def _comparison_row(
 def _compare_node(
     node: HierarchyNode,
     threshold: float,
-    registry: dict[str, _Pair],
+    registry: dict[str, _Row],
     rows: list[MethodComparison],
 ) -> None:
     """Append the rows of one subsystem: its own, then one per group."""
-    pairs = [registry[child.id] for child in node.children]
-    values = [report.value for report, _ in pairs]
+    child_rows = [registry[child.id] for child in node.children]
+    values = [row[0] for row in child_rows]
     plan = _group_plan(node)
     rows.append(
         _comparison_row(
@@ -306,7 +323,7 @@ def _compare_node(
             values,
             _child_weights(node),
             plan,
-            registry[node.id][0].weakest_ids,
+            registry[node.id][2],
             threshold,
         )
     )
@@ -319,10 +336,25 @@ def _compare_node(
                 [values[k] for k in positions],
                 None,
                 [],
-                _weakest([pairs[k] for k in sorted(positions)])[1],
+                _weakest([child_rows[k] for k in sorted(positions)])[1],
                 threshold,
             )
         )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 <= threshold <= 1:
+        raise EvaluationError(f"adequacy threshold must lie in [0, 1], got {threshold!r}")
+
+
+def _compare(root: HierarchyNode, scale: Scale, threshold: float) -> list[MethodComparison]:
+    """:func:`compare_methods` on a tree and threshold already checked."""
+    registry = _roll(_postorder(root), scale)
+    rows: list[MethodComparison] = []
+    for node in root.walk():
+        if not node.is_leaf:
+            _compare_node(node, threshold, registry, rows)
+    return rows
 
 
 def compare_methods(
@@ -335,20 +367,9 @@ def compare_methods(
     whose ``sigma_12`` exceeds the threshold carries a warning naming the
     weakest leaves underneath.
     """
-    if not 0 <= adequacy_threshold <= 1:
-        raise EvaluationError(
-            f"adequacy threshold must lie in [0, 1], got {adequacy_threshold!r}"
-        )
-    violations = validate_hierarchy(root, scale)
-    if violations:
-        raise HierarchyValidationError(violations)
-    registry: dict[str, _Pair] = {}
-    _roll(root, scale, registry)
-    rows: list[MethodComparison] = []
-    for node in root.walk():
-        if not node.is_leaf:
-            _compare_node(node, adequacy_threshold, registry, rows)
-    return rows
+    _check_threshold(adequacy_threshold)
+    _check_tree(root, scale)
+    return _compare(root, scale, adequacy_threshold)
 
 
 def _path_to(root: HierarchyNode, node_id: str) -> list[tuple[HierarchyNode, int]]:
@@ -370,6 +391,73 @@ def _path_to(root: HierarchyNode, node_id: str) -> list[tuple[HierarchyNode, int
     return []
 
 
+def _sweep_path(
+    root: HierarchyNode,
+    scale: Scale,
+    vary_id: str,
+    start: float,
+    stop: float,
+    steps: int,
+) -> list[tuple[HierarchyNode, int]]:
+    """Check the sweep arguments; returns the path down to the varied leaf."""
+    if steps < 2:
+        raise EvaluationError(f"steps must be at least 2, got {steps}")
+    for bound, name in ((start, "from"), (stop, "to")):
+        if not scale.contains(bound):
+            raise EvaluationError(
+                f"sweep {name} value {bound!r} is outside "
+                f"[{scale.min}, {scale.max}]"
+            )
+    if root.is_leaf:
+        raise EvaluationError("sweep needs a subsystem root with children")
+    path = _path_to(root, vary_id)
+    if not path:
+        raise EvaluationError(f"unknown element id {vary_id!r}")
+    if not path[-1][0].is_leaf:
+        raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
+    return path
+
+
+def _sweep(
+    scale: Scale,
+    path: list[tuple[HierarchyNode, int]],
+    start: float,
+    stop: float,
+    steps: int,
+) -> list[SweepRow]:
+    """:func:`sweep` along a checked path in a tree already validated."""
+    # One (ancestor, child values, slot of the path child) per level, root
+    # first.  Only the subtrees off the path are rolled here: a full re-roll
+    # never evaluates the path at the leaf's stored value, so neither does this.
+    levels = [
+        (
+            node,
+            [
+                0.0 if k == slot else _roll(_postorder(child), scale)[child.id][0]
+                for k, child in enumerate(node.children)
+            ],
+            slot,
+        )
+        for (node, _), (_, slot) in zip(path, path[1:])
+    ]
+    root = path[0][0]
+    root_values = levels[0][1]
+    weights = _child_weights(root)
+    plan = _group_plan(root)
+    rows: list[SweepRow] = []
+    span = stop - start
+    for index in range(steps):
+        varied = stop if index == steps - 1 else start + span * index / (steps - 1)
+        value = float(varied)
+        # The root's own operator runs too: its value is not reported, but
+        # an overflow in it ends the sweep as it ends a full roll-up.
+        for node, values, slot in reversed(levels):
+            values[slot] = value
+            value = scale.clamp(_apply_method(node, values)[1])
+        rows.append(SweepRow(varied, *_metrics(root_values, weights, plan)))
+    return rows
+
+
 def sweep(
     root: HierarchyNode,
     scale: Scale,
@@ -386,50 +474,6 @@ def sweep(
     give them.  Subtrees off the varied leaf's path are rolled once; each
     grid point recomputes only the leaf's ancestors.
     """
-    if steps < 2:
-        raise EvaluationError(f"steps must be at least 2, got {steps}")
-    for bound, name in ((start, "from"), (stop, "to")):
-        if not scale.contains(bound):
-            raise EvaluationError(
-                f"sweep {name} value {bound!r} is outside "
-                f"[{scale.min}, {scale.max}]"
-            )
-    if root.is_leaf:
-        raise EvaluationError("sweep needs a subsystem root with children")
-    path = _path_to(root, vary_id)
-    if not path:
-        raise EvaluationError(f"unknown element id {vary_id!r}")
-    if not path[-1][0].is_leaf:
-        raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
-    violations = validate_hierarchy(root, scale)
-    if violations:
-        raise HierarchyValidationError(violations)
-    # One (ancestor, child values, slot of the path child) per level, root
-    # first.  Only the subtrees off the path are rolled here: a full re-roll
-    # never evaluates the path at the leaf's stored value, so neither does this.
-    levels = [
-        (
-            node,
-            [
-                0.0 if k == slot else _roll(child, scale)[0].value
-                for k, child in enumerate(node.children)
-            ],
-            slot,
-        )
-        for (node, _), (_, slot) in zip(path, path[1:])
-    ]
-    root_values = levels[0][1]
-    weights = _child_weights(root)
-    plan = _group_plan(root)
-    rows: list[SweepRow] = []
-    span = stop - start
-    for index in range(steps):
-        varied = stop if index == steps - 1 else start + span * index / (steps - 1)
-        value = float(varied)
-        # The root's own operator runs too: its value is not reported, but
-        # an overflow in it ends the sweep as it ends a full roll-up.
-        for node, values, slot in reversed(levels):
-            values[slot] = value
-            value = scale.clamp(_apply_method(node, values)[1])
-        rows.append(SweepRow(varied, *_metrics(root_values, weights, plan)))
-    return rows
+    path = _sweep_path(root, scale, vary_id, start, stop, steps)
+    _check_tree(root, scale)
+    return _sweep(scale, path, start, stop, steps)

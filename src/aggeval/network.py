@@ -147,8 +147,11 @@ class HierarchyNode:
     config: MethodConfig | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "children", tuple(self.children))
+        # The parser passes a str and a tuple; only other types are coerced.
+        if type(self.id) is not str:
+            object.__setattr__(self, "id", str(self.id))
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
     @property
     def is_leaf(self) -> bool:

@@ -68,12 +68,22 @@ class PriorityStrategy:
             raise EvaluationError("tie-break chain must not repeat a basis")
 
 
+def _undeclared(a: str, b: str, end: str, node: str) -> EvaluationError:
+    return EvaluationError(f"edge ({a!r}, {b!r}) {end} at undeclared node {node!r}")
+
+
 def degree_centrality(net: Network) -> dict[str, int]:
     """In-degree plus out-degree per node."""
     degree = {n: 0 for n in net.nodes}
     for a, b in net.edges:
-        degree[a] += 1
-        degree[b] += 1
+        try:
+            degree[a] += 1
+        except KeyError:
+            raise _undeclared(a, b, "starts", a) from None
+        try:
+            degree[b] += 1
+        except KeyError:
+            raise _undeclared(a, b, "ends", b) from None
     return degree
 
 
@@ -94,7 +104,10 @@ def betweenness_centrality(net: Network) -> dict[str, float]:
     successors: list[list[int]] = [[] for _ in range(n)]
     for a, b in net.edges:
         if a in index:
-            successors[index[a]].append(index[b])
+            try:
+                successors[index[a]].append(index[b])
+            except KeyError:
+                raise _undeclared(a, b, "ends", b) from None
     centrality = [0.0] * n
     for source in range(n):
         # BFS phase: shortest-path counts sigma and predecessor lists;

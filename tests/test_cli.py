@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import aggeval.description
+import aggeval.hierarchy
 from aggeval.cli import main
 
 
@@ -527,6 +529,45 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown element id 'ghost'" in err
+
+
+class TestValidationRunsOnce:
+    """The parser validates the tree; the commands do not validate it again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        for module in (aggeval.description, aggeval.hierarchy):
+            original = module.validate_hierarchy
+
+            def counting(*args, _original=original, _name=module.__name__):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "validate_hierarchy", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate"],
+            ["evaluate", "--format", "json"],
+            ["compare"],
+            ["compare", "--threshold", "0.1"],
+            ["sweep", "--vary", "supply_a", "--from", "0", "--to", "100", "--steps", "3"],
+        ],
+    )
+    def test_hierarchy_file_is_validated_once(self, capsys, fixture_path, validations, argv):
+        path = fixture_path("plant_hierarchy.json")
+        code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+        assert code in (0, 3) and out and not err
+        assert validations == ["aggeval.description"]
+
+    @pytest.mark.parametrize("name", ["weak_element.json", "two_group.json"])
+    def test_flat_compare_is_not_validated_again(self, capsys, fixture_path, validations, name):
+        code, out, err = run(capsys, "compare", "--input", fixture_path(name))
+        assert code in (0, 3) and out and not err
+        assert validations == []
 
 
 class TestPriorities:

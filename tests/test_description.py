@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aggeval import (
     DescriptionError,
@@ -10,6 +11,7 @@ from aggeval import (
     load_description,
     parse_description,
     serialize_description,
+    validate_hierarchy,
 )
 
 VALID_FIXTURES = [
@@ -394,3 +396,89 @@ class TestRoundTrip:
         text = serialize_description(load_description(fixture_path("two_group.json")))
         assert text.endswith("\n")
         assert json.loads(text)["groups"][1]["priority"] == 0.5
+
+
+# Element ids that push the synthetic root's id from "system" to "system++".
+ELEMENT_IDS = ("system", "system+", "a", "b", "c", "d")
+
+
+@st.composite
+def _partition(draw, ids):
+    """Consecutive runs of a shuffled ``ids``, as a groups section."""
+    shuffled = draw(st.permutations(ids))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(ids) - 1)), max_size=3)))
+    bounds = [0, *(c for c in cuts if c < len(ids)), len(ids)]
+    groups = []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        group = {"id": f"g{k}", "members": list(shuffled[lo:hi])}
+        if draw(st.booleans()):
+            group["priority"] = draw(st.floats(0.1, 10))
+        groups.append(group)
+    return groups
+
+
+@st.composite
+def _subtree(draw, ids, names, depth=0):
+    """A hierarchy node over ``ids``: a leaf reference or a subsystem."""
+    if len(ids) == 1 and (depth >= 3 or draw(st.booleans())):
+        return ids[0]
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(ids) - 1)), max_size=3)))
+    bounds = [0, *(c for c in cuts if c < len(ids)), len(ids)]
+    children = [
+        draw(_subtree(ids[lo:hi], names, depth + 1)) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    node_id = f"n{next(names)}"
+    node = {"id": node_id, "children": children}
+    child_ids = [c if isinstance(c, str) else c["id"] for c in children]
+    method = draw(st.sampled_from([None, "wlam", "wem", "nam", "hybrid", "wem-then"]))
+    if method == "hybrid":
+        node["method"] = {"method": method, "groups": draw(_partition(child_ids))}
+    elif method == "wem-then":
+        node["method"] = {"method": method, "critical": child_ids[:1]}
+    elif method is not None:
+        node["method"] = {"method": method}
+    if depth and draw(st.booleans()):
+        node["priority"] = draw(st.floats(0.1, 10))
+    return node
+
+
+@st.composite
+def documents(draw):
+    """Small flat, grouped or hierarchical documents, mostly valid."""
+    ids = draw(st.lists(st.sampled_from(ELEMENT_IDS), min_size=1, max_size=6, unique=True))
+    elements = []
+    for element_id in ids:
+        element = {"id": element_id, "evaluation": draw(st.floats(0, 100))}
+        if draw(st.booleans()):
+            element["priority"] = draw(st.floats(0.1, 10))
+        elements.append(element)
+    document = {"scale": {"min": 0, "max": 100}, "elements": elements}
+    shape = draw(st.sampled_from(["flat", "groups", "hierarchy"]))
+    if shape == "groups":
+        document["groups"] = draw(_partition(ids))
+    elif shape == "hierarchy":
+        document["hierarchy"] = draw(_subtree(ids, iter(range(100))))
+    return document
+
+
+class TestAcceptedTreesAreValid:
+    """The CLI rolls up ``hierarchy_root()`` without validating it again."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(documents())
+    @example(
+        {
+            "scale": {"min": 0, "max": 100},
+            "elements": [
+                {"id": "system", "evaluation": 10},
+                {"id": "system+", "evaluation": 90, "priority": 2},
+            ],
+            "groups": [{"id": "g", "members": ["system+", "system"]}],
+        }
+    )
+    def test_accepted_document_holds_a_valid_tree(self, document):
+        try:
+            desc = parse_description(json.dumps(document))
+        except DescriptionError:
+            return
+        assert validate_hierarchy(desc.hierarchy_root(), desc.scale) == []

@@ -360,3 +360,96 @@ class TestDeepChain:
             SweepRow(self.value(depth), wem(stored), wlam(stored), nam(stored), None),
             SweepRow(100, wem(top), wlam(top), nam(top), None),
         ]
+
+    def test_to_dict_of_a_3000_level_chain(self):
+        depth = 3000
+
+        def value(k):
+            return float(10 + k % 80) if k < depth else 50.0
+
+        node = leaf(f"c{depth}", value(depth))
+        for k in reversed(range(depth)):
+            node = sub(f"n{k}", [leaf(f"c{k}", value(k)), node])
+        # n<k>'s value by the public operator, bottom up.
+        expected = [0.0] * depth + [value(depth)]
+        for k in reversed(range(depth)):
+            pair = EvaluationVector(((f"c{k}", value(k)), ("rest", expected[k + 1])), PERCENT)
+            expected[k] = PERCENT.clamp(wlam(pair))
+
+        as_dict = aggregate(node, PERCENT).to_dict()
+        # Walked level by level: == on the nested dicts would recurse too.
+        keys = ["node", "method", "value", "weakest", "adequacy", "warnings", "children"]
+        for k in range(depth):
+            assert list(as_dict) == keys
+            assert as_dict["node"] == f"n{k}"
+            assert as_dict["method"] == "wlam"
+            assert as_dict["value"] == expected[k]
+            tied = [f"c{j}" for j in range(k + -k % 80, depth, 80)]
+            assert as_dict["weakest"] == (tied or [f"c{k}"])
+            low = min(value(k), expected[k + 1])
+            assert as_dict["adequacy"] == (expected[k] - low) / expected[k]
+            assert as_dict["warnings"] == []
+            first, rest = as_dict["children"]
+            assert first == {
+                "node": f"c{k}",
+                "method": "leaf",
+                "value": value(k),
+                "weakest": [f"c{k}"],
+                "adequacy": 0.0,
+                "warnings": [],
+                "children": [],
+            }
+            as_dict = rest
+        assert as_dict == {
+            "node": f"c{depth}",
+            "method": "leaf",
+            "value": 50.0,
+            "weakest": [f"c{depth}"],
+            "adequacy": 0.0,
+            "warnings": [],
+            "children": [],
+        }
+
+
+class TestPublicEntriesValidate:
+    """Each library function validates the tree on every call, after its
+    own argument checks; the CLI skips only the second validation pass."""
+
+    @staticmethod
+    def invalid_tree():
+        return sub("root", [sub("inner", [leaf("a", 10)]), leaf("b", 120)])
+
+    VIOLATIONS = ("leaf 'b': value 120 is outside [0.0, 100.0]",)
+
+    def test_aggregate_rejects_an_invalid_tree(self):
+        with pytest.raises(HierarchyValidationError) as excinfo:
+            aggregate(self.invalid_tree(), PERCENT)
+        assert excinfo.value.violations == self.VIOLATIONS
+
+    def test_compare_methods_rejects_an_invalid_tree(self):
+        with pytest.raises(HierarchyValidationError) as excinfo:
+            compare_methods(self.invalid_tree(), PERCENT, 0.3)
+        assert excinfo.value.violations == self.VIOLATIONS
+
+    def test_sweep_rejects_an_invalid_tree(self):
+        with pytest.raises(HierarchyValidationError) as excinfo:
+            sweep(self.invalid_tree(), PERCENT, "a", 0, 100, 5)
+        assert excinfo.value.violations == self.VIOLATIONS
+
+    def test_compare_methods_checks_the_threshold_first(self):
+        with pytest.raises(EvaluationError, match="threshold must lie in"):
+            compare_methods(self.invalid_tree(), PERCENT, 1.5)
+
+    @pytest.mark.parametrize(
+        "vary, start, stop, steps, message",
+        [
+            ("a", 0, 100, 1, "steps must be at least 2"),
+            ("a", -1, 100, 5, "sweep from value -1 is outside"),
+            ("a", 0, 101, 5, "sweep to value 101 is outside"),
+            ("ghost", 0, 100, 5, "unknown element id 'ghost'"),
+            ("inner", 0, 100, 5, "only leaves can vary"),
+        ],
+    )
+    def test_sweep_checks_its_arguments_first(self, vary, start, stop, steps, message):
+        with pytest.raises(EvaluationError, match=message):
+            sweep(self.invalid_tree(), PERCENT, vary, start, stop, steps)

@@ -101,8 +101,31 @@ class TestDegreeCentrality:
             got = degree_centrality(net)
             assert [got[n] for n in net.nodes] == expected.tolist()
 
+    @pytest.mark.parametrize(
+        "net, message",
+        [
+            (Network(("a",), (("a", "b"),)), "edge ('a', 'b') ends at undeclared node 'b'"),
+            (Network(("b",), (("a", "b"),)), "edge ('a', 'b') starts at undeclared node 'a'"),
+        ],
+    )
+    def test_undeclared_edge_end_is_a_diagnostic(self, net, message):
+        assert message in validate_network(net)
+        with pytest.raises(EvaluationError) as excinfo:
+            degree_centrality(net)
+        assert str(excinfo.value) == message
+
 
 class TestBetweennessCentrality:
+    def test_edge_to_an_undeclared_node_is_a_diagnostic(self):
+        net = Network(("a",), (("a", "b"),))
+        with pytest.raises(EvaluationError) as excinfo:
+            betweenness_centrality(net)
+        assert str(excinfo.value) == "edge ('a', 'b') ends at undeclared node 'b'"
+
+    def test_edges_from_undeclared_nodes_are_skipped(self):
+        net = Network(("a", "b", "c"), (("a", "b"), ("x", "b"), ("x", "y"), ("b", "c")))
+        assert betweenness_centrality(net) == betweenness_centrality(PATH)
+
     def test_path_center_carries_the_one_pair(self):
         assert betweenness_centrality(PATH) == {"a": 0.0, "b": 1.0, "c": 0.0}
 
