@@ -21,15 +21,13 @@ from typing import Iterable, Sequence
 
 from .core import (
     EvaluationError,
-    GroupedSystem,
     Method,
     PriorityVector,
+    _hybrid,
     _masking_ratio,
-    hybrid_grouped,
-    nam,
-    wem,
-    wem_then_aggregate,
-    wlam,
+    _nam,
+    _signed_gap,
+    _wlam,
 )
 from .description import DescriptionError, SystemDescription, load_description
 from .hierarchy import (
@@ -118,30 +116,52 @@ def _flat_critical_ids(desc: SystemDescription) -> tuple[str, ...]:
     return tuple(e.id for e in desc.elements)
 
 
+# load_description has checked the flat vector (ids unique, values finite
+# and in scale, priorities positive, groups a partition), so flat evaluate
+# runs the operator kernels on plain floats.  The weights are what the
+# public wlam is given for a description: 1.0 where no priority is set.
+
+
+def _flat_values(desc: SystemDescription) -> tuple[list[float], list[float]]:
+    """Element values and their weights, in element order."""
+    values = [e.evaluation for e in desc.elements]
+    weights = [1.0 if e.priority is None else e.priority for e in desc.elements]
+    return values, weights
+
+
+def _flat_hybrid(desc: SystemDescription, values: list[float]) -> float:
+    position = {e.id: k for k, e in enumerate(desc.elements)}
+    return _hybrid(
+        values,
+        [([position[m] for m in g.members], g.priority) for g in desc.groups],
+    )
+
+
 def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
-    evals = desc.evaluation_vector()
+    values, weights = _flat_values(desc)
     if method is Method.WEM:
-        _emit_value(method, wem(evals), fmt)
+        _emit_value(method, min(values), fmt)
     elif method is Method.WLAM:
-        _emit_value(method, wlam(evals, desc.priority_vector()), fmt)
+        _emit_value(method, _wlam(values, weights), fmt)
     elif method is Method.NAM:
-        _emit_value(method, nam(evals), fmt)
+        _emit_value(method, _nam(values), fmt)
     elif method is Method.HYBRID_GROUPED:
         if not desc.groups:
             raise EvaluationError(
                 "the hybrid method needs a groups section in the description"
             )
-        _emit_value(method, hybrid_grouped(GroupedSystem(desc.groups, evals)), fmt)
+        _emit_value(method, _flat_hybrid(desc, values), fmt)
     else:
-        result = wem_then_aggregate(
-            evals, _flat_critical_ids(desc), Method.WLAM, desc.priority_vector()
-        )
+        by_id = {e.id: e.evaluation for e in desc.elements}
+        critical_wem = min(by_id[i] for i in _flat_critical_ids(desc))
+        aggregate = _wlam(values, weights)
+        adequacy = _signed_gap(aggregate, critical_wem)
         if fmt == "text":
             _line_out(
                 [
-                    f"critical_wem {_g(result.critical_wem)}",
-                    f"aggregate {_g(result.aggregate)}",
-                    f"adequacy {_g(result.adequacy)}",
+                    f"critical_wem {_g(critical_wem)}",
+                    f"aggregate {_g(aggregate)}",
+                    f"adequacy {_g(adequacy)}",
                 ]
             )
         elif fmt == "json":
@@ -149,9 +169,9 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
                 json.dumps(
                     {
                         "method": method.value,
-                        "critical_wem": result.critical_wem,
-                        "aggregate": result.aggregate,
-                        "adequacy": result.adequacy,
+                        "critical_wem": critical_wem,
+                        "aggregate": aggregate,
+                        "adequacy": adequacy,
                     },
                     indent=2,
                 )
@@ -160,8 +180,8 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
             _line_out(
                 [
                     "method,critical_wem,aggregate,adequacy",
-                    f"{method.value},{result.critical_wem:.6f},"
-                    f"{result.aggregate:.6f},{result.adequacy:.6f}",
+                    f"{method.value},{critical_wem:.6f},"
+                    f"{aggregate:.6f},{adequacy:.6f}",
                 ]
             )
     return EXIT_OK
@@ -204,15 +224,12 @@ def _emit_report(report: AggregationReport, fmt: str) -> None:
 
 def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     """All methods side by side on the flat element vector."""
-    evals = desc.evaluation_vector()
+    values, weights = _flat_values(desc)
     weighted = any(e.priority is not None for e in desc.elements)
-    weights = desc.priority_vector()
-    wem_value = wem(evals)
-    wlam_value = wlam(evals, weights)
-    nam_value = None if weighted else nam(evals)
-    hybrid_value = (
-        hybrid_grouped(GroupedSystem(desc.groups, evals)) if desc.groups else None
-    )
+    wem_value = min(values)
+    wlam_value = _wlam(values, weights)
+    nam_value = None if weighted else _nam(values)
+    hybrid_value = _flat_hybrid(desc, values) if desc.groups else None
     sigma_12 = _masking_ratio(wlam_value, wem_value)
     sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
     if fmt == "text":
@@ -427,6 +444,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IsADirectoryError as exc:
         print(f"error: not a file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
+    except PermissionError as exc:
+        print(f"error: permission denied: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
     except (DescriptionError, HierarchyValidationError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -439,3 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

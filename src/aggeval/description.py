@@ -10,8 +10,10 @@ format.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import AbstractSet, Any
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
 from .network import (
@@ -32,7 +34,15 @@ __all__ = [
     "serialize_description",
 ]
 
-_METHOD_NAMES = ", ".join(m.value for m in Method)
+_METHODS = {m.value: m for m in Method}
+_METHOD_NAMES = ", ".join(_METHODS)
+
+_FLOAT_MAX = sys.float_info.max
+
+_ELEMENT_KEYS = frozenset(("id", "evaluation", "priority"))
+_GROUP_KEYS = frozenset(("id", "members", "priority"))
+_METHOD_KEYS = frozenset(("method", "groups", "critical", "fallback", "threshold"))
+_SUBSYSTEM_KEYS = frozenset(("id", "children", "method", "priority"))
 
 
 class DescriptionError(ValueError):
@@ -111,13 +121,27 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _clean_positive(value: Any) -> bool:
+    """Whether ``_get_number`` and a positivity check pass a decoded value silently.
+
+    json.loads yields only exact int, float and bool numbers, so the exact
+    type test is ``_is_number``; an int up to the largest float converts
+    to a finite float, and the bounds reject NaN and infinities.
+    """
+    return (type(value) is float or type(value) is int) and 0 < value <= _FLOAT_MAX
+
+
 def _get_number(obj: dict, key: str, path: str, diag: _Collector) -> float | None:
     value = obj[key]
     if not _is_number(value):
         diag.add(f"{path}.{key}", f"expected a number, got {value!r}")
         return None
-    number = float(value)
-    if number != number or number in (float("inf"), float("-inf")):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        diag.add(f"{path}.{key}", "number out of float range")
+        return None
+    if not math.isfinite(number):
         diag.add(f"{path}.{key}", "number must be finite")
         return None
     return number
@@ -131,7 +155,15 @@ def _get_string(obj: dict, key: str, path: str, diag: _Collector) -> str | None:
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str, diag: _Collector) -> bool:
+def _check_keys(
+    obj: dict,
+    allowed: AbstractSet[str],
+    required: tuple[str, ...],
+    path: str,
+    diag: _Collector,
+) -> bool:
+    if obj.keys() <= allowed and all(key in obj for key in required):
+        return True
     ok = True
     for key in obj:
         if key not in allowed:
@@ -151,7 +183,7 @@ def _parse_scale(doc: dict, diag: _Collector) -> Scale | None:
     if not isinstance(raw, dict):
         diag.add("scale", f"expected an object, got {raw!r}")
         return None
-    if not _check_keys(raw, {"min", "max"}, {"min", "max"}, "scale", diag):
+    if not _check_keys(raw, {"min", "max"}, ("min", "max"), "scale", diag):
         return None
     low = _get_number(raw, "min", "scale", diag)
     high = _get_number(raw, "max", "scale", diag)
@@ -179,14 +211,43 @@ def _parse_elements(
         return ()
     elements: list[Element] = []
     seen: set[str] = set()
+    # NaN bounds send every entry to the reporting path when the scale is bad.
+    low, high = (scale.min, scale.max) if scale is not None else (math.nan, math.nan)
     for index, entry in enumerate(raw):
+        # Common case first: an entry the checks below pass without a word.
+        # json.loads yields only exact dict/list/str/int/float/bool, so the
+        # exact-type tests match _is_number, and the finite scale bounds
+        # reject NaN, infinities and ints beyond the float range.
+        if type(entry) is dict:
+            element_id = entry.get("id")
+            evaluation = entry.get("evaluation")
+            priority = entry.get("priority")
+            if (
+                type(element_id) is str
+                and element_id
+                and element_id not in seen
+                and (type(evaluation) is float or type(evaluation) is int)
+                and low <= evaluation <= high
+                and (
+                    len(entry) == 2
+                    if priority is None
+                    else len(entry) == 3 and _clean_positive(priority)
+                )
+            ):
+                seen.add(element_id)
+                elements.append(
+                    Element(
+                        element_id,
+                        float(evaluation),
+                        None if priority is None else float(priority),
+                    )
+                )
+                continue
         path = f"elements[{index}]"
         if not isinstance(entry, dict):
             diag.add(path, f"expected an object, got {entry!r}")
             continue
-        if not _check_keys(
-            entry, {"id", "evaluation", "priority"}, {"id", "evaluation"}, path, diag
-        ):
+        if not _check_keys(entry, _ELEMENT_KEYS, ("id", "evaluation"), path, diag):
             continue
         element_id = _get_string(entry, "id", path, diag)
         evaluation = _get_number(entry, "evaluation", path, diag)
@@ -212,6 +273,43 @@ def _parse_elements(
     return tuple(elements)
 
 
+def _clean_group(
+    entry: dict, member_pool: set[str] | None, assigned: set[str], seen_ids: set[str]
+) -> Group | None:
+    """The group ``entry`` describes if the checks would pass it silently, else None.
+
+    On success the group's id and members are recorded as taken; on None
+    nothing is, and the caller reports the entry.
+    """
+    group_id = entry.get("id")
+    members = entry.get("members")
+    priority = entry.get("priority", 1.0)
+    if not (
+        type(group_id) is str
+        and group_id
+        and group_id not in seen_ids
+        and type(members) is list
+        and members
+        and len(entry) == 2 + ("priority" in entry)
+        and _clean_positive(priority)
+    ):
+        return None
+    fresh: set[str] = set()
+    for member in members:
+        if (
+            type(member) is not str
+            or not member
+            or member in fresh
+            or member in assigned
+            or (member_pool is not None and member not in member_pool)
+        ):
+            return None
+        fresh.add(member)
+    assigned |= fresh
+    seen_ids.add(group_id)
+    return Group(id=group_id, members=tuple(members), priority=float(priority))
+
+
 def _parse_group_list(
     raw: Any, member_pool: set[str] | None, path: str, diag: _Collector
 ) -> tuple[Group, ...] | None:
@@ -225,13 +323,16 @@ def _parse_group_list(
     seen_ids: set[str] = set()
     assigned: set[str] = set()
     for index, entry in enumerate(raw):
+        if type(entry) is dict:
+            group = _clean_group(entry, member_pool, assigned, seen_ids)
+            if group is not None:
+                groups.append(group)
+                continue
         group_path = f"{path}[{index}]"
         if not isinstance(entry, dict):
             diag.add(group_path, f"expected an object, got {entry!r}")
             continue
-        if not _check_keys(
-            entry, {"id", "members", "priority"}, {"id", "members"}, group_path, diag
-        ):
+        if not _check_keys(entry, _GROUP_KEYS, ("id", "members"), group_path, diag):
             continue
         group_id = _get_string(entry, "id", group_path, diag)
         priority = 1.0
@@ -279,16 +380,14 @@ def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
     if not isinstance(raw, dict):
         diag.add(path, f"expected an object, got {raw!r}")
         return None
-    allowed = {"method", "groups", "critical", "fallback", "threshold"}
-    if not _check_keys(raw, allowed, {"method"}, path, diag):
+    if not _check_keys(raw, _METHOD_KEYS, ("method",), path, diag):
         return None
     name = raw["method"]
     if not isinstance(name, str):
         diag.add(f"{path}.method", f"expected a string, got {name!r}")
         return None
-    try:
-        method = Method(name)
-    except ValueError:
+    method = _METHODS.get(name)
+    if method is None:
         diag.add(f"{path}.method", f"unknown method {name!r}; one of: {_METHOD_NAMES}")
         return None
     groups: tuple[Group, ...] = ()
@@ -327,30 +426,49 @@ def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
     )
 
 
+# Where a leaf reference sits: its parent's path and its index among the
+# parent's children (None for a root leaf).  Paths are formatted only for
+# a diagnostic, so the common path builds no string per leaf.
+_Location = tuple[str, int | None]
+
+
+def _location_path(parent: str, index: int | None) -> str:
+    return parent if index is None else f"{parent}.children[{index}]"
+
+
+def _parse_leaf(
+    name: str,
+    parent: str,
+    index: int | None,
+    elements: dict[str, Element],
+    used: dict[str, _Location],
+    diag: _Collector,
+) -> HierarchyNode | None:
+    element = elements.get(name)
+    if element is not None and name not in used:
+        used[name] = (parent, index)
+        return HierarchyNode(element.id, element.evaluation, element.priority)
+    path = _location_path(parent, index)
+    if element is None:
+        diag.add(path, f"unknown element {name!r}")
+    else:
+        diag.add(path, f"element {name!r} already used at {_location_path(*used[name])}")
+    return None
+
+
 def _parse_hierarchy_node(
     raw: Any,
     path: str,
     elements: dict[str, Element],
-    used: dict[str, str],
+    used: dict[str, _Location],
     diag: _Collector,
 ) -> HierarchyNode | None:
     if isinstance(raw, str):
-        element = elements.get(raw)
-        if element is None:
-            diag.add(path, f"unknown element {raw!r}")
-            return None
-        if raw in used:
-            diag.add(path, f"element {raw!r} already used at {used[raw]}")
-            return None
-        used[raw] = path
-        return HierarchyNode(
-            id=element.id, value=element.evaluation, priority=element.priority
-        )
+        return _parse_leaf(raw, path, None, elements, used, diag)
     if not isinstance(raw, dict):
         diag.add(path, f"expected an element id or a subsystem object, got {raw!r}")
         return None
-    allowed = {"id", "children", "method", "priority"}
-    if not _check_keys(raw, allowed, {"id", "children"}, path, diag):
+    if not _check_keys(raw, _SUBSYSTEM_KEYS, ("id", "children"), path, diag):
         return None
     node_id = _get_string(raw, "id", path, diag)
     if node_id is not None and node_id in elements:
@@ -371,9 +489,12 @@ def _parse_hierarchy_node(
         return None
     children: list[HierarchyNode] = []
     for index, child in enumerate(children_raw):
-        node = _parse_hierarchy_node(
-            child, f"{path}.children[{index}]", elements, used, diag
-        )
+        if isinstance(child, str):
+            node = _parse_leaf(child, path, index, elements, used, diag)
+        else:
+            node = _parse_hierarchy_node(
+                child, f"{path}.children[{index}]", elements, used, diag
+            )
         if node is not None:
             children.append(node)
     if node_id is None or len(children) != len(children_raw):
@@ -387,7 +508,7 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
     if not isinstance(raw, dict):
         diag.add("network", f"expected an object, got {raw!r}")
         return None
-    if not _check_keys(raw, {"nodes", "edges", "flows"}, {"nodes"}, "network", diag):
+    if not _check_keys(raw, {"nodes", "edges", "flows"}, ("nodes",), "network", diag):
         return None
     nodes_raw = raw["nodes"]
     if not isinstance(nodes_raw, list) or not all(
@@ -424,7 +545,7 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
             diag.add(path, f"expected an object, got {entry!r}")
             flows_ok = False
             continue
-        if not _check_keys(entry, {"route", "volume"}, {"route"}, path, diag):
+        if not _check_keys(entry, {"route", "volume"}, ("route",), path, diag):
             flows_ok = False
             continue
         route = entry["route"]
@@ -463,6 +584,10 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
         raise DescriptionError(
             [f"{source}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"]
         ) from exc
+    except ValueError as exc:  # an integer literal over the int-conversion limit
+        raise DescriptionError(
+            [f"{source}: number literal longer than the JSON decoder allows"]
+        ) from exc
     except RecursionError as exc:
         raise DescriptionError(
             [f"{source}: nesting deeper than the JSON decoder allows"]
@@ -487,7 +612,7 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     hierarchy: HierarchyNode | None = None
     if "hierarchy" in doc:
         by_id = {e.id: e for e in elements}
-        used: dict[str, str] = {}
+        used: dict[str, _Location] = {}
         hierarchy = _parse_hierarchy_node(
             doc["hierarchy"], "hierarchy", by_id, used, diag
         )

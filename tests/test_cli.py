@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,19 @@ class TestInputErrors:
         )
         assert code == 2
         assert "elements[0].evaluation" in err
+
+    def test_unreadable_file_is_a_usage_error(self, capsys, monkeypatch, fixture_path):
+        # File modes do not stop every user (root reads anything), so the
+        # denial is raised by a stand-in for the parser's open().
+        path = fixture_path("weak_element.json")
+
+        def deny(name, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", name)
+
+        monkeypatch.setattr(aggeval.description, "open", deny, raising=False)
+        code, out, err = run(capsys, "evaluate", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: permission denied: {path}\n"
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "destroy")
@@ -783,3 +800,52 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: nesting deeper than the JSON decoder allows\n"
+
+    def test_integer_beyond_the_float_range_is_a_located_diagnostic(self, capsys, tmp_path):
+        # json.dumps writes Python ints in full, so these stay integer literals.
+        payload = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [
+                {"id": "a", "evaluation": 10**400},
+                {"id": "b", "evaluation": 50, "priority": -(10**400)},
+                {"id": "c", "evaluation": 101},
+            ],
+        }
+        code, out, err = run(capsys, "evaluate", "--input", write_doc(tmp_path, payload))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: elements[0].evaluation: number out of float range\n"
+            "elements[1].priority: number out of float range\n"
+            "elements[2].evaluation: value 101.0 is outside [0.0, 100.0]\n"
+        )
+
+    def test_number_literal_too_long_to_decode_is_one_diagnostic(self, capsys, tmp_path):
+        text = (
+            '{"scale": {"min": 0, "max": 100},'
+            ' "elements": [{"id": "a", "evaluation": 1' + "0" * 5000 + "}]}"
+        )
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: number literal longer than the JSON decoder allows\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys, fixture_path):
+    path = fixture_path("plant_hierarchy.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "aggeval", "evaluate", "--input", path],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    code, out, err = run(capsys, "evaluate", "--input", path)
+    assert code == 0 and out
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code,
+        out.encode("utf-8"),
+        err.encode("utf-8"),
+    )

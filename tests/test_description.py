@@ -482,3 +482,137 @@ class TestAcceptedTreesAreValid:
         except DescriptionError:
             return
         assert validate_hierarchy(desc.hierarchy_root(), desc.scale) == []
+
+
+# Fuzzing the parser: whatever the text, parse_description returns a
+# description or raises DescriptionError, never anything else.
+
+SECTION_KEYS = ("scale", "elements", "groups", "hierarchy", "network")
+FIELD_KEYS = (
+    "min", "max", "id", "evaluation", "priority", "members", "children", "method",
+    "groups", "critical", "fallback", "threshold", "nodes", "edges", "flows",
+    "route", "volume",
+)
+_keys = st.sampled_from(SECTION_KEYS + FIELD_KEYS) | st.text(max_size=3)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.sampled_from(ELEMENT_IDS + ("wlam", "nam", "hybrid", "wem-then", "n0"))
+    | st.integers()
+    # Any size json.dumps can write: 10**1000 is far beyond the float range.
+    | st.integers(-(10**1000), 10**1000)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+def parse_or_diagnose(text):
+    """The description, or None after checking the diagnostics are non-empty."""
+    try:
+        return parse_description(text)
+    except DescriptionError as exc:
+        assert exc.diagnostics and all(isinstance(d, str) for d in exc.diagnostics)
+        return None
+
+
+@st.composite
+def networked_documents(draw):
+    """``documents()``, some with a small valid network section."""
+    document = draw(documents())
+    if draw(st.booleans()):
+        nodes = [f"n{k}" for k in range(draw(st.integers(1, 4)))]
+        edges = [[a, b] for a in nodes for b in nodes if a != b and draw(st.booleans())]
+        network = {"nodes": nodes, "edges": edges}
+        if edges:
+            flows = []
+            for edge in draw(st.lists(st.sampled_from(edges), max_size=3)):
+                flow = {"route": list(edge)}
+                if draw(st.booleans()):
+                    flow["volume"] = draw(st.integers(1, 5) | st.floats(0.5, 9))
+                flows.append(flow)
+            network["flows"] = flows
+        document["network"] = network
+    return document
+
+
+def _slots(value, out):
+    """Every ``(container, key)`` pair inside a JSON value, in preorder."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        out.append((value, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one field made wrong-typed, empty, negative,
+    extreme, duplicated, unknown, reused or missing."""
+    document = draw(networked_documents())
+    container, key = draw(st.sampled_from(_slots(document, [])))
+    value = container[key]
+    kind = draw(
+        st.sampled_from(
+            [
+                "wrong-type", "empty", "negative", "extreme", "duplicate",
+                "unknown-key", "reuse", "missing",
+            ]
+        )
+    )
+    if kind == "wrong-type":
+        container[key] = draw(json_values)
+    elif kind == "empty":
+        container[key] = draw(st.sampled_from(["", [], {}, 0]))
+    elif kind == "negative":
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        container[key] = -value if is_number else -1
+    elif kind == "extreme":
+        container[key] = draw(
+            st.sampled_from([10**400, -(10**400), 1e308, float("nan"), float("-inf"), -0.0])
+        )
+    elif kind == "duplicate":
+        if isinstance(value, list) and value:
+            value.append(json.loads(json.dumps(draw(st.sampled_from(value)))))
+        elif isinstance(container, list):
+            container.append(json.loads(json.dumps(value)))
+    elif kind == "unknown-key":
+        target = value if isinstance(value, dict) else container
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "weight", "Id"]))] = 1
+    elif kind == "reuse":
+        container[key] = draw(st.sampled_from([e["id"] for e in document["elements"]]))
+    else:
+        del container[key]
+    return document
+
+
+class TestParserFuzz:
+    @settings(deadline=None, max_examples=300)
+    @given(json_values)
+    @example(10**400)
+    @example({"scale": {"min": 0, "max": 10**400}, "elements": [{"id": "a", "evaluation": 1}]})
+    def test_any_json_value_gives_a_description_or_diagnostics(self, value):
+        parse_or_diagnose(json.dumps(value))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.dictionaries(st.sampled_from(SECTION_KEYS), json_values, min_size=1))
+    def test_any_section_contents_give_a_description_or_diagnostics(self, document):
+        parse_or_diagnose(json.dumps(document))
+
+    @settings(deadline=None, max_examples=400)
+    @given(mutated_documents())
+    def test_one_bad_field_gives_a_description_or_diagnostics(self, document):
+        parse_or_diagnose(json.dumps(document))
+
+    @settings(deadline=None, max_examples=200)
+    @given(networked_documents() | mutated_documents())
+    def test_accepted_documents_round_trip(self, document):
+        desc = parse_or_diagnose(json.dumps(document))
+        if desc is not None:
+            assert parse_description(serialize_description(desc)) == desc
