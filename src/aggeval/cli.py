@@ -8,14 +8,15 @@ Four subcommands over a JSON system description:
 * ``sweep``      -- CSV trace of the aggregates while one element varies.
 * ``priorities`` -- node ranking derived from the network section.
 
-Exit codes: 0 success, 1 usage or unreadable input, 2 validation failure,
-3 at least one adequacy warning (``compare`` only).
+Exit codes: 0 success, 1 usage, unreadable input or stdout closed early,
+2 validation failure, 3 at least one adequacy warning (``compare`` only).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -29,13 +30,24 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .description import DescriptionError, SystemDescription, load_description
+from .description import (
+    DescriptionError,
+    SystemDescription,
+    _synthetic_root_id,
+    load_description,
+)
 from .hierarchy import (
     AggregationReport,
     HierarchyValidationError,
+    MethodComparison,
+    SweepRow,
     _aggregate,
+    _check_grid,
     _check_threshold,
     _compare,
+    _comparison_row,
+    _grid,
+    _metrics,
     _sweep,
     _sweep_path,
 )
@@ -117,28 +129,32 @@ def _flat_critical_ids(desc: SystemDescription) -> tuple[str, ...]:
 
 
 # load_description has checked the flat vector (ids unique, values finite
-# and in scale, priorities positive, groups a partition), so flat evaluate
-# runs the operator kernels on plain floats.  The weights are what the
-# public wlam is given for a description: 1.0 where no priority is set.
+# and in scale, priorities positive, groups a partition), so flat evaluate,
+# compare and sweep run the operator kernels on plain floats, with no
+# synthetic root node.  Weights are None, as for the synthetic root's
+# children, when no element sets a priority; fsum of unit weights is
+# exactly their count, so wlam is the same either way.
 
 
-def _flat_values(desc: SystemDescription) -> tuple[list[float], list[float]]:
-    """Element values and their weights, in element order."""
-    values = [e.evaluation for e in desc.elements]
-    weights = [1.0 if e.priority is None else e.priority for e in desc.elements]
-    return values, weights
-
-
-def _flat_hybrid(desc: SystemDescription, values: list[float]) -> float:
-    position = {e.id: k for k, e in enumerate(desc.elements)}
-    return _hybrid(
-        values,
-        [([position[m] for m in g.members], g.priority) for g in desc.groups],
-    )
+def _flat_input(
+    desc: SystemDescription,
+) -> tuple[list[float], list[float] | None, list[tuple[list[int], float]], list[str]]:
+    """Element values, weights, group plan (positions in member order) and ids."""
+    elements = desc.elements
+    values = [e.evaluation for e in elements]
+    ids = [e.id for e in elements]
+    weights = None
+    if any(e.priority is not None for e in elements):
+        weights = [1.0 if e.priority is None else e.priority for e in elements]
+    plan = []
+    if desc.groups:
+        position = {element_id: k for k, element_id in enumerate(ids)}
+        plan = [([position[m] for m in g.members], g.priority) for g in desc.groups]
+    return values, weights, plan, ids
 
 
 def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
-    values, weights = _flat_values(desc)
+    values, weights, plan, _ = _flat_input(desc)
     if method is Method.WEM:
         _emit_value(method, min(values), fmt)
     elif method is Method.WLAM:
@@ -150,7 +166,7 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
             raise EvaluationError(
                 "the hybrid method needs a groups section in the description"
             )
-        _emit_value(method, _flat_hybrid(desc, values), fmt)
+        _emit_value(method, _hybrid(values, plan), fmt)
     else:
         by_id = {e.id: e.evaluation for e in desc.elements}
         critical_wem = min(by_id[i] for i in _flat_critical_ids(desc))
@@ -224,12 +240,8 @@ def _emit_report(report: AggregationReport, fmt: str) -> None:
 
 def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     """All methods side by side on the flat element vector."""
-    values, weights = _flat_values(desc)
-    weighted = any(e.priority is not None for e in desc.elements)
-    wem_value = min(values)
-    wlam_value = _wlam(values, weights)
-    nam_value = None if weighted else _nam(values)
-    hybrid_value = _flat_hybrid(desc, values) if desc.groups else None
+    values, weights, plan, _ = _flat_input(desc)
+    wem_value, wlam_value, nam_value, hybrid_value = _metrics(values, weights, plan)
     sigma_12 = _masking_ratio(wlam_value, wem_value)
     sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
     if fmt == "text":
@@ -267,9 +279,11 @@ def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     return EXIT_OK
 
 
-# load_description has validated the tree (hierarchy_root's synthetic
-# root included), so the commands below call the roll-up past the public
-# functions' second validation pass; argument checks still run.
+# load_description has validated the tree, so the commands below call the
+# roll-up past the public functions' second validation pass; argument
+# checks still run.  A flat description has no tree: its compare and sweep
+# give what compare_methods and sweep give on hierarchy_root's synthetic
+# root, computed from the element vector.
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -287,10 +301,34 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
+def _flat_compare(desc: SystemDescription, threshold: float) -> list[MethodComparison]:
+    """The synthetic root's row, then one per group; weakest ids in element order."""
+    values, weights, plan, ids = _flat_input(desc)
+    root_id = _synthetic_root_id(ids)
+    low = min(values)
+    weakest = tuple(i for i, v in zip(ids, values) if v == low)
+    rows = [_comparison_row(root_id, values, weights, plan, weakest, threshold)]
+    for group, (positions, _) in zip(desc.groups or (), plan):
+        members = [values[k] for k in positions]
+        low = min(members)
+        weakest = tuple(ids[k] for k in sorted(positions) if values[k] == low)
+        rows.append(
+            _comparison_row(f"{root_id}/{group.id}", members, None, [], weakest, threshold)
+        )
+    return rows
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     _check_threshold(args.threshold)
-    rows = _compare(desc.hierarchy_root(), desc.scale, args.threshold)
+    if desc.hierarchy is None:
+        rows = _flat_compare(desc, args.threshold)
+    else:
+        rows = _compare(desc.hierarchy, desc.scale, args.threshold)
+    return _emit_comparison(rows)
+
+
+def _emit_comparison(rows: list[MethodComparison]) -> int:
     cells = [["node", "wem", "wlam", "nam", "hybrid", "sigma_12", "sigma_13", "warnings"]]
     for row in rows:
         cells.append(
@@ -324,19 +362,44 @@ def _sweep_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flat_sweep(
+    desc: SystemDescription, vary_id: str, start: float, stop: float, steps: int
+) -> list[SweepRow]:
+    """Root metrics over the element vector with one element's value on the grid."""
+    _check_grid(desc.scale, start, stop, steps)
+    values, weights, plan, ids = _flat_input(desc)
+    if vary_id == _synthetic_root_id(ids):
+        raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
+    if vary_id not in ids:
+        raise EvaluationError(f"unknown element id {vary_id!r}")
+    slot = ids.index(vary_id)
+    rows = []
+    for varied in _grid(start, stop, steps):
+        values[slot] = float(varied)
+        rows.append(SweepRow(varied, *_metrics(values, weights, plan)))
+    return rows
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    path = _sweep_path(
-        desc.hierarchy_root(), desc.scale, args.vary, args.start, args.stop, args.steps
-    )
-    rows = _sweep(desc.scale, path, args.start, args.stop, args.steps)
+    if desc.hierarchy is None:
+        rows = _flat_sweep(desc, args.vary, args.start, args.stop, args.steps)
+    else:
+        path = _sweep_path(
+            desc.hierarchy, desc.scale, args.vary, args.start, args.stop, args.steps
+        )
+        rows = _sweep(desc.scale, path, args.start, args.stop, args.steps)
+    _emit_sweep(rows, args.out)
+    return EXIT_OK
+
+
+def _emit_sweep(rows: list[SweepRow], out: str | None) -> None:
     text = _sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _cmd_priorities(args: argparse.Namespace) -> int:
@@ -458,7 +521,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does): send what is
+        # left to the null device, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

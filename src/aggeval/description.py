@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Any
+from typing import AbstractSet, Any, Iterable
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
 from .network import (
@@ -95,10 +95,7 @@ class SystemDescription:
         """
         if self.hierarchy is not None:
             return self.hierarchy
-        root_id = "system"
-        taken = {e.id for e in self.elements}
-        while root_id in taken:
-            root_id += "+"
+        root_id = _synthetic_root_id(e.id for e in self.elements)
         leaves = tuple(
             HierarchyNode(id=e.id, value=e.evaluation, priority=e.priority)
             for e in self.elements
@@ -107,6 +104,15 @@ class SystemDescription:
         if self.groups:
             config = MethodConfig(Method.HYBRID_GROUPED, groups=self.groups)
         return HierarchyNode(id=root_id, children=leaves, config=config)
+
+
+def _synthetic_root_id(element_ids: Iterable[str]) -> str:
+    """Id of a flat description's root: ``system``, with ``+`` appended while taken."""
+    root_id = "system"
+    taken = set(element_ids)
+    while root_id in taken:
+        root_id += "+"
+    return root_id
 
 
 class _Collector:

@@ -391,6 +391,26 @@ def _path_to(root: HierarchyNode, node_id: str) -> list[tuple[HierarchyNode, int
     return []
 
 
+def _check_grid(scale: Scale, start: float, stop: float, steps: int) -> None:
+    if steps < 2:
+        raise EvaluationError(f"steps must be at least 2, got {steps}")
+    for bound, name in ((start, "from"), (stop, "to")):
+        if not scale.contains(bound):
+            raise EvaluationError(
+                f"sweep {name} value {bound!r} is outside "
+                f"[{scale.min}, {scale.max}]"
+            )
+
+
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` uniform points from ``start`` to ``stop``, both ends exact."""
+    span = stop - start
+    return [
+        stop if index == steps - 1 else start + span * index / (steps - 1)
+        for index in range(steps)
+    ]
+
+
 def _sweep_path(
     root: HierarchyNode,
     scale: Scale,
@@ -400,14 +420,7 @@ def _sweep_path(
     steps: int,
 ) -> list[tuple[HierarchyNode, int]]:
     """Check the sweep arguments; returns the path down to the varied leaf."""
-    if steps < 2:
-        raise EvaluationError(f"steps must be at least 2, got {steps}")
-    for bound, name in ((start, "from"), (stop, "to")):
-        if not scale.contains(bound):
-            raise EvaluationError(
-                f"sweep {name} value {bound!r} is outside "
-                f"[{scale.min}, {scale.max}]"
-            )
+    _check_grid(scale, start, stop, steps)
     if root.is_leaf:
         raise EvaluationError("sweep needs a subsystem root with children")
     path = _path_to(root, vary_id)
@@ -445,9 +458,7 @@ def _sweep(
     weights = _child_weights(root)
     plan = _group_plan(root)
     rows: list[SweepRow] = []
-    span = stop - start
-    for index in range(steps):
-        varied = stop if index == steps - 1 else start + span * index / (steps - 1)
+    for varied in _grid(start, stop, steps):
         value = float(varied)
         # The root's own operator runs too: its value is not reported, but
         # an overflow in it ends the sweep as it ends a full roll-up.
