@@ -24,6 +24,7 @@ from .core import (
     EvaluationError,
     Method,
     PriorityVector,
+    Scale,
     _hybrid,
     _masking_ratio,
     _nam,
@@ -37,7 +38,6 @@ from .description import (
     load_description,
 )
 from .hierarchy import (
-    AggregationReport,
     HierarchyValidationError,
     MethodComparison,
     SweepRow,
@@ -48,9 +48,12 @@ from .hierarchy import (
     _comparison_row,
     _grid,
     _metrics,
+    _postorder,
+    _roll,
     _sweep,
     _sweep_path,
 )
+from .network import HierarchyNode
 from .priority import (
     Normalization,
     PriorityBasis,
@@ -203,39 +206,33 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
     return EXIT_OK
 
 
-def _report_lines(root: AggregationReport) -> list[str]:
-    """The indented text tree, one line per node plus one per warning."""
-    lines: list[str] = []
+def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
+    """The roll-up as CSV rows, or as the indented text tree with one line
+    per node plus one per warning; a single preorder walk over the tree."""
+    rows = _roll(_postorder(root), scale)
+    lines = ["node,method,value,adequacy,weakest"] if csv else []
     stack = [(root, "")]
     while stack:
-        report, pad = stack.pop()
-        if not report.children:
-            lines.append(f"{pad}{report.node_id} = {_g(report.value)}")
+        node, pad = stack.pop()
+        node_id = node.id
+        value, _, weakest, label, adequacy, warnings = rows[node_id]
+        children = node.children
+        if csv:
+            lines.append(
+                f"{node_id},{label},{value:.6f},{adequacy:.6f},{';'.join(weakest)}"
+            )
+        elif children:
+            lines.append(
+                f"{pad}{node_id} [{label}] = {value:.6g} "
+                f"(adequacy {adequacy:.6g}; weakest {', '.join(weakest)})"
+            )
+            lines.extend(f"{pad}  warning: {warning}" for warning in warnings)
         else:
-            lines.append(
-                f"{pad}{report.node_id} [{report.method}] = {_g(report.value)} "
-                f"(adequacy {_g(report.adequacy)}; weakest "
-                f"{', '.join(report.weakest_ids)})"
-            )
-        for warning in report.warnings:
-            lines.append(f"{pad}  warning: {warning}")
-        stack.extend((child, pad + "  ") for child in reversed(report.children))
+            lines.append(f"{pad}{node_id} = {value:.6g}")
+        if children:
+            pad += "  "
+            stack.extend((child, pad) for child in reversed(children))
     return lines
-
-
-def _emit_report(report: AggregationReport, fmt: str) -> None:
-    if fmt == "text":
-        _line_out(_report_lines(report))
-    elif fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        lines = ["node,method,value,adequacy,weakest"]
-        for node in report.walk():
-            lines.append(
-                f"{node.node_id},{node.method},{node.value:.6f},"
-                f"{node.adequacy:.6f},{';'.join(node.weakest_ids)}"
-            )
-        _line_out(lines)
 
 
 def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
@@ -291,7 +288,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.method is not None:
         return _evaluate_method(desc, Method(args.method), args.format)
     if desc.hierarchy is not None:
-        _emit_report(_aggregate(desc.hierarchy, desc.scale), args.format)
+        if args.format == "json":
+            report = _aggregate(desc.hierarchy, desc.scale)
+            print(json.dumps(report.to_dict(), indent=2))
+        else:
+            _line_out(_tree_lines(desc.hierarchy, desc.scale, args.format == "csv"))
         return EXIT_OK
     return _evaluate_summary(desc, args.format)
 

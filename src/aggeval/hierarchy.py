@@ -11,7 +11,7 @@ value moves across a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     EvaluationError,
@@ -23,7 +23,7 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .network import HierarchyNode, validate_hierarchy
+from .network import HierarchyNode, _Tree, validate_hierarchy
 
 __all__ = [
     "AggregationReport",
@@ -46,8 +46,8 @@ class HierarchyValidationError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class AggregationReport:
+@dataclass(frozen=True, repr=False, eq=False)
+class AggregationReport(_Tree):
     """Aggregation outcome for one node, with its subtree's reports.
 
     ``weakest_ids`` lists the leaves attaining the smallest evaluation in
@@ -174,27 +174,39 @@ def _metrics(
     )
 
 
+def _method(node: HierarchyNode) -> Method:
+    return node.config.method if node.config is not None else Method.WLAM
+
+
+def _operator(node: HierarchyNode) -> Callable[[list[float]], float]:
+    """The node's configured operator over its child values, in child order.
+
+    Child weights and the group plan are resolved here, once per node.
+    """
+    method = _method(node)
+    if method is Method.WEM:
+        return min
+    if method is Method.NAM or (
+        method is Method.WEM_THEN and node.config.fallback is Method.NAM
+    ):
+        return _nam
+    if method is Method.HYBRID_GROUPED:
+        plan = _group_plan(node)
+        return lambda values: _hybrid(values, plan)
+    weights = _child_weights(node)
+    return lambda values: _wlam(values, weights)
+
+
 def _apply_method(node: HierarchyNode, values: list[float]) -> tuple[str, float, float]:
     """Run the node's configured operator; returns (label, value, adequacy)."""
-    config = node.config
-    method = config.method if config is not None else Method.WLAM
-    if method is Method.WEM:
-        value = min(values)
-    elif method is Method.WLAM:
-        value = _wlam(values, _child_weights(node))
-    elif method is Method.NAM:
-        value = _nam(values)
-    elif method is Method.HYBRID_GROUPED:
-        value = _hybrid(values, _group_plan(node))
-    else:
-        if config.fallback is Method.NAM:
-            value = _nam(values)
-        else:
-            value = _wlam(values, _child_weights(node))
+    method = _method(node)
+    value = _operator(node)(values)
+    if method is Method.WEM_THEN:
         position = {child.id: k for k, child in enumerate(node.children)}
-        critical = min(values[position[i]] for i in config.critical_ids)
-        return (method.value, value, _signed_gap(value, critical))
-    return (method.value, value, _signed_gap(value, min(values)))
+        weakest = min(values[position[i]] for i in node.config.critical_ids)
+    else:
+        weakest = min(values)
+    return (method.value, value, _signed_gap(value, weakest))
 
 
 def _postorder(root: HierarchyNode) -> list[HierarchyNode]:
@@ -219,7 +231,7 @@ def _roll(order: list[HierarchyNode], scale: Scale) -> dict[str, _Row]:
     """
     rows: dict[str, _Row] = {}
     for node in order:
-        if node.is_leaf:
+        if not node.children:
             value = float(node.value)
             rows[node.id] = (value, value, (node.id,), "leaf", 0.0, ())
             continue
@@ -351,9 +363,12 @@ def _compare(root: HierarchyNode, scale: Scale, threshold: float) -> list[Method
     """:func:`compare_methods` on a tree and threshold already checked."""
     registry = _roll(_postorder(root), scale)
     rows: list[MethodComparison] = []
-    for node in root.walk():
-        if not node.is_leaf:
-            _compare_node(node, threshold, registry, rows)
+    # Preorder over the subsystems only: leaves are never pushed.
+    stack = [root] if root.children else []
+    while stack:
+        node = stack.pop()
+        _compare_node(node, threshold, registry, rows)
+        stack.extend(child for child in reversed(node.children) if child.children)
     return rows
 
 
@@ -439,12 +454,12 @@ def _sweep(
     steps: int,
 ) -> list[SweepRow]:
     """:func:`sweep` along a checked path in a tree already validated."""
-    # One (ancestor, child values, slot of the path child) per level, root
+    # One (operator, child values, slot of the path child) per level, root
     # first.  Only the subtrees off the path are rolled here: a full re-roll
     # never evaluates the path at the leaf's stored value, so neither does this.
     levels = [
         (
-            node,
+            _operator(node),
             [
                 0.0 if k == slot else _roll(_postorder(child), scale)[child.id][0]
                 for k, child in enumerate(node.children)
@@ -453,18 +468,25 @@ def _sweep(
         )
         for (node, _), (_, slot) in zip(path, path[1:])
     ]
+    below = levels[:0:-1]  # the path's ancestors under the root, deepest first
+    root_operator, root_values, root_slot = levels[0]
     root = path[0][0]
-    root_values = levels[0][1]
     weights = _child_weights(root)
     plan = _group_plan(root)
+    # The root's value is not reported, but an overflow in its operator ends
+    # a full roll-up.  _metrics runs the same kernel on the same values,
+    # except nam under child priorities, which only a wem-then root with a
+    # nam fallback reaches; only that root runs its operator on its own.
+    check_root = root_operator is _nam and weights is not None
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        # The root's own operator runs too: its value is not reported, but
-        # an overflow in it ends the sweep as it ends a full roll-up.
-        for node, values, slot in reversed(levels):
+        for operator, values, slot in below:
             values[slot] = value
-            value = scale.clamp(_apply_method(node, values)[1])
+            value = scale.clamp(operator(values))
+        root_values[root_slot] = value
+        if check_root:
+            _nam(root_values)
         rows.append(SweepRow(varied, *_metrics(root_values, weights, plan)))
     return rows
 

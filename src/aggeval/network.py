@@ -13,7 +13,7 @@ sound, so callers can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .core import Group, Method, Scale
@@ -131,8 +131,58 @@ class MethodConfig:
         )
 
 
-@dataclass(frozen=True)
-class HierarchyNode:
+class _Tree:
+    """``repr``, ``==`` and ``hash`` of a dataclass tree, without recursion.
+
+    For a frozen dataclass declared with ``repr=False, eq=False`` whose
+    ``children`` field holds nodes of its own class.  ``repr`` and ``==``
+    give what the generated methods give, and equal trees hash equal, at
+    any depth.
+    """
+
+    def _preorder(self) -> list[tuple]:
+        """Class, fields but ``children``, and child count of each node, in
+        preorder; the list determines the tree."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            own = tuple(getattr(node, f.name) for f in fields(node) if f.name != "children")
+            out.append((node.__class__, own, len(node.children)))
+            stack.extend(reversed(node.children))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            tokens: list = [f"{type(item).__qualname__}("]
+            for field in fields(item):
+                value = getattr(item, field.name)
+                if field.name == "children":
+                    inner = [token for child in value for token in (", ", child)][1:]
+                    tokens += ["children=(", *inner, ",)" if len(value) == 1 else ")", ", "]
+                else:
+                    tokens += [f"{field.name}={value!r}", ", "]
+            tokens[-1] = ")"
+            stack.extend(reversed(tokens))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class HierarchyNode(_Tree):
     """One node of the evaluation hierarchy.
 
     Leaves carry an evaluation ``value``; subsystems carry ``children``
@@ -167,10 +217,6 @@ class HierarchyNode:
 
     def leaf_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.walk() if n.is_leaf)
-
-
-def _positive(value: float | None) -> bool:
-    return value is None or (math.isfinite(value) and value > 0)
 
 
 def _check_config(node: HierarchyNode, out: list[str]) -> None:
@@ -252,29 +298,39 @@ def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
     """Check tree shape, leaf ranges, and method-config coherence."""
     violations: list[str] = []
     seen_ids: set[str] = set()
-    for node in root.walk():
-        if node.id in seen_ids:
-            violations.append(f"node id {node.id!r} used more than once")
+    isfinite = math.isfinite
+    low, high = scale.min, scale.max
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children = node.children
+        # Pushed before the duplicate check: a reused id does not hide the
+        # violations in its subtree.
+        if children:
+            stack += children[::-1]
+        node_id = node.id
+        if node_id in seen_ids:
+            violations.append(f"node id {node_id!r} used more than once")
             continue
-        seen_ids.add(node.id)
-        if not _positive(node.priority):
+        seen_ids.add(node_id)
+        priority = node.priority
+        if priority is not None and not (isfinite(priority) and priority > 0):
             violations.append(
-                f"node {node.id!r}: priority must be positive, got {node.priority!r}"
+                f"node {node_id!r}: priority must be positive, got {priority!r}"
             )
-        if node.is_leaf:
-            if node.value is None:
-                violations.append(f"leaf {node.id!r} has no evaluation value")
-            elif not (math.isfinite(node.value) and scale.contains(node.value)):
+        if not children:
+            value = node.value
+            if value is None:
+                violations.append(f"leaf {node_id!r} has no evaluation value")
+            elif not (isfinite(value) and low <= value <= high):
                 violations.append(
-                    f"leaf {node.id!r}: value {node.value!r} is outside "
-                    f"[{scale.min}, {scale.max}]"
+                    f"leaf {node_id!r}: value {value!r} is outside [{low}, {high}]"
                 )
             if node.config is not None:
-                violations.append(f"leaf {node.id!r} cannot carry a method config")
+                violations.append(f"leaf {node_id!r} cannot carry a method config")
         else:
             if node.value is not None:
-                violations.append(
-                    f"subsystem {node.id!r} cannot carry a leaf value"
-                )
-            _check_config(node, violations)
+                violations.append(f"subsystem {node_id!r} cannot carry a leaf value")
+            if node.config is not None:
+                _check_config(node, violations)
     return violations

@@ -1,6 +1,7 @@
 """The experiment scripts keep the promises the README makes for them."""
 
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +31,17 @@ def test_sweep_data_is_reproduced_byte_for_byte(tmp_path, monkeypatch, capsys):
     assert first == second
     for data in first.values():
         assert data.count(b"\n") == steps + 1
+
+
+def test_same_output_finds_no_difference_between_equal_sources():
+    src = str(SCRIPTS.parent / "src")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "same_output.py"), src, src, "--fixtures-only"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    last = done.stdout.splitlines()[-1]
+    assert last.startswith("0 of ") and last.endswith(" calls differ")
+    assert int(last.split()[2]) > 300
