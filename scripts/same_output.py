@@ -17,7 +17,14 @@ runs the same fixed command mix through ``aggeval.cli.main``:
 * ``priorities`` with every strategy, and combined with a group tolerance.
 
 The generated files are the four benchmark workloads at seeds 1 and 7,
-made by ``perfbench/workloads.py``; their own commands run as well.
+made by ``perfbench/workloads.py``; their own commands run as well.  So
+do ``evaluate`` and ``compare`` on copies of the seed-1 tree-rollup file
+with one fault each in the hierarchy (an unknown leaf, a reused leaf, a
+subsystem id shadowing an element, a broken method object, a duplicate
+subsystem id, a bad hybrid partition, an unknown leaf at the bottom of
+the deep chain).  They run the parser's reporting path, or for the
+duplicate id and the bad partition the tree validation after its common
+path, at workload size.
 ``--fixtures-only`` skips them.  Every call whose exit code, stdout,
 stderr or written file differs between the sides is printed; the exit
 status is 1 if any differs, else 0.
@@ -70,6 +77,40 @@ def _file_commands(path: Path) -> list[list[str]]:
     return commands
 
 
+HIERARCHY_FAULTS = (
+    "unknown-leaf", "reused-leaf", "shadowing-id", "broken-method",
+    "duplicate-id", "bad-partition", "deep-unknown-leaf",
+)
+
+
+def _hierarchy_faults(doc: dict) -> dict[str, dict]:
+    """Copies of a tree-rollup document, each with one hierarchy fault."""
+    variants = {}
+    for fault in HIERARCHY_FAULTS:
+        variant = json.loads(json.dumps(doc))
+        root = variant["hierarchy"]
+        first, second = root["children"][:2]
+        if fault == "unknown-leaf":
+            first["children"][0] = "no-such-id"
+        elif fault == "reused-leaf":
+            second["children"][0] = first["children"][0]
+        elif fault == "shadowing-id":
+            first["id"] = first["children"][0]
+        elif fault == "broken-method":
+            first["method"] = {"method": "bogus"}
+        elif fault == "duplicate-id":
+            second["id"] = first["id"]
+        elif fault == "bad-partition":
+            root["method"]["groups"].pop()
+        else:  # the last leaf of the deep chain, the lean pass's last entry
+            node = root["children"][-1]
+            while isinstance(node["children"][-1], dict):
+                node = node["children"][-1]
+            node["children"][-1] = "no-such-id"
+        variants[fault] = variant
+    return variants
+
+
 def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     commands = []
     for path in sorted(FIXTURES.glob("*.json")):
@@ -89,6 +130,12 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
                 if command.out_path is not None:
                     argv[argv.index(command.out_path)] = OUT
                 commands.append(argv)
+            if name == "tree-rollup" and seed == SEEDS[0]:
+                for fault, doc in _hierarchy_faults(prepared.doc).items():
+                    path = workdir / f"{name}-{seed}-{fault}.json"
+                    path.write_text(json.dumps(doc), encoding="utf-8")
+                    commands += [["evaluate", "--input", str(path)],
+                                 ["compare", "--input", str(path)]]
     return commands
 
 

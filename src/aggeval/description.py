@@ -115,6 +115,17 @@ def _synthetic_root_id(element_ids: Iterable[str]) -> str:
     return root_id
 
 
+def _built(cls: type, fields: dict[str, Any]) -> Any:
+    """``cls(**fields)`` for a frozen dataclass, without its ``__init__``.
+
+    Only for values that already have the exact types ``__post_init__``
+    would coerce to; ``fields`` lists every field in declaration order.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 class _Collector:
     def __init__(self) -> None:
         self.diagnostics: list[str] = []
@@ -203,9 +214,8 @@ def _parse_scale(doc: dict, diag: _Collector) -> Scale | None:
 
 
 def _parse_elements(
-    doc: dict, scale: Scale | None, diag: _Collector
+    raw: Any, scale: Scale | None, diag: _Collector
 ) -> tuple[Element, ...]:
-    raw = doc.get("elements")
     if raw is None:
         diag.add("elements", "missing required section")
         return ()
@@ -241,13 +251,9 @@ def _parse_elements(
                 )
             ):
                 seen.add(element_id)
-                elements.append(
-                    Element(
-                        element_id,
-                        float(evaluation),
-                        None if priority is None else float(priority),
-                    )
-                )
+                elements.append(_built(Element, {
+                    "id": element_id, "evaluation": float(evaluation),
+                    "priority": None if priority is None else float(priority)}))
                 continue
         path = f"elements[{index}]"
         if not isinstance(entry, dict):
@@ -423,54 +429,28 @@ def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
         threshold = _get_number(raw, "threshold", path, diag)
         if threshold is None:
             return None
-    return MethodConfig(
-        method=method,
-        groups=groups,
-        critical_ids=critical,
-        fallback=fallback,
-        adequacy_threshold=threshold,
-    )
-
-
-# Where a leaf reference sits: its parent's path and its index among the
-# parent's children (None for a root leaf).  Paths are formatted only for
-# a diagnostic, so the common path builds no string per leaf.
-_Location = tuple[str, int | None]
-
-
-def _location_path(parent: str, index: int | None) -> str:
-    return parent if index is None else f"{parent}.children[{index}]"
-
-
-def _parse_leaf(
-    name: str,
-    parent: str,
-    index: int | None,
-    elements: dict[str, Element],
-    used: dict[str, _Location],
-    diag: _Collector,
-) -> HierarchyNode | None:
-    element = elements.get(name)
-    if element is not None and name not in used:
-        used[name] = (parent, index)
-        return HierarchyNode(element.id, element.evaluation, element.priority)
-    path = _location_path(parent, index)
-    if element is None:
-        diag.add(path, f"unknown element {name!r}")
-    else:
-        diag.add(path, f"element {name!r} already used at {_location_path(*used[name])}")
-    return None
+    return _built(MethodConfig, {
+        "method": method, "groups": groups, "critical_ids": critical,
+        "fallback": fallback, "adequacy_threshold": threshold})
 
 
 def _parse_hierarchy_node(
     raw: Any,
     path: str,
     elements: dict[str, Element],
-    used: dict[str, _Location],
+    used: dict[str, str],
     diag: _Collector,
 ) -> HierarchyNode | None:
     if isinstance(raw, str):
-        return _parse_leaf(raw, path, None, elements, used, diag)
+        element = elements.get(raw)
+        if element is None:
+            diag.add(path, f"unknown element {raw!r}")
+        elif raw in used:
+            diag.add(path, f"element {raw!r} already used at {used[raw]}")
+        else:
+            used[raw] = path
+            return HierarchyNode(element.id, element.evaluation, element.priority)
+        return None
     if not isinstance(raw, dict):
         diag.add(path, f"expected an element id or a subsystem object, got {raw!r}")
         return None
@@ -495,12 +475,9 @@ def _parse_hierarchy_node(
         return None
     children: list[HierarchyNode] = []
     for index, child in enumerate(children_raw):
-        if isinstance(child, str):
-            node = _parse_leaf(child, path, index, elements, used, diag)
-        else:
-            node = _parse_hierarchy_node(
-                child, f"{path}.children[{index}]", elements, used, diag
-            )
+        node = _parse_hierarchy_node(
+            child, f"{path}.children[{index}]", elements, used, diag
+        )
         if node is not None:
             children.append(node)
     if node_id is None or len(children) != len(children_raw):
@@ -508,6 +485,72 @@ def _parse_hierarchy_node(
     return HierarchyNode(
         id=node_id, priority=priority, children=tuple(children), config=config
     )
+
+
+def _lean_hierarchy(
+    raw: Any, elements: dict[str, Element]
+) -> tuple[HierarchyNode, dict[str, HierarchyNode]] | None:
+    """The tree ``_parse_hierarchy_node`` builds when it reports nothing, else None.
+
+    One explicit-stack pass with the exact-type tests of ``_parse_elements``.
+    It also returns the leaves by element id, whose keys are the reporting
+    parse's ``used``.  At the first entry that parse would diagnose (or a
+    leaf root) it gives up, and the caller runs that parse over the whole
+    section, so every diagnostic comes from one place.
+    """
+    leaves: dict[str, HierarchyNode] = {}
+    scratch = _Collector()  # _parse_method's diagnostics: empty means clean
+    # Subsystems in preorder as (id, priority, config, children), with None
+    # in place of each subsystem child.
+    order: list[tuple[str, float | None, MethodConfig | None, list]] = []
+    stack = [raw]
+    while stack:
+        node = stack.pop()
+        if type(node) is not dict:
+            return None
+        node_id = node.get("id")
+        children = node.get("children")
+        priority = node.get("priority")
+        if not (
+            type(node_id) is str
+            and node_id
+            and node_id not in elements
+            and type(children) is list
+            and children
+            and len(node) == 2 + (priority is not None) + ("method" in node)
+            and (priority is None or _clean_positive(priority))
+        ):
+            return None
+        config = None
+        if "method" in node:
+            config = _parse_method(node["method"], "", scratch)
+            if scratch.diagnostics:
+                return None
+        kids: list[HierarchyNode | None] = []
+        subsystems = []
+        for child in children:
+            if type(child) is not str:
+                kids.append(None)
+                subsystems.append(child)
+                continue
+            element = elements.get(child)
+            if element is None or child in leaves:
+                return None
+            leaves[child] = leaf = _built(HierarchyNode, {
+                "id": element.id, "value": element.evaluation,
+                "priority": element.priority, "children": (), "config": None})
+            kids.append(leaf)
+        stack += subsystems[::-1]
+        order.append((node_id, None if priority is None else float(priority), config, kids))
+    # In reverse preorder the subsystem children of a subsystem are on top
+    # of ``built``, the first one uppermost.
+    built: list[HierarchyNode] = []
+    for node_id, priority, config, kids in reversed(order):
+        children = tuple([built.pop() if kid is None else kid for kid in kids])
+        built.append(_built(HierarchyNode, {
+            "id": node_id, "value": None, "priority": priority,
+            "children": children, "config": config}))
+    return built[0], leaves
 
 
 def _parse_network(raw: Any, diag: _Collector) -> Network | None:
@@ -606,7 +649,8 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
         if key not in known:
             diag.add("document", f"unexpected key {key!r}")
     scale = _parse_scale(doc, diag)
-    elements = _parse_elements(doc, scale, diag)
+    # Popped: the decoded entries are freed before the tree is built.
+    elements = _parse_elements(doc.pop("elements", None), scale, diag)
     element_ids = {e.id for e in elements}
 
     groups: tuple[Group, ...] | None = None
@@ -618,10 +662,14 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     hierarchy: HierarchyNode | None = None
     if "hierarchy" in doc:
         by_id = {e.id: e for e in elements}
-        used: dict[str, _Location] = {}
-        hierarchy = _parse_hierarchy_node(
-            doc["hierarchy"], "hierarchy", by_id, used, diag
-        )
+        lean = _lean_hierarchy(doc["hierarchy"], by_id)
+        if lean is None:
+            used: dict[str, Any] = {}
+            hierarchy = _parse_hierarchy_node(
+                doc["hierarchy"], "hierarchy", by_id, used, diag
+            )
+        else:
+            hierarchy, used = lean
         if elements:
             unreferenced = sorted(element_ids - set(used))
             if unreferenced:
@@ -693,7 +741,9 @@ def serialize_description(desc: SystemDescription) -> str:
     """Render a description back to canonical JSON.
 
     Parsing the output reproduces the description exactly
-    (``parse_description(serialize_description(d)) == d``).
+    (``parse_description(serialize_description(d)) == d``).  Raises
+    ``ValueError`` when the hierarchy nests deeper than the JSON encoder
+    allows, which is a few hundred levels.
     """
     doc: dict[str, Any] = {
         "scale": {"min": desc.scale.min, "max": desc.scale.max},
@@ -709,16 +759,19 @@ def serialize_description(desc: SystemDescription) -> str:
             {"id": g.id, "members": list(g.members), "priority": g.priority}
             for g in desc.groups
         ]
-    if desc.hierarchy is not None:
-        doc["hierarchy"] = _node_to_doc(desc.hierarchy)
-    if desc.network is not None:
-        net: dict[str, Any] = {"nodes": list(desc.network.nodes)}
-        if desc.network.edges:
-            net["edges"] = [list(e) for e in desc.network.edges]
-        if desc.network.flows:
-            net["flows"] = [
-                {"route": list(f.route), "volume": f.volume}
-                for f in desc.network.flows
-            ]
-        doc["network"] = net
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        if desc.hierarchy is not None:
+            doc["hierarchy"] = _node_to_doc(desc.hierarchy)
+        if desc.network is not None:
+            net: dict[str, Any] = {"nodes": list(desc.network.nodes)}
+            if desc.network.edges:
+                net["edges"] = [list(e) for e in desc.network.edges]
+            if desc.network.flows:
+                net["flows"] = [
+                    {"route": list(f.route), "volume": f.volume}
+                    for f in desc.network.flows
+                ]
+            doc["network"] = net
+        return json.dumps(doc, indent=2) + "\n"
+    except RecursionError as exc:
+        raise ValueError("hierarchy nests deeper than the JSON encoder allows") from exc
