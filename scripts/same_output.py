@@ -18,13 +18,20 @@ runs the same fixed command mix through ``aggeval.cli.main``:
 
 The generated files are the four benchmark workloads at seeds 1 and 7,
 made by ``perfbench/workloads.py``; their own commands run as well.  So
-do ``evaluate`` and ``compare`` on copies of the seed-1 tree-rollup file
-with one fault each in the hierarchy (an unknown leaf, a reused leaf, a
-subsystem id shadowing an element, a broken method object, a duplicate
-subsystem id, a bad hybrid partition, an unknown leaf at the bottom of
-the deep chain).  They run the parser's reporting path, or for the
-duplicate id and the bad partition the tree validation after its common
-path, at workload size.
+do ``evaluate`` and ``compare`` on copies of two seed-1 files with one
+fault each:
+
+* tree-rollup, in the hierarchy: an unknown leaf, a reused leaf, a
+  subsystem id shadowing an element, a broken method object, a duplicate
+  subsystem id, a bad hybrid partition, an unknown leaf at the bottom of
+  the deep chain, and a leaf of the chain's bottom reused at its top,
+  before and after the subtree that holds it;
+* flat-grouped, in the groups: an unknown member, a member in two
+  groups, a non-string member, empty members, a 0 and a ``true``
+  priority, a duplicate group id, and an element in no group.
+
+They run the parser's reporting checks, or for the duplicate subsystem
+id and the bad partition the tree validation, at workload size.
 ``--fixtures-only`` skips them.  Every call whose exit code, stdout,
 stderr or written file differs between the sides is printed; the exit
 status is 1 if any differs, else 0.
@@ -80,6 +87,11 @@ def _file_commands(path: Path) -> list[list[str]]:
 HIERARCHY_FAULTS = (
     "unknown-leaf", "reused-leaf", "shadowing-id", "broken-method",
     "duplicate-id", "bad-partition", "deep-unknown-leaf",
+    "reused-leaf-before-subtree", "reused-leaf-after-subtree",
+)
+GROUP_FAULTS = (
+    "unknown-member", "member-in-two-groups", "non-string-member", "empty-members",
+    "zero-priority", "true-priority", "duplicate-group-id", "ungrouped-element",
 )
 
 
@@ -102,13 +114,47 @@ def _hierarchy_faults(doc: dict) -> dict[str, dict]:
             second["id"] = first["id"]
         elif fault == "bad-partition":
             root["method"]["groups"].pop()
-        else:  # the last leaf of the deep chain, the lean pass's last entry
-            node = root["children"][-1]
-            while isinstance(node["children"][-1], dict):
-                node = node["children"][-1]
-            node["children"][-1] = "no-such-id"
+        else:  # faults in the deep chain, whose nodes hold (leaf, rest)
+            top = bottom = root["children"][-1]
+            while isinstance(bottom["children"][-1], dict):
+                bottom = bottom["children"][-1]
+            if fault == "deep-unknown-leaf":  # the parse's last entry
+                bottom["children"][-1] = "no-such-id"
+            elif fault == "reused-leaf-before-subtree":
+                top["children"][0] = bottom["children"][0]
+            else:  # a string child read after its subsystem sibling's subtree
+                top["children"] = [top["children"][1], bottom["children"][0]]
         variants[fault] = variant
     return variants
+
+
+def _group_faults(doc: dict) -> dict[str, dict]:
+    """Copies of a flat-grouped document, each with one groups fault."""
+    variants = {}
+    for fault in GROUP_FAULTS:
+        variant = json.loads(json.dumps(doc))
+        first, second = variant["groups"][:2]
+        if fault == "unknown-member":
+            first["members"][0] = "no-such-id"
+        elif fault == "member-in-two-groups":
+            second["members"].append(first["members"][0])
+        elif fault == "non-string-member":
+            first["members"][1] = 7
+        elif fault == "empty-members":
+            first["members"] = []
+        elif fault == "zero-priority":
+            first["priority"] = 0
+        elif fault == "true-priority":
+            first["priority"] = True
+        elif fault == "duplicate-group-id":
+            second["id"] = first["id"]
+        else:
+            first["members"].pop()
+        variants[fault] = variant
+    return variants
+
+
+FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults}
 
 
 def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
@@ -130,8 +176,8 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
                 if command.out_path is not None:
                     argv[argv.index(command.out_path)] = OUT
                 commands.append(argv)
-            if name == "tree-rollup" and seed == SEEDS[0]:
-                for fault, doc in _hierarchy_faults(prepared.doc).items():
+            if name in FAULT_COPIES and seed == SEEDS[0]:
+                for fault, doc in FAULT_COPIES[name](prepared.doc).items():
                     path = workdir / f"{name}-{seed}-{fault}.json"
                     path.write_text(json.dumps(doc), encoding="utf-8")
                     commands += [["evaluate", "--input", str(path)],

@@ -134,15 +134,11 @@ class _Collector:
         self.diagnostics.append(f"{path}: {message}")
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _clean_positive(value: Any) -> bool:
-    """Whether ``_get_number`` and a positivity check pass a decoded value silently.
+    """Whether ``_get_priority`` passes a decoded value silently.
 
     json.loads yields only exact int, float and bool numbers, so the exact
-    type test is ``_is_number``; an int up to the largest float converts
+    type test is ``_get_number``'s; an int up to the largest float converts
     to a finite float, and the bounds reject NaN and infinities.
     """
     return (type(value) is float or type(value) is int) and 0 < value <= _FLOAT_MAX
@@ -150,7 +146,7 @@ def _clean_positive(value: Any) -> bool:
 
 def _get_number(obj: dict, key: str, path: str, diag: _Collector) -> float | None:
     value = obj[key]
-    if not _is_number(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         diag.add(f"{path}.{key}", f"expected a number, got {value!r}")
         return None
     try:
@@ -164,6 +160,15 @@ def _get_number(obj: dict, key: str, path: str, diag: _Collector) -> float | Non
     return number
 
 
+def _get_priority(obj: dict, path: str, diag: _Collector) -> float | None:
+    """``obj["priority"]``; None, after a diagnostic, if not a positive number."""
+    priority = _get_number(obj, "priority", path, diag)
+    if priority is not None and priority <= 0:
+        diag.add(f"{path}.priority", f"must be positive, got {priority!r}")
+        return None
+    return priority
+
+
 def _get_string(obj: dict, key: str, path: str, diag: _Collector) -> str | None:
     value = obj[key]
     if not isinstance(value, str) or not value:
@@ -172,13 +177,22 @@ def _get_string(obj: dict, key: str, path: str, diag: _Collector) -> str | None:
     return value
 
 
-def _check_keys(
-    obj: dict,
+def _is_id_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(n, str) and n for n in value)
+
+
+def _check_object(
+    obj: Any,
     allowed: AbstractSet[str],
     required: tuple[str, ...],
     path: str,
     diag: _Collector,
 ) -> bool:
+    """Whether ``obj`` is an object with every required key; unexpected
+    keys are reported but pass."""
+    if not isinstance(obj, dict):
+        diag.add(path, f"expected an object, got {obj!r}")
+        return False
     if obj.keys() <= allowed and all(key in obj for key in required):
         return True
     ok = True
@@ -197,10 +211,7 @@ def _parse_scale(doc: dict, diag: _Collector) -> Scale | None:
     if raw is None:
         diag.add("scale", "missing required section")
         return None
-    if not isinstance(raw, dict):
-        diag.add("scale", f"expected an object, got {raw!r}")
-        return None
-    if not _check_keys(raw, {"min", "max"}, ("min", "max"), "scale", diag):
+    if not _check_object(raw, {"min", "max"}, ("min", "max"), "scale", diag):
         return None
     low = _get_number(raw, "min", "scale", diag)
     high = _get_number(raw, "max", "scale", diag)
@@ -232,7 +243,7 @@ def _parse_elements(
     for index, entry in enumerate(raw):
         # Common case first: an entry the checks below pass without a word.
         # json.loads yields only exact dict/list/str/int/float/bool, so the
-        # exact-type tests match _is_number, and the finite scale bounds
+        # exact-type tests match _get_number's, and the finite scale bounds
         # reject NaN, infinities and ints beyond the float range.
         if type(entry) is dict:
             element_id = entry.get("id")
@@ -256,19 +267,11 @@ def _parse_elements(
                     "priority": None if priority is None else float(priority)}))
                 continue
         path = f"elements[{index}]"
-        if not isinstance(entry, dict):
-            diag.add(path, f"expected an object, got {entry!r}")
-            continue
-        if not _check_keys(entry, _ELEMENT_KEYS, ("id", "evaluation"), path, diag):
+        if not _check_object(entry, _ELEMENT_KEYS, ("id", "evaluation"), path, diag):
             continue
         element_id = _get_string(entry, "id", path, diag)
         evaluation = _get_number(entry, "evaluation", path, diag)
-        priority: float | None = None
-        if "priority" in entry:
-            priority = _get_number(entry, "priority", path, diag)
-            if priority is not None and priority <= 0:
-                diag.add(f"{path}.priority", f"must be positive, got {priority!r}")
-                priority = None
+        priority = _get_priority(entry, path, diag) if "priority" in entry else None
         if element_id is None or evaluation is None:
             continue
         if element_id in seen:
@@ -285,43 +288,6 @@ def _parse_elements(
     return tuple(elements)
 
 
-def _clean_group(
-    entry: dict, member_pool: set[str] | None, assigned: set[str], seen_ids: set[str]
-) -> Group | None:
-    """The group ``entry`` describes if the checks would pass it silently, else None.
-
-    On success the group's id and members are recorded as taken; on None
-    nothing is, and the caller reports the entry.
-    """
-    group_id = entry.get("id")
-    members = entry.get("members")
-    priority = entry.get("priority", 1.0)
-    if not (
-        type(group_id) is str
-        and group_id
-        and group_id not in seen_ids
-        and type(members) is list
-        and members
-        and len(entry) == 2 + ("priority" in entry)
-        and _clean_positive(priority)
-    ):
-        return None
-    fresh: set[str] = set()
-    for member in members:
-        if (
-            type(member) is not str
-            or not member
-            or member in fresh
-            or member in assigned
-            or (member_pool is not None and member not in member_pool)
-        ):
-            return None
-        fresh.add(member)
-    assigned |= fresh
-    seen_ids.add(group_id)
-    return Group(id=group_id, members=tuple(members), priority=float(priority))
-
-
 def _parse_group_list(
     raw: Any, member_pool: set[str] | None, path: str, diag: _Collector
 ) -> tuple[Group, ...] | None:
@@ -335,52 +301,57 @@ def _parse_group_list(
     seen_ids: set[str] = set()
     assigned: set[str] = set()
     for index, entry in enumerate(raw):
-        if type(entry) is dict:
-            group = _clean_group(entry, member_pool, assigned, seen_ids)
-            if group is not None:
-                groups.append(group)
+        # Common case first, with the exact-type tests of _parse_elements;
+        # only an entry that fails them formats its path.
+        fields = entry if type(entry) is dict else {}
+        group_id = fields.get("id")
+        members_raw = fields.get("members")
+        priority = fields.get("priority", 1.0)
+        if not (
+            type(group_id) is str
+            and group_id
+            and type(members_raw) is list
+            and members_raw
+            and len(fields) == 2 + ("priority" in fields)
+            and _clean_positive(priority)
+        ):
+            group_path = f"{path}[{index}]"
+            if not _check_object(entry, _GROUP_KEYS, ("id", "members"), group_path, diag):
                 continue
-        group_path = f"{path}[{index}]"
-        if not isinstance(entry, dict):
-            diag.add(group_path, f"expected an object, got {entry!r}")
-            continue
-        if not _check_keys(entry, _GROUP_KEYS, ("id", "members"), group_path, diag):
-            continue
-        group_id = _get_string(entry, "id", group_path, diag)
-        priority = 1.0
-        if "priority" in entry:
-            got = _get_number(entry, "priority", group_path, diag)
-            if got is None:
+            group_id = _get_string(entry, "id", group_path, diag)
+            if "priority" in entry:
+                priority = _get_priority(entry, group_path, diag)
+                if priority is None:
+                    continue
+            members_raw = entry["members"]
+            if not isinstance(members_raw, list) or not members_raw:
+                diag.add(f"{group_path}.members", "expected a non-empty array of ids")
                 continue
-            if got <= 0:
-                diag.add(f"{group_path}.priority", f"must be positive, got {got!r}")
-                continue
-            priority = got
-        members_raw = entry["members"]
-        if not isinstance(members_raw, list) or not members_raw:
-            diag.add(f"{group_path}.members", "expected a non-empty array of ids")
-            continue
         members: list[str] = []
         for m_index, member in enumerate(members_raw):
-            m_path = f"{group_path}.members[{m_index}]"
+            if (
+                type(member) is str
+                and member
+                and (member_pool is None or member in member_pool)
+                and member not in assigned
+            ):
+                assigned.add(member)
+                members.append(member)
+                continue
+            m_path = f"{path}[{index}].members[{m_index}]"
             if not isinstance(member, str) or not member:
                 diag.add(m_path, f"expected an element id, got {member!r}")
-                continue
-            if member_pool is not None and member not in member_pool:
+            elif member_pool is not None and member not in member_pool:
                 diag.add(m_path, f"unknown member id {member!r}")
-                continue
-            if member in assigned:
+            else:
                 diag.add(m_path, f"{member!r} already belongs to another group")
-                continue
-            assigned.add(member)
-            members.append(member)
         if group_id is None or not members:
             continue
         if group_id in seen_ids:
-            diag.add(f"{group_path}.id", f"duplicate group id {group_id!r}")
+            diag.add(f"{path}[{index}].id", f"duplicate group id {group_id!r}")
             continue
         seen_ids.add(group_id)
-        groups.append(Group(id=group_id, members=tuple(members), priority=priority))
+        groups.append(Group(id=group_id, members=tuple(members), priority=float(priority)))
     if member_pool is not None:
         uncovered = sorted(member_pool - assigned)
         if uncovered:
@@ -389,10 +360,7 @@ def _parse_group_list(
 
 
 def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
-    if not isinstance(raw, dict):
-        diag.add(path, f"expected an object, got {raw!r}")
-        return None
-    if not _check_keys(raw, _METHOD_KEYS, ("method",), path, diag):
+    if not _check_object(raw, _METHOD_KEYS, ("method",), path, diag):
         return None
     name = raw["method"]
     if not isinstance(name, str):
@@ -402,18 +370,15 @@ def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
     if method is None:
         diag.add(f"{path}.method", f"unknown method {name!r}; one of: {_METHOD_NAMES}")
         return None
-    groups: tuple[Group, ...] = ()
+    groups: tuple[Group, ...] | None = ()
     if "groups" in raw:
-        parsed = _parse_group_list(raw["groups"], None, f"{path}.groups", diag)
-        if parsed is None:
+        groups = _parse_group_list(raw["groups"], None, f"{path}.groups", diag)
+        if groups is None:
             return None
-        groups = parsed
     critical: tuple[str, ...] = ()
     if "critical" in raw:
         raw_critical = raw["critical"]
-        if not isinstance(raw_critical, list) or not all(
-            isinstance(i, str) and i for i in raw_critical
-        ):
+        if not _is_id_list(raw_critical):
             diag.add(f"{path}.critical", "expected an array of ids")
             return None
         critical = tuple(raw_critical)
@@ -434,135 +399,138 @@ def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
         "fallback": fallback, "adequacy_threshold": threshold})
 
 
-def _parse_hierarchy_node(
-    raw: Any,
-    path: str,
-    elements: dict[str, Element],
-    used: dict[str, str],
-    diag: _Collector,
-) -> HierarchyNode | None:
-    if isinstance(raw, str):
-        element = elements.get(raw)
-        if element is None:
-            diag.add(path, f"unknown element {raw!r}")
-        elif raw in used:
-            diag.add(path, f"element {raw!r} already used at {used[raw]}")
-        else:
-            used[raw] = path
-            return HierarchyNode(element.id, element.evaluation, element.priority)
-        return None
-    if not isinstance(raw, dict):
-        diag.add(path, f"expected an element id or a subsystem object, got {raw!r}")
-        return None
-    if not _check_keys(raw, _SUBSYSTEM_KEYS, ("id", "children"), path, diag):
-        return None
-    node_id = _get_string(raw, "id", path, diag)
-    if node_id is not None and node_id in elements:
-        diag.add(f"{path}.id", f"subsystem id {node_id!r} shadows an element")
-        node_id = None
-    priority: float | None = None
-    if "priority" in raw:
-        priority = _get_number(raw, "priority", path, diag)
-        if priority is not None and priority <= 0:
-            diag.add(f"{path}.priority", f"must be positive, got {priority!r}")
-            priority = None
-    config: MethodConfig | None = None
-    if "method" in raw:
-        config = _parse_method(raw["method"], f"{path}.method", diag)
-    children_raw = raw["children"]
-    if not isinstance(children_raw, list) or not children_raw:
-        diag.add(f"{path}.children", "expected a non-empty array")
-        return None
-    children: list[HierarchyNode] = []
-    for index, child in enumerate(children_raw):
-        node = _parse_hierarchy_node(
-            child, f"{path}.children[{index}]", elements, used, diag
-        )
-        if node is not None:
-            children.append(node)
-    if node_id is None or len(children) != len(children_raw):
-        return None
-    return HierarchyNode(
-        id=node_id, priority=priority, children=tuple(children), config=config
-    )
+def _hierarchy_path(location: Any) -> str:
+    """The document path of a ``hierarchy`` entry.
 
-
-def _lean_hierarchy(
-    raw: Any, elements: dict[str, Element]
-) -> tuple[HierarchyNode, dict[str, HierarchyNode]] | None:
-    """The tree ``_parse_hierarchy_node`` builds when it reports nothing, else None.
-
-    One explicit-stack pass with the exact-type tests of ``_parse_elements``.
-    It also returns the leaves by element id, whose keys are the reporting
-    parse's ``used``.  At the first entry that parse would diagnose (or a
-    leaf root) it gives up, and the caller runs that parse over the whole
-    section, so every diagnostic comes from one place.
+    A location is ``(parent's location, index)``; the root is entry 0 of
+    a top frame whose location is None.
     """
-    leaves: dict[str, HierarchyNode] = {}
-    scratch = _Collector()  # _parse_method's diagnostics: empty means clean
-    # Subsystems in preorder as (id, priority, config, children), with None
-    # in place of each subsystem child.
-    order: list[tuple[str, float | None, MethodConfig | None, list]] = []
-    stack = [raw]
-    while stack:
-        node = stack.pop()
-        if type(node) is not dict:
-            return None
-        node_id = node.get("id")
-        children = node.get("children")
-        priority = node.get("priority")
-        if not (
+    indices = []
+    while location is not None:
+        location, index = location
+        indices.append(index)
+    indices.pop()  # the root's slot in the top frame
+    return "hierarchy" + "".join([f".children[{i}]" for i in reversed(indices)])
+
+
+def _subsystem(
+    raw: Any,
+    location: Any,
+    elements: dict[str, Element],
+    diag: _Collector,
+    scratch: _Collector,
+) -> tuple[str | None, float | None, MethodConfig | None, list] | None:
+    """Id, priority, config and children of a non-leaf entry; None if its
+    children cannot be read.
+
+    An entry the checks pass silently takes the exact-type tests of
+    ``_parse_elements``, and its method object is parsed into the empty
+    ``scratch``; any other entry goes through the reporting checks, which
+    format its path.  A None id marks a subsystem that will not be built.
+    """
+    if type(raw) is dict:
+        node_id = raw.get("id")
+        children = raw.get("children")
+        priority = raw.get("priority")
+        if (
             type(node_id) is str
             and node_id
             and node_id not in elements
             and type(children) is list
             and children
-            and len(node) == 2 + (priority is not None) + ("method" in node)
+            and len(raw) == 2 + (priority is not None) + ("method" in raw)
             and (priority is None or _clean_positive(priority))
         ):
-            return None
-        config = None
-        if "method" in node:
-            config = _parse_method(node["method"], "", scratch)
-            if scratch.diagnostics:
-                return None
-        kids: list[HierarchyNode | None] = []
-        subsystems = []
-        for child in children:
+            config = None
+            if "method" in raw:
+                config = _parse_method(raw["method"], "", scratch)
+            if not scratch.diagnostics:
+                priority = None if priority is None else float(priority)
+                return node_id, priority, config, children
+            scratch.diagnostics.clear()
+    path = _hierarchy_path(location)
+    if not isinstance(raw, dict):
+        diag.add(path, f"expected an element id or a subsystem object, got {raw!r}")
+        return None
+    if not _check_object(raw, _SUBSYSTEM_KEYS, ("id", "children"), path, diag):
+        return None
+    node_id = _get_string(raw, "id", path, diag)
+    if node_id is not None and node_id in elements:
+        diag.add(f"{path}.id", f"subsystem id {node_id!r} shadows an element")
+        node_id = None
+    priority = _get_priority(raw, path, diag) if "priority" in raw else None
+    config = None
+    if "method" in raw:
+        config = _parse_method(raw["method"], f"{path}.method", diag)
+    children = raw["children"]
+    if not isinstance(children, list) or not children:
+        diag.add(f"{path}.children", "expected a non-empty array")
+        return None
+    return node_id, priority, config, children
+
+
+def _parse_hierarchy(
+    raw: Any, elements: dict[str, Element], diag: _Collector
+) -> tuple[HierarchyNode | None, dict[str, tuple]]:
+    """The ``hierarchy`` section's tree, or None if an entry is bad, and
+    the frame holding each leaf, by element id.
+
+    One preorder pass over an explicit stack: an entry's diagnostics come
+    before its children's, and a subsystem's whole subtree before its next
+    sibling.  Leaves are read inline; locations are formatted only for a
+    diagnostic.  Nodes are built bottom-up, a subsystem only when its id
+    and every child are good.
+    """
+    used: dict[str, tuple] = {}
+    scratch = _Collector()
+    top: list[HierarchyNode] = []
+    # Frames: (children iterator, the subsystem's location, its id, priority,
+    # config and children, the child nodes built so far).  The root is the
+    # one child of a top frame with no id.
+    stack: list[tuple] = [(enumerate([raw]), None, (None, None, None, [raw]), top)]
+    while stack:
+        frame = stack[-1]
+        entries, location, (node_id, priority, config, children), kids = frame
+        for index, child in entries:
             if type(child) is not str:
-                kids.append(None)
-                subsystems.append(child)
+                here = (location, index)
+                sub = _subsystem(child, here, elements, diag, scratch)
+                if sub is not None:
+                    stack.append((enumerate(sub[3]), here, sub, []))
+                    break
                 continue
             element = elements.get(child)
-            if element is None or child in leaves:
-                return None
-            leaves[child] = leaf = _built(HierarchyNode, {
-                "id": element.id, "value": element.evaluation,
-                "priority": element.priority, "children": (), "config": None})
-            kids.append(leaf)
-        stack += subsystems[::-1]
-        order.append((node_id, None if priority is None else float(priority), config, kids))
-    # In reverse preorder the subsystem children of a subsystem are on top
-    # of ``built``, the first one uppermost.
-    built: list[HierarchyNode] = []
-    for node_id, priority, config, kids in reversed(order):
-        children = tuple([built.pop() if kid is None else kid for kid in kids])
-        built.append(_built(HierarchyNode, {
-            "id": node_id, "value": None, "priority": priority,
-            "children": children, "config": config}))
-    return built[0], leaves
+            if element is None:
+                diag.add(_hierarchy_path((location, index)), f"unknown element {child!r}")
+            elif child in used:
+                # A leaf is recorded at its first occurrence in the frame's
+                # children, so its index is recovered there; no per-leaf
+                # location is allocated on the common path.
+                first = used[child]
+                first_path = _hierarchy_path((first[1], first[2][3].index(child)))
+                diag.add(
+                    _hierarchy_path((location, index)),
+                    f"element {child!r} already used at {first_path}",
+                )
+            else:
+                used[child] = frame
+                kids.append(_built(HierarchyNode, {
+                    "id": element.id, "value": element.evaluation,
+                    "priority": element.priority, "children": (), "config": None}))
+        else:
+            stack.pop()
+            if node_id is not None and len(kids) == len(children):
+                stack[-1][3].append(_built(HierarchyNode, {
+                    "id": node_id, "value": None, "priority": priority,
+                    "children": tuple(kids), "config": config}))
+    return (top[0] if top else None), used
 
 
 def _parse_network(raw: Any, diag: _Collector) -> Network | None:
-    if not isinstance(raw, dict):
-        diag.add("network", f"expected an object, got {raw!r}")
-        return None
-    if not _check_keys(raw, {"nodes", "edges", "flows"}, ("nodes",), "network", diag):
+    if not _check_object(raw, {"nodes", "edges", "flows"}, ("nodes",), "network", diag):
         return None
     nodes_raw = raw["nodes"]
-    if not isinstance(nodes_raw, list) or not all(
-        isinstance(n, str) and n for n in nodes_raw
-    ):
+    if not _is_id_list(nodes_raw):
         diag.add("network.nodes", "expected an array of node ids")
         return None
     edges_raw = raw.get("edges", [])
@@ -574,45 +542,30 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
         diag.add("network.flows", f"expected an array, got {flows_raw!r}")
         return None
     edges: list[tuple[str, str]] = []
-    edges_ok = True
+    ok = True  # no edge or flow dropped
     for index, edge in enumerate(edges_raw):
-        path = f"network.edges[{index}]"
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or not all(isinstance(n, str) and n for n in edge)
-        ):
-            diag.add(path, f"expected a pair [from, to], got {edge!r}")
-            edges_ok = False
+        if not _is_id_list(edge) or len(edge) != 2:
+            diag.add(f"network.edges[{index}]", f"expected a pair [from, to], got {edge!r}")
+            ok = False
             continue
         edges.append((edge[0], edge[1]))
     flows: list[Flow] = []
-    flows_ok = True
     for index, entry in enumerate(flows_raw):
         path = f"network.flows[{index}]"
-        if not isinstance(entry, dict):
-            diag.add(path, f"expected an object, got {entry!r}")
-            flows_ok = False
-            continue
-        if not _check_keys(entry, {"route", "volume"}, ("route",), path, diag):
-            flows_ok = False
+        if not _check_object(entry, {"route", "volume"}, ("route",), path, diag):
+            ok = False
             continue
         route = entry["route"]
-        if not isinstance(route, list) or not all(
-            isinstance(n, str) and n for n in route
-        ):
+        if not _is_id_list(route):
             diag.add(f"{path}.route", "expected an array of node ids")
-            flows_ok = False
+            ok = False
             continue
-        volume = 1.0
-        if "volume" in entry:
-            got = _get_number(entry, "volume", path, diag)
-            if got is None:
-                flows_ok = False
-                continue
-            volume = got
+        volume = _get_number(entry, "volume", path, diag) if "volume" in entry else 1.0
+        if volume is None:
+            ok = False
+            continue
         flows.append(Flow(route=tuple(route), volume=volume))
-    if not edges_ok or not flows_ok:
+    if not ok:
         return None
     network = Network(nodes=tuple(nodes_raw), edges=tuple(edges), flows=tuple(flows))
     for violation in validate_network(network):
@@ -661,15 +614,9 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
 
     hierarchy: HierarchyNode | None = None
     if "hierarchy" in doc:
-        by_id = {e.id: e for e in elements}
-        lean = _lean_hierarchy(doc["hierarchy"], by_id)
-        if lean is None:
-            used: dict[str, Any] = {}
-            hierarchy = _parse_hierarchy_node(
-                doc["hierarchy"], "hierarchy", by_id, used, diag
-            )
-        else:
-            hierarchy, used = lean
+        hierarchy, used = _parse_hierarchy(
+            doc["hierarchy"], {e.id: e for e in elements}, diag
+        )
         if elements:
             unreferenced = sorted(element_ids - set(used))
             if unreferenced:
@@ -709,13 +656,16 @@ def load_description(path: str) -> SystemDescription:
     return parse_description(text, source=path)
 
 
+def _groups_to_doc(groups: tuple[Group, ...]) -> list:
+    return [
+        {"id": g.id, "members": list(g.members), "priority": g.priority} for g in groups
+    ]
+
+
 def _method_to_doc(config: MethodConfig) -> dict:
     doc: dict[str, Any] = {"method": config.method.value}
     if config.groups:
-        doc["groups"] = [
-            {"id": g.id, "members": list(g.members), "priority": g.priority}
-            for g in config.groups
-        ]
+        doc["groups"] = _groups_to_doc(config.groups)
     if config.critical_ids:
         doc["critical"] = list(config.critical_ids)
     if config.fallback is not None:
@@ -755,10 +705,7 @@ def serialize_description(desc: SystemDescription) -> str:
             entry["priority"] = element.priority
         doc["elements"].append(entry)
     if desc.groups is not None:
-        doc["groups"] = [
-            {"id": g.id, "members": list(g.members), "priority": g.priority}
-            for g in desc.groups
-        ]
+        doc["groups"] = _groups_to_doc(desc.groups)
     try:
         if desc.hierarchy is not None:
             doc["hierarchy"] = _node_to_doc(desc.hierarchy)

@@ -114,8 +114,9 @@ class MethodConfig:
     ``groups`` is required by ``Method.HYBRID_GROUPED`` and must partition
     the node's children; ``critical_ids`` is required by
     ``Method.WEM_THEN``, which aggregates all children with ``fallback``
-    (wlam when omitted) and measures adequacy against the critical minimum.  ``adequacy_threshold``, when set,
-    turns adequacy values above it into report warnings.
+    (wlam when omitted) and measures adequacy against the critical
+    minimum.  ``adequacy_threshold``, when set, turns adequacy values
+    above it into report warnings.
     """
 
     method: Method

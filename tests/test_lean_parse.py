@@ -1,10 +1,10 @@
-"""The lean hierarchy pass, the cheap object builder and deep serialization.
+"""The hierarchy parse pass, the cheap object builder and deep serialization.
 
-``parse_description`` first reads the ``hierarchy`` section with one
-explicit-stack pass and falls back to the reporting parse at the first
-entry that pass cannot accept silently.  These tests pin the lean tree to
-the reporting parse's tree on valid documents, and the diagnostics to the
-reporting parse's own on documents with one fault in the hierarchy.
+``parse_description`` reads the ``hierarchy`` section with one
+explicit-stack preorder pass, in which only a bad entry goes through the
+reporting checks.  These tests pin that pass to a recursive reference
+parse, the one it replaced: the same tree on valid documents, and the same
+diagnostics on documents with one or two faults in the hierarchy.
 """
 
 import copy
@@ -28,56 +28,108 @@ from aggeval import (
     serialize_description,
 )
 from aggeval.description import (
+    _SUBSYSTEM_KEYS,
     Element,
     SystemDescription,
     _built,
+    _check_object,
     _Collector,
-    _lean_hierarchy,
-    _parse_hierarchy_node,
+    _get_number,
+    _get_string,
+    _parse_hierarchy,
+    _parse_method,
 )
 from test_description import documents
-from test_tree_passes import HIERARCHY_FIXTURES, chain, tree_documents
+from test_tree_passes import HIERARCHY_FIXTURES, chain, tree_documents, within_the_stack
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# --- The recursive reporting parse the pass replaced, kept as the reference. ---
+
+
+def reference_node(raw, path, elements, used, diag):
+    if isinstance(raw, str):
+        element = elements.get(raw)
+        if element is None:
+            diag.add(path, f"unknown element {raw!r}")
+        elif raw in used:
+            diag.add(path, f"element {raw!r} already used at {used[raw]}")
+        else:
+            used[raw] = path
+            return HierarchyNode(element.id, element.evaluation, element.priority)
+        return None
+    if not isinstance(raw, dict):
+        diag.add(path, f"expected an element id or a subsystem object, got {raw!r}")
+        return None
+    if not _check_object(raw, _SUBSYSTEM_KEYS, ("id", "children"), path, diag):
+        return None
+    node_id = _get_string(raw, "id", path, diag)
+    if node_id is not None and node_id in elements:
+        diag.add(f"{path}.id", f"subsystem id {node_id!r} shadows an element")
+        node_id = None
+    priority = None
+    if "priority" in raw:
+        priority = _get_number(raw, "priority", path, diag)
+        if priority is not None and priority <= 0:
+            diag.add(f"{path}.priority", f"must be positive, got {priority!r}")
+            priority = None
+    config = None
+    if "method" in raw:
+        config = _parse_method(raw["method"], f"{path}.method", diag)
+    children_raw = raw["children"]
+    if not isinstance(children_raw, list) or not children_raw:
+        diag.add(f"{path}.children", "expected a non-empty array")
+        return None
+    children = []
+    for index, child in enumerate(children_raw):
+        node = reference_node(child, f"{path}.children[{index}]", elements, used, diag)
+        if node is not None:
+            children.append(node)
+    if node_id is None or len(children) != len(children_raw):
+        return None
+    return HierarchyNode(id=node_id, priority=priority, children=tuple(children), config=config)
+
+
+def reference_parse(raw, elements, diag):
+    """``_parse_hierarchy``'s signature over the reference parse."""
+    used = {}
+    return reference_node(raw, "hierarchy", elements, used, diag), used
+
+
 def both_parses(text):
-    """The lean pass's and the reporting parse's results on a valid document."""
+    """The pass's and the reference's tree and ``used`` on a valid document."""
     desc = parse_description(text)
     by_id = {e.id: e for e in desc.elements}
     raw = json.loads(text)["hierarchy"]
-    used = {}
-    diag = _Collector()
-    tree = _parse_hierarchy_node(raw, "hierarchy", by_id, used, diag)
-    assert diag.diagnostics == []
-    return _lean_hierarchy(raw, by_id), tree, used
+    diag, reference_diag = _Collector(), _Collector()
+    parsed = _parse_hierarchy(raw, by_id, diag)
+    reference = reference_parse(raw, by_id, reference_diag)
+    assert diag.diagnostics == reference_diag.diagnostics == []
+    return parsed, reference
 
 
-def assert_same_tree(lean, tree):
-    assert lean == tree and tree == lean
-    assert repr(lean) == repr(tree)
-    assert hash(lean) == hash(tree)
-    for a, b in zip(lean.walk(), tree.walk(), strict=True):
+def assert_same_tree(parsed, tree):
+    assert parsed == tree and tree == parsed
+    assert repr(parsed) == repr(tree)
+    assert hash(parsed) == hash(tree)
+    for a, b in zip(parsed.walk(), tree.walk(), strict=True):
         assert type(a) is type(b)
         assert list(vars(a).items()) == list(vars(b).items())
 
 
-def assert_lean_matches_reporting(text):
-    lean, tree, used = both_parses(text)
-    if not isinstance(json.loads(text)["hierarchy"], dict):
-        assert lean is None  # a leaf root is left to the reporting parse
-        return
-    assert lean is not None
-    lean_tree, lean_used = lean
-    assert_same_tree(lean_tree, tree)
-    assert lean_used.keys() == used.keys()
-    assert parse_description(text).hierarchy is not None
+def assert_pass_matches_reference(text):
+    (tree, used), (reference_tree, reference_used) = both_parses(text)
+    assert tree is not None
+    assert_same_tree(tree, reference_tree)
+    assert list(used) == list(reference_used)
+    assert parse_description(text).hierarchy == tree
 
 
 class TestLeanTreeEqualsReportingTree:
     @pytest.mark.parametrize("name", HIERARCHY_FIXTURES)
     def test_fixtures(self, name):
-        assert_lean_matches_reporting((FIXTURES / name).read_text(encoding="utf-8"))
+        assert_pass_matches_reference((FIXTURES / name).read_text(encoding="utf-8"))
 
     @settings(deadline=None, max_examples=200)
     @given(documents())
@@ -89,12 +141,12 @@ class TestLeanTreeEqualsReportingTree:
             parse_description(text)
         except DescriptionError:
             return
-        assert_lean_matches_reporting(text)
+        assert_pass_matches_reference(text)  # leaf roots included
 
     @settings(deadline=None, max_examples=200)
     @given(tree_documents())
     def test_random_trees(self, document):
-        assert_lean_matches_reporting(json.dumps(document))
+        assert_pass_matches_reference(json.dumps(document))
 
     def test_chain_and_integer_priorities(self):
         root = {"id": "n0", "priority": 3, "children": ["c0", "c1"]}
@@ -105,13 +157,13 @@ class TestLeanTreeEqualsReportingTree:
             node = child
         elements = [{"id": f"c{k}", "evaluation": k % 100, "priority": 2} for k in range(600)]
         text = json.dumps({"scale": {"min": 0, "max": 100}, "elements": elements, "hierarchy": root})
-        lean, tree, used = both_parses(text)
-        assert_same_tree(lean[0], tree)
-        assert lean[0].priority == 3.0 and type(lean[0].priority) is float
-        assert lean[1].keys() == used.keys()
+        (tree, used), (reference_tree, reference_used) = both_parses(text)
+        assert_same_tree(tree, reference_tree)
+        assert tree.priority == 3.0 and type(tree.priority) is float
+        assert list(used) == list(reference_used)
 
 
-# --- One fault in one hierarchy entry: the reporting parse decides. ---
+# --- Faults in hierarchy entries: the reference decides the diagnostics. ---
 
 FAULTS = (
     "wrong-type", "missing-key", "extra-key", "priority", "huge-int-priority",
@@ -151,48 +203,53 @@ def _slots(root):
 
 
 @st.composite
-def single_fault_documents(draw):
-    """A valid tree document with exactly one hierarchy entry made wrong."""
+def faulty_documents(draw, faults=1):
+    """A valid tree document with ``faults`` hierarchy entries made wrong.
+
+    Every fault is drawn from the entries of the valid tree, so a later one
+    can land in a subtree an earlier one cut off, or on the same entry.
+    """
     document = copy.deepcopy(draw(tree_documents()))
     root = document["hierarchy"]
     subsystem_slots, leaf_slots = _slots(root)
     subsystems = [root] + [children[index] for children, index in subsystem_slots]
-    node = draw(st.sampled_from(subsystems))
     element_ids = [e["id"] for e in document["elements"]]
-    fault = draw(st.sampled_from(FAULTS))
-    if fault == "wrong-type":
-        wrong = draw(st.sampled_from([None, True, 5, 1.5, [], ["x"], {}]))
-        target = draw(st.sampled_from(["subsystem", "leaf", "id", "children", "method"]))
-        if target in ("subsystem", "leaf"):
-            slots = subsystem_slots if target == "subsystem" else leaf_slots
-            children, index = draw(st.sampled_from(slots or leaf_slots))
-            children[index] = wrong
+    for _ in range(faults):
+        node = draw(st.sampled_from(subsystems))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "wrong-type":
+            wrong = draw(st.sampled_from([None, True, 5, 1.5, [], ["x"], {}]))
+            target = draw(st.sampled_from(["subsystem", "leaf", "id", "children", "method"]))
+            if target in ("subsystem", "leaf"):
+                slots = subsystem_slots if target == "subsystem" else leaf_slots
+                children, index = draw(st.sampled_from(slots or leaf_slots))
+                children[index] = wrong
+            else:
+                node[target] = wrong
+        elif fault == "missing-key":
+            node.pop(draw(st.sampled_from(["id", "children"])), None)
+        elif fault == "extra-key":
+            node[draw(st.sampled_from(["extra", "value", "Id"]))] = 1
+        elif fault == "priority":
+            node["priority"] = draw(
+                st.sampled_from([None, True, False, 0, -1, 1e400, float("nan"), "1"])
+            )
+        elif fault == "huge-int-priority":
+            node["priority"] = draw(st.sampled_from([10**309, 10**400]))
+        elif fault in ("unknown-leaf", "reused-leaf"):
+            children, index = draw(st.sampled_from(leaf_slots))
+            names = ["nowhere", "", "s0"] if fault == "unknown-leaf" else element_ids
+            children[index] = draw(st.sampled_from(names))
+        elif fault == "shadowing-id":
+            node["id"] = draw(st.sampled_from(element_ids))
+        elif fault == "bad-method":
+            node["method"] = draw(st.sampled_from(BAD_METHODS))
+        elif fault == "empty-children":
+            node["children"] = []
+        elif fault == "leaf-root":
+            document["hierarchy"] = draw(st.sampled_from(element_ids))
         else:
-            node[target] = wrong
-    elif fault == "missing-key":
-        del node[draw(st.sampled_from(["id", "children"]))]
-    elif fault == "extra-key":
-        node[draw(st.sampled_from(["extra", "value", "Id"]))] = 1
-    elif fault == "priority":
-        node["priority"] = draw(
-            st.sampled_from([None, True, False, 0, -1, 1e400, float("nan"), "1"])
-        )
-    elif fault == "huge-int-priority":
-        node["priority"] = draw(st.sampled_from([10**309, 10**400]))
-    elif fault in ("unknown-leaf", "reused-leaf"):
-        children, index = draw(st.sampled_from(leaf_slots))
-        names = ["nowhere", "", "s0"] if fault == "unknown-leaf" else element_ids
-        children[index] = draw(st.sampled_from(names))
-    elif fault == "shadowing-id":
-        node["id"] = draw(st.sampled_from(element_ids))
-    elif fault == "bad-method":
-        node["method"] = draw(st.sampled_from(BAD_METHODS))
-    elif fault == "empty-children":
-        node["children"] = []
-    elif fault == "leaf-root":
-        document["hierarchy"] = draw(st.sampled_from(element_ids))
-    else:
-        node["id"] = draw(st.sampled_from([s["id"] for s in subsystems]))
+            node["id"] = draw(st.sampled_from([s["id"] for s in subsystems]))
     return document
 
 
@@ -203,14 +260,66 @@ def outcome(text):
         return exc.diagnostics
 
 
+def assert_reference_outcome(document):
+    text = json.dumps(document)
+    with mock.patch.object(aggeval.description, "_parse_hierarchy", reference_parse):
+        reference = outcome(text)
+    assert outcome(text) == reference
+
+
 class TestOneFaultGivesTheReportingDiagnostics:
     @settings(deadline=None, max_examples=500)
-    @given(single_fault_documents())
+    @given(faulty_documents())
     def test_single_fault(self, document):
-        text = json.dumps(document)
-        with mock.patch.object(aggeval.description, "_lean_hierarchy", return_value=None):
-            reporting = outcome(text)
-        assert outcome(text) == reporting
+        assert_reference_outcome(document)
+
+    @settings(deadline=None, max_examples=300)
+    @given(faulty_documents(faults=2))
+    def test_two_faults_interleave_in_preorder(self, document):
+        assert_reference_outcome(document)
+
+
+def deep_document(depth, bottom="nowhere"):
+    """A ``depth``-level chain n<k> -> (c<k>, n<k+1>) whose last child is
+    ``bottom``; every subsystem has a method object.  Element c<depth> is
+    the one ``bottom`` stands in for."""
+    elements = [{"id": f"c{k}", "evaluation": 10 + k % 80} for k in range(depth + 1)]
+    node = bottom
+    for k in reversed(range(depth)):
+        node = {"id": f"n{k}", "method": {"method": "wlam"}, "children": [f"c{k}", node]}
+    return {"scale": {"min": 0, "max": 100}, "elements": elements, "hierarchy": node}
+
+
+class TestOnePassPerSection:
+    def test_a_fault_at_the_bottom_of_a_deep_chain_parses_each_method_once(self):
+        text = json.dumps(deep_document(200))
+        with mock.patch.object(
+            aggeval.description, "_parse_method", wraps=_parse_method
+        ) as parse_method:
+            diagnostics = outcome(text)
+        assert parse_method.call_count == 200
+        assert diagnostics == (
+            "hierarchy" + ".children[1]" * 200 + ": unknown element 'nowhere'",
+            "hierarchy: elements never referenced: c200",
+        )
+
+    def test_3000_levels_get_a_located_diagnostic_without_recursion(self):
+        assert decoded_outcome(deep_document(3000)) == (
+            "hierarchy" + ".children[1]" * 3000 + ": unknown element 'nowhere'",
+            "hierarchy: elements never referenced: c3000",
+        )
+
+    def test_a_valid_3000_level_chain_parses(self):
+        desc = decoded_outcome(deep_document(3000, bottom="c3000"))
+        assert isinstance(desc, SystemDescription)
+        assert sum(1 for node in desc.hierarchy.walk() if node.children) == 3000
+
+
+def decoded_outcome(document):
+    """``outcome`` of a document deeper than json.loads nests, handed over
+    as decoded; a RecursionError fails the test at once."""
+    with mock.patch.object(aggeval.description.json, "loads", return_value=document):
+        return within_the_stack(outcome, "decoded above")
 
 
 # --- Objects built without the frozen __init__. ---

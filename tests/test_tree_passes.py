@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import random
 import tempfile
 from dataclasses import dataclass
@@ -57,6 +58,20 @@ def chain(depth, bottom=50.0):
     for k in reversed(range(depth)):
         node = sub(f"n{k}", [leaf(f"c{k}", float(10 + k % 80)), node])
     return node
+
+
+def within_the_stack(call, *args):
+    """``call(*args)``, failing the test at once on a RecursionError.
+
+    Left to pytest, the report of a deep RecursionError compares the
+    locals of each of its frames, and comparing a tree local walks the
+    whole tree, so the run stalls for minutes instead of failing.
+    """
+    try:
+        return call(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"RecursionError in {call.__name__}", pytrace=False)
 
 
 def cli(*argv):
@@ -219,9 +234,12 @@ class TestTreeEvaluateMatchesLibrary:
     @pytest.mark.parametrize("csv", [False, True])
     def test_3000_level_chain_renders_without_recursion(self, csv):
         root = chain(3000)
-        report = aggregate(root, PERCENT)
-        expected = report_csv(report) if csv else report_text(report)
-        assert _tree_lines(root, PERCENT, csv) == expected
+        violations = within_the_stack(validate_hierarchy, root, PERCENT)
+        assert violations == []
+        report = within_the_stack(aggregate, root, PERCENT)
+        expected = within_the_stack(report_csv if csv else report_text, report)
+        lines = within_the_stack(_tree_lines, root, PERCENT, csv)
+        assert lines == expected
 
 
 # --- The generator-based validation it replaced, kept as the oracle. ---
@@ -518,12 +536,15 @@ class TestTreeDunders:
         assert report != tree
 
     def test_3000_level_chain(self):
-        root, twin = chain(3000), chain(3000)
+        root, twin, other = chain(3000), chain(3000), chain(3000, bottom=51.0)
         assert root is not twin
-        assert root == twin
-        assert hash(root) == hash(twin)
-        assert root != chain(3000, bottom=51.0)
-        assert hash(root) != hash(chain(3000, bottom=51.0))
+        equal = within_the_stack(operator.eq, root, twin)
+        assert equal is True
+        hashes = [within_the_stack(hash, tree) for tree in (root, twin, other)]
+        assert hashes[0] == hashes[1]
+        unequal = within_the_stack(operator.ne, root, other)
+        assert unequal is True
+        assert hashes[0] != hashes[2]
         # The generated repr, one level at a time.
         opening = [
             f"HierarchyNode(id='n{k}', value=None, priority=None, "
@@ -531,12 +552,15 @@ class TestTreeDunders:
             for k in range(3000)
         ]
         bottom = generated_repr(leaf("c3000", 50.0))
-        assert repr(root) == "".join(opening) + bottom + "), config=None)" * 3000
+        text = within_the_stack(repr, root)
+        assert text == "".join(opening) + bottom + "), config=None)" * 3000
 
-        report, twin_report = aggregate(root, PERCENT), aggregate(twin, PERCENT)
-        assert report == twin_report
-        assert hash(report) == hash(twin_report)
-        assert repr(report).count("AggregationReport(") == 6001
+        report = within_the_stack(aggregate, root, PERCENT)
+        twin_report = within_the_stack(aggregate, twin, PERCENT)
+        equal = within_the_stack(operator.eq, report, twin_report)
+        assert equal is True
+        assert within_the_stack(hash, report) == within_the_stack(hash, twin_report)
+        assert within_the_stack(repr, report).count("AggregationReport(") == 6001
 
 
 def plain_copy(node):
