@@ -12,8 +12,12 @@ runs the same fixed command mix through ``aggeval.cli.main``:
 
 * every fixture and generated file with ``evaluate`` in each format, with
   and without each ``--method``;
-* ``compare`` at thresholds 0, 0.5 and 1;
+* ``compare`` at thresholds 0, 0.5, 1 and 2;
 * ``sweep`` of the first and the last element, to stdout and to ``--out``;
+* ``sweep`` of ids it cannot vary (the hierarchy's root and its first
+  subsystem child, a flat file's synthetic root ``system``, an unknown
+  id), with one grid point, and with either bound outside the scale, so
+  that the order of the sweep's checks is pinned;
 * ``priorities`` with every strategy, and combined with a group tolerance.
 
 The generated files are the four benchmark workloads at seeds 1 and 7,
@@ -64,19 +68,31 @@ def _file_commands(path: Path) -> list[list[str]]:
         doc = json.loads(path.read_text(encoding="utf-8"))
         ids = [e["id"] for e in doc["elements"]]
         low, high = doc["scale"]["min"], doc["scale"]["max"]
+        root = doc.get("hierarchy")
+        subsystems = []
+        if isinstance(root, dict):
+            children = [c["id"] for c in root["children"] if isinstance(c, dict)]
+            subsystems = [root["id"], *children[:1]]
     except (ValueError, KeyError, TypeError):
-        ids, low, high = ["missing"], 0, 100
+        ids, low, high, subsystems = ["missing"], 0, 100, []
     commands = []
     for fmt in ("text", "json", "csv"):
         for method in (None, "wem", "wlam", "nam", "hybrid", "wem-then"):
             extra = [] if method is None else ["--method", method]
             commands.append(["evaluate", "--input", source, "--format", fmt, *extra])
-    for threshold in ("0", "0.5", "1"):
+    for threshold in ("0", "0.5", "1", "2"):
         commands.append(["compare", "--input", source, "--threshold", threshold])
     for vary in dict.fromkeys((ids[0], ids[-1])):
         sweep = ["sweep", "--input", source, "--vary", vary,
                  "--from", str(low), "--to", str(high), "--steps", "11"]
         commands += [sweep, [*sweep, "--out", OUT]]
+    for vary in [*subsystems, "system", "no-such-id"]:
+        commands.append(["sweep", "--input", source, "--vary", vary,
+                         "--from", str(low), "--to", str(high), "--steps", "11"])
+    for grid in ((low, high, 1), (low - 1, high, 11), (low, high + 1, 11)):
+        for vary in (ids[0], "no-such-id"):
+            commands.append(["sweep", "--input", source, "--vary", vary, "--from", str(grid[0]),
+                             "--to", str(grid[1]), "--steps", str(grid[2])])
     for strategy in ("betweenness", "combined", "degree", "flow"):
         commands.append(["priorities", "--input", source, "--strategy", strategy])
     commands.append(["priorities", "--input", source, "--strategy", "combined",

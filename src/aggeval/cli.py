@@ -25,18 +25,11 @@ from .core import (
     Method,
     PriorityVector,
     Scale,
-    _hybrid,
     _masking_ratio,
-    _nam,
     _signed_gap,
     _wlam,
 )
-from .description import (
-    DescriptionError,
-    SystemDescription,
-    _synthetic_root_id,
-    load_description,
-)
+from .description import DescriptionError, SystemDescription, load_description
 from .hierarchy import (
     HierarchyValidationError,
     MethodComparison,
@@ -45,11 +38,12 @@ from .hierarchy import (
     _check_grid,
     _check_threshold,
     _compare,
-    _comparison_row,
-    _grid,
+    _compile,
+    _compile_flat,
     _metrics,
-    _postorder,
+    _operate,
     _roll,
+    _Sub,
     _sweep,
     _sweep_path,
 )
@@ -58,6 +52,7 @@ from .priority import (
     Normalization,
     PriorityBasis,
     PriorityStrategy,
+    _check_tolerance,
     group_by_priority,
     rank_nodes,
 )
@@ -131,49 +126,16 @@ def _flat_critical_ids(desc: SystemDescription) -> tuple[str, ...]:
     return tuple(e.id for e in desc.elements)
 
 
-# load_description has checked the flat vector (ids unique, values finite
-# and in scale, priorities positive, groups a partition), so flat evaluate,
-# compare and sweep run the operator kernels on plain floats, with no
-# synthetic root node.  Weights are None, as for the synthetic root's
-# children, when no element sets a priority; fsum of unit weights is
-# exactly their count, so wlam is the same either way.
-
-
-def _flat_input(
-    desc: SystemDescription,
-) -> tuple[list[float], list[float] | None, list[tuple[list[int], float]], list[str]]:
-    """Element values, weights, group plan (positions in member order) and ids."""
-    elements = desc.elements
-    values = [e.evaluation for e in elements]
-    ids = [e.id for e in elements]
-    weights = None
-    if any(e.priority is not None for e in elements):
-        weights = [1.0 if e.priority is None else e.priority for e in elements]
-    plan = []
-    if desc.groups:
-        position = {element_id: k for k, element_id in enumerate(ids)}
-        plan = [([position[m] for m in g.members], g.priority) for g in desc.groups]
-    return values, weights, plan, ids
-
-
 def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
-    values, weights, plan, _ = _flat_input(desc)
-    if method is Method.WEM:
-        _emit_value(method, min(values), fmt)
-    elif method is Method.WLAM:
-        _emit_value(method, _wlam(values, weights), fmt)
-    elif method is Method.NAM:
-        _emit_value(method, _nam(values), fmt)
-    elif method is Method.HYBRID_GROUPED:
-        if not desc.groups:
-            raise EvaluationError(
-                "the hybrid method needs a groups section in the description"
-            )
-        _emit_value(method, _hybrid(values, plan), fmt)
+    root = _compile_flat(desc.elements, desc.groups)[0]
+    if method is Method.HYBRID_GROUPED and not desc.groups:
+        raise EvaluationError("the hybrid method needs a groups section in the description")
+    if method is not Method.WEM_THEN:
+        _emit_value(method, _operate(root._replace(kernel=method), root.values), fmt)
     else:
         by_id = {e.id: e.evaluation for e in desc.elements}
         critical_wem = min(by_id[i] for i in _flat_critical_ids(desc))
-        aggregate = _wlam(values, weights)
+        aggregate = _wlam(root.values, root.weights)
         adequacy = _signed_gap(aggregate, critical_wem)
         if fmt == "text":
             _line_out(
@@ -209,36 +171,46 @@ def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
 def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
     """The roll-up as CSV rows, or as the indented text tree with one line
     per node plus one per warning; a single preorder walk over the tree."""
-    rows = _roll(_postorder(root), scale)
+    subs = _compile(root)
+    rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
-    stack = [(root, "")]
+    # A leaf is pushed as (pad, id, value), a subsystem as (pad, None, index).
+    stack = [("", root.id, float(root.value)) if root.is_leaf else ("", None, len(subs) - 1)]
     while stack:
-        node, pad = stack.pop()
-        node_id = node.id
-        value, _, weakest, label, adequacy, warnings = rows[node_id]
-        children = node.children
+        pad, node_id, item = stack.pop()
+        if node_id is not None:
+            if csv:
+                lines.append(f"{node_id},leaf,{item:.6f},{0:.6f},{node_id}")
+            else:
+                lines.append(f"{pad}{node_id} = {item:.6g}")
+            continue
+        sub = subs[item]
+        value, _, weakest, adequacy, warnings = rows[item]
         if csv:
             lines.append(
-                f"{node_id},{label},{value:.6f},{adequacy:.6f},{';'.join(weakest)}"
+                f"{sub.id},{sub.label},{value:.6f},{adequacy:.6f},{';'.join(weakest)}"
             )
-        elif children:
+        else:
             lines.append(
-                f"{pad}{node_id} [{label}] = {value:.6g} "
+                f"{pad}{sub.id} [{sub.label}] = {value:.6g} "
                 f"(adequacy {adequacy:.6g}; weakest {', '.join(weakest)})"
             )
             lines.extend(f"{pad}  warning: {warning}" for warning in warnings)
-        else:
-            lines.append(f"{pad}{node_id} = {value:.6g}")
-        if children:
-            pad += "  "
-            stack.extend((child, pad) for child in reversed(children))
+        pad += "  "
+        below = sub.below
+        stack.extend(
+            (pad, None, below[k]) if k in below else (pad, sub.ids[k], sub.values[k])
+            for k in reversed(range(len(sub.ids)))
+        )
     return lines
 
 
 def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     """All methods side by side on the flat element vector."""
-    values, weights, plan, _ = _flat_input(desc)
-    wem_value, wlam_value, nam_value, hybrid_value = _metrics(values, weights, plan)
+    root = _compile_flat(desc.elements, desc.groups)[0]
+    wem_value, wlam_value, nam_value, hybrid_value = _metrics(
+        root.values, root.weights, root.plan
+    )
     sigma_12 = _masking_ratio(wlam_value, wem_value)
     sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
     if fmt == "text":
@@ -276,11 +248,16 @@ def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
     return EXIT_OK
 
 
-# load_description has validated the tree, so the commands below call the
-# roll-up past the public functions' second validation pass; argument
-# checks still run.  A flat description has no tree: its compare and sweep
-# give what compare_methods and sweep give on hierarchy_root's synthetic
-# root, computed from the element vector.
+# load_description has validated the description, so the commands below
+# compile it and call the roll-up past the public functions' second
+# validation pass; argument checks still run.  A flat description compiles
+# to hierarchy_root's synthetic root without building that tree.
+
+
+def _compiled(desc: SystemDescription) -> list[_Sub]:
+    if desc.hierarchy is None:
+        return _compile_flat(desc.elements, desc.groups)
+    return _compile(desc.hierarchy)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -302,31 +279,10 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def _flat_compare(desc: SystemDescription, threshold: float) -> list[MethodComparison]:
-    """The synthetic root's row, then one per group; weakest ids in element order."""
-    values, weights, plan, ids = _flat_input(desc)
-    root_id = _synthetic_root_id(ids)
-    low = min(values)
-    weakest = tuple(i for i, v in zip(ids, values) if v == low)
-    rows = [_comparison_row(root_id, values, weights, plan, weakest, threshold)]
-    for group, (positions, _) in zip(desc.groups or (), plan):
-        members = [values[k] for k in positions]
-        low = min(members)
-        weakest = tuple(ids[k] for k in sorted(positions) if values[k] == low)
-        rows.append(
-            _comparison_row(f"{root_id}/{group.id}", members, None, [], weakest, threshold)
-        )
-    return rows
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     _check_threshold(args.threshold)
-    if desc.hierarchy is None:
-        rows = _flat_compare(desc, args.threshold)
-    else:
-        rows = _compare(desc.hierarchy, desc.scale, args.threshold)
-    return _emit_comparison(rows)
+    return _emit_comparison(_compare(_compiled(desc), desc.scale, args.threshold))
 
 
 def _emit_comparison(rows: list[MethodComparison]) -> int:
@@ -363,34 +319,12 @@ def _sweep_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flat_sweep(
-    desc: SystemDescription, vary_id: str, start: float, stop: float, steps: int
-) -> list[SweepRow]:
-    """Root metrics over the element vector with one element's value on the grid."""
-    _check_grid(desc.scale, start, stop, steps)
-    values, weights, plan, ids = _flat_input(desc)
-    if vary_id == _synthetic_root_id(ids):
-        raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
-    if vary_id not in ids:
-        raise EvaluationError(f"unknown element id {vary_id!r}")
-    slot = ids.index(vary_id)
-    rows = []
-    for varied in _grid(start, stop, steps):
-        values[slot] = float(varied)
-        rows.append(SweepRow(varied, *_metrics(values, weights, plan)))
-    return rows
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    if desc.hierarchy is None:
-        rows = _flat_sweep(desc, args.vary, args.start, args.stop, args.steps)
-    else:
-        path = _sweep_path(
-            desc.hierarchy, desc.scale, args.vary, args.start, args.stop, args.steps
-        )
-        rows = _sweep(desc.scale, path, args.start, args.stop, args.steps)
-    _emit_sweep(rows, args.out)
+    subs = _compiled(desc)
+    _check_grid(desc.scale, args.start, args.stop, args.steps)
+    path = _sweep_path(subs, args.vary)
+    _emit_sweep(_sweep(subs, desc.scale, path, args.start, args.stop, args.steps), args.out)
     return EXIT_OK
 
 
@@ -408,6 +342,8 @@ def _cmd_priorities(args: argparse.Namespace) -> int:
     if desc.network is None:
         print("error: description has no network section", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.group_tolerance is not None:
+        _check_tolerance(args.group_tolerance)
     strategy = _STRATEGIES[args.strategy]
     ranked = rank_nodes(desc.network, strategy)
     cells = [["rank", "node", "score", "priority"]]

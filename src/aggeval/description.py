@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Iterable
+from typing import AbstractSet, Any
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
 from .network import (
@@ -95,7 +95,7 @@ class SystemDescription:
         """
         if self.hierarchy is not None:
             return self.hierarchy
-        root_id = _synthetic_root_id(e.id for e in self.elements)
+        root_id = _synthetic_root_id([e.id for e in self.elements])
         leaves = tuple(
             HierarchyNode(id=e.id, value=e.evaluation, priority=e.priority)
             for e in self.elements
@@ -106,12 +106,13 @@ class SystemDescription:
         return HierarchyNode(id=root_id, children=leaves, config=config)
 
 
-def _synthetic_root_id(element_ids: Iterable[str]) -> str:
+def _synthetic_root_id(element_ids: list[str]) -> str:
     """Id of a flat description's root: ``system``, with ``+`` appended while taken."""
     root_id = "system"
-    taken = set(element_ids)
-    while root_id in taken:
-        root_id += "+"
+    if root_id in element_ids:  # a scan: the set is built only for a taken name
+        taken = set(element_ids)
+        while root_id in taken:
+            root_id += "+"
     return root_id
 
 

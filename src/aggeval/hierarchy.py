@@ -11,10 +11,11 @@ value moves across a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .core import (
     EvaluationError,
+    Group,
     Method,
     Scale,
     _hybrid,
@@ -23,7 +24,8 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .network import HierarchyNode, _Tree, validate_hierarchy
+from .description import Element, _synthetic_root_id
+from .network import HierarchyNode, MethodConfig, _Tree, validate_hierarchy
 
 __all__ = [
     "AggregationReport",
@@ -63,14 +65,6 @@ class AggregationReport(_Tree):
     adequacy: float
     warnings: tuple[str, ...]
     children: tuple["AggregationReport", ...]
-
-    def walk(self) -> Iterator["AggregationReport"]:
-        """This report and every report below it, in preorder."""
-        stack = [self]
-        while stack:
-            report = stack.pop()
-            yield report
-            stack.extend(reversed(report.children))
 
     def to_dict(self) -> dict:
         """This report and its subtree as nested dicts and lists.
@@ -131,33 +125,131 @@ class SweepRow:
     hybrid: float | None
 
 
-# One node's roll-up: value, smallest leaf value below, weakest leaf ids,
-# method label, adequacy and warnings.
-_Row = tuple[float, float, tuple[str, ...], str, float, tuple[str, ...]]
+class _Sub(NamedTuple):
+    """One subsystem of a compiled tree or flat description.
+
+    ``values`` and ``lows`` hold each child's value and the smallest leaf
+    value below it, in child order: a leaf's own value from the start, a
+    subsystem child's once :func:`_roll` has rolled the entry at
+    ``below[position]``.  The method is resolved once: ``kernel`` is the
+    operator run over ``values`` (a wem-then node's fallback), ``plan``
+    gives each group's child positions in member order and its priority,
+    and ``critical`` the positions a wem-then node measures adequacy
+    against.
+    """
+
+    id: str
+    ids: list[str]
+    values: list[float]
+    lows: list[float]
+    below: dict[int, int]
+    label: str
+    kernel: Method
+    weights: list[float] | None
+    plan: list[tuple[list[int], float]]
+    group_ids: list[str]
+    critical: list[int] | None
+    threshold: float | None
 
 
-def _child_weights(node: HierarchyNode) -> list[float] | None:
-    """Configured child priorities in child order, or None when all are defaulted."""
-    if all(child.priority is None for child in node.children):
-        return None
-    return [1.0 if child.priority is None else child.priority for child in node.children]
+_WLAM = MethodConfig(Method.WLAM)  # a subsystem without a method object
 
 
-def _group_plan(node: HierarchyNode) -> list[tuple[list[int], float]]:
-    """Child positions (in member order) and priority of each configured group."""
-    if node.config is None:
-        return []
-    position = {child.id: k for k, child in enumerate(node.children)}
+def _sub(
+    node_id: str,
+    ids: list[str],
+    values: list[float],
+    below: dict[int, int],
+    priorities: list[float | None],
+    config: MethodConfig | None,
+) -> _Sub:
+    """A compiled entry; weights are None when no child sets a priority."""
+    weights = None
+    if priorities.count(None) < len(priorities):
+        weights = [1.0 if priority is None else priority for priority in priorities]
+    config = config or _WLAM
+    method = kernel = config.method
+    plan, critical = [], None
+    if config.groups or config.critical_ids:
+        position = dict(zip(ids, range(len(ids))))
+        plan = [([position[m] for m in g.members], g.priority) for g in config.groups]
+        critical = [position[i] for i in config.critical_ids] or None
+    if method is Method.WEM_THEN:
+        kernel = Method.NAM if config.fallback is Method.NAM else Method.WLAM
+    return _Sub(node_id, ids, values, values[:], below, method.value, kernel, weights,
+                plan, [g.id for g in config.groups], critical, config.adequacy_threshold)
+
+
+def _compile(root: HierarchyNode) -> list[_Sub]:
+    """The subsystems of a validated tree in post-order, children left to
+    right, so the root comes last; empty for a leaf root."""
+    # Preorder with the children pushed left to right visits them right to
+    # left; read backwards, that is the left-to-right post-order.
+    order = []
+    stack = [root] if root.children else []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(child for child in node.children if child.children)
+    subs: list[_Sub] = []
+    index: dict[str, int] = {}
+    for node in reversed(order):
+        children = node.children
+        # A subsystem child's value is a placeholder until _roll fills it in.
+        values = [0.0 if child.children else float(child.value) for child in children]
+        below = {k: index[child.id] for k, child in enumerate(children) if child.children}
+        index[node.id] = len(subs)
+        subs.append(
+            _sub(node.id, [child.id for child in children], values, below,
+                 [child.priority for child in children], node.config)
+        )
+    return subs
+
+
+def _compile_flat(elements: Sequence[Element], groups: tuple[Group, ...] | None) -> list[_Sub]:
+    """A flat description as one entry: the synthetic root over the
+    elements, with the groups as its hybrid plan."""
+    ids = [e.id for e in elements]
+    config = MethodConfig(Method.HYBRID_GROUPED, groups=groups) if groups else None
     return [
-        ([position[member] for member in group.members], group.priority)
-        for group in node.config.groups
+        _sub(_synthetic_root_id(ids), ids, [e.evaluation for e in elements], {},
+             [e.priority for e in elements], config)
     ]
 
 
-def _weakest(rows: list[_Row]) -> tuple[float, tuple[str, ...]]:
-    """Smallest leaf value below ``rows`` and the leaves attaining it, in order."""
-    low = min(row[1] for row in rows)
-    return low, tuple(weak_id for row in rows if row[1] == low for weak_id in row[2])
+# One subsystem's roll-up: value, smallest leaf value below, weakest leaf
+# ids, adequacy and warnings.
+_Row = tuple[float, float, tuple[str, ...], float, tuple[str, ...]]
+
+
+def _operate(sub: _Sub, values: list[float]) -> float:
+    """The subsystem's configured operator over its child values, in child order."""
+    kernel = sub.kernel
+    if kernel is Method.WEM:
+        return min(values)
+    if kernel is Method.NAM:
+        return _nam(values)
+    if kernel is Method.HYBRID_GROUPED:
+        return _hybrid(values, sub.plan)
+    return _wlam(values, sub.weights)
+
+
+def _weakest(
+    sub: _Sub, rows: list[_Row | None], positions: Sequence[int] | None = None
+) -> tuple[float, tuple[str, ...]]:
+    """Smallest leaf value below the children at ``positions`` (default:
+    all) and the leaves attaining it, in the order of ``positions``."""
+    lows = sub.lows
+    if positions is None:
+        positions = range(len(lows))
+    else:
+        lows = [lows[k] for k in positions]
+    low = min(lows)
+    below, weakest = sub.below, []
+    for k, value in zip(positions, lows):
+        if value == low:
+            weakest += rows[below[k]][2] if k in below else (sub.ids[k],)
+    return low, tuple(weakest)
 
 
 def _metrics(
@@ -174,83 +266,55 @@ def _metrics(
     )
 
 
-def _method(node: HierarchyNode) -> Method:
-    return node.config.method if node.config is not None else Method.WLAM
+def _roll(
+    subs: list[_Sub], scale: Scale, skip: AbstractSet[int] = frozenset()
+) -> list[_Row | None]:
+    """Roll up a compiled list in order; returns one row per entry.
 
-
-def _operator(node: HierarchyNode) -> Callable[[list[float]], float]:
-    """The node's configured operator over its child values, in child order.
-
-    Child weights and the group plan are resolved here, once per node.
+    Each entry first takes its subsystem children's values and lows from
+    their rows.  An entry in ``skip`` then gets no row and runs no
+    operator, and its parent does not take its value.  Rolls without
+    recursion, so depth is bounded by memory only.
     """
-    method = _method(node)
-    if method is Method.WEM:
-        return min
-    if method is Method.NAM or (
-        method is Method.WEM_THEN and node.config.fallback is Method.NAM
-    ):
-        return _nam
-    if method is Method.HYBRID_GROUPED:
-        plan = _group_plan(node)
-        return lambda values: _hybrid(values, plan)
-    weights = _child_weights(node)
-    return lambda values: _wlam(values, weights)
-
-
-def _apply_method(node: HierarchyNode, values: list[float]) -> tuple[str, float, float]:
-    """Run the node's configured operator; returns (label, value, adequacy)."""
-    method = _method(node)
-    value = _operator(node)(values)
-    if method is Method.WEM_THEN:
-        position = {child.id: k for k, child in enumerate(node.children)}
-        weakest = min(values[position[i]] for i in node.config.critical_ids)
-    else:
-        weakest = min(values)
-    return (method.value, value, _signed_gap(value, weakest))
-
-
-def _postorder(root: HierarchyNode) -> list[HierarchyNode]:
-    """The subtree's nodes, each after its children, children left to right."""
-    # Preorder with the children pushed left to right visits them right to
-    # left; read backwards, that is the left-to-right post-order.
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    order.reverse()
-    return order
-
-
-def _roll(order: list[HierarchyNode], scale: Scale) -> dict[str, _Row]:
-    """Aggregate the nodes of a post-order; returns each node's row by id.
-
-    Rolls without recursion, so depth is bounded by memory only.  Ids are
-    unique once the tree is validated.
-    """
-    rows: dict[str, _Row] = {}
-    for node in order:
-        if not node.children:
-            value = float(node.value)
-            rows[node.id] = (value, value, (node.id,), "leaf", 0.0, ())
+    rows: list[_Row | None] = []
+    for index, sub in enumerate(subs):
+        values, lows = sub.values, sub.lows
+        for k, j in sub.below.items():
+            row = rows[j]
+            if row is not None:
+                values[k], lows[k] = row[0], row[1]
+        if index in skip:
+            rows.append(None)
             continue
-        child_rows = [rows[child.id] for child in node.children]
-        label, value, adequacy = _apply_method(node, [row[0] for row in child_rows])
+        value = _operate(sub, values)
+        critical = sub.critical
+        floor = min(values) if critical is None else min([values[k] for k in critical])
+        adequacy = _signed_gap(value, floor)
         # Rounding in the means can overshoot the scale by a few ulps; reported
         # values stay inside the declared interval.
         value = scale.clamp(value)
-        low, weakest = _weakest(child_rows)
+        low, weakest = _weakest(sub, rows)
         warnings: tuple[str, ...] = ()
-        config = node.config
-        if config is not None and config.adequacy_threshold is not None:
-            if adequacy > config.adequacy_threshold:
-                warnings = (
-                    f"adequacy {adequacy:.6g} exceeds threshold "
-                    f"{config.adequacy_threshold:g}; weakest: {', '.join(weakest)}",
-                )
-        rows[node.id] = (value, low, weakest, label, adequacy, warnings)
+        threshold = sub.threshold
+        if threshold is not None and adequacy > threshold:
+            warnings = (
+                f"adequacy {adequacy:.6g} exceeds threshold "
+                f"{threshold:g}; weakest: {', '.join(weakest)}",
+            )
+        rows.append((value, low, weakest, adequacy, warnings))
     return rows
+
+
+def _check_root(root: _Sub) -> None:
+    """Run the root's operator where :func:`_metrics` does not run it.
+
+    The root's value is not reported, but an overflow in its operator ends
+    a full roll-up.  _metrics runs the same kernel on the same values,
+    except nam under child priorities, which only a wem-then root with a
+    nam fallback reaches; only that root runs its operator on its own.
+    """
+    if root.kernel is Method.NAM and root.weights is not None:
+        _nam(root.values)
 
 
 def _check_tree(root: HierarchyNode, scale: Scale) -> None:
@@ -259,22 +323,26 @@ def _check_tree(root: HierarchyNode, scale: Scale) -> None:
         raise HierarchyValidationError(violations)
 
 
+def _leaf_report(node_id: str, value: float) -> AggregationReport:
+    return AggregationReport(node_id, "leaf", value, (node_id,), 0.0, (), ())
+
+
 def _aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
     """:func:`aggregate` on a tree already validated."""
-    order = _postorder(root)
-    rows = _roll(order, scale)
-    # In post-order a node's children are the last reports built, left to
-    # right; each row is dropped once its report exists.
+    if not root.children:
+        return _leaf_report(root.id, float(root.value))
+    subs = _compile(root)
     reports: list[AggregationReport] = []
-    for node in order:
-        value, _, weakest, label, adequacy, warnings = rows.pop(node.id)
-        split = len(reports) - len(node.children)
-        children = tuple(reports[split:])
-        del reports[split:]
-        reports.append(
-            AggregationReport(node.id, label, value, weakest, adequacy, warnings, children)
+    for sub, (value, _, weakest, adequacy, warnings) in zip(subs, _roll(subs, scale)):
+        below = sub.below
+        children = tuple(
+            reports[below[k]] if k in below else _leaf_report(child_id, sub.values[k])
+            for k, child_id in enumerate(sub.ids)
         )
-    return reports[0]
+        reports.append(
+            AggregationReport(sub.id, sub.label, value, weakest, adequacy, warnings, children)
+        )
+    return reports[-1]
 
 
 def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
@@ -319,57 +387,42 @@ def _comparison_row(
     )
 
 
-def _compare_node(
-    node: HierarchyNode,
-    threshold: float,
-    registry: dict[str, _Row],
-    rows: list[MethodComparison],
-) -> None:
-    """Append the rows of one subsystem: its own, then one per group."""
-    child_rows = [registry[child.id] for child in node.children]
-    values = [row[0] for row in child_rows]
-    plan = _group_plan(node)
-    rows.append(
-        _comparison_row(
-            node.id,
-            values,
-            _child_weights(node),
-            plan,
-            registry[node.id][2],
-            threshold,
-        )
-    )
-    groups = node.config.groups if node.config else ()
-    for group, (positions, _) in zip(groups, plan):
-        # Group values in member order; weakest leaves in child order.
-        rows.append(
-            _comparison_row(
-                f"{node.id}/{group.id}",
-                [values[k] for k in positions],
-                None,
-                [],
-                _weakest([child_rows[k] for k in sorted(positions)])[1],
-                threshold,
-            )
-        )
-
-
 def _check_threshold(threshold: float) -> None:
     if not 0 <= threshold <= 1:
         raise EvaluationError(f"adequacy threshold must lie in [0, 1], got {threshold!r}")
 
 
-def _compare(root: HierarchyNode, scale: Scale, threshold: float) -> list[MethodComparison]:
-    """:func:`compare_methods` on a tree and threshold already checked."""
-    registry = _roll(_postorder(root), scale)
-    rows: list[MethodComparison] = []
-    # Preorder over the subsystems only: leaves are never pushed.
-    stack = [root] if root.children else []
+def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodComparison]:
+    """:func:`compare_methods` on a compiled list and a checked threshold."""
+    if not subs:
+        return []
+    root = len(subs) - 1
+    rows = _roll(subs, scale, {root})
+    _check_root(subs[root])
+    out: list[MethodComparison] = []
+    # Preorder over the subsystems: each one's row, then one per group.
+    stack = [root]
     while stack:
-        node = stack.pop()
-        _compare_node(node, threshold, registry, rows)
-        stack.extend(child for child in reversed(node.children) if child.children)
-    return rows
+        j = stack.pop()
+        sub = subs[j]
+        values = sub.values
+        row = rows[j]
+        weakest = _weakest(sub, rows)[1] if row is None else row[2]
+        out.append(_comparison_row(sub.id, values, sub.weights, sub.plan, weakest, threshold))
+        for group_id, (positions, _) in zip(sub.group_ids, sub.plan):
+            # Group values in member order; weakest leaves in child order.
+            out.append(
+                _comparison_row(
+                    f"{sub.id}/{group_id}",
+                    [values[k] for k in positions],
+                    None,
+                    [],
+                    _weakest(sub, rows, sorted(positions))[1],
+                    threshold,
+                )
+            )
+        stack.extend(reversed(sub.below.values()))
+    return out
 
 
 def compare_methods(
@@ -384,26 +437,7 @@ def compare_methods(
     """
     _check_threshold(adequacy_threshold)
     _check_tree(root, scale)
-    return _compare(root, scale, adequacy_threshold)
-
-
-def _path_to(root: HierarchyNode, node_id: str) -> list[tuple[HierarchyNode, int]]:
-    """Nodes from ``root`` down to the first node in preorder with ``node_id``.
-
-    Each node comes with its position among its parent's children; the
-    list is empty when no node has that id.
-    """
-    path: list[tuple[HierarchyNode, int]] = []
-    stack = [(root, 0, 0)]
-    while stack:
-        node, depth, slot = stack.pop()
-        del path[depth:]
-        path.append((node, slot))
-        if node.id == node_id:
-            return path
-        children = node.children
-        stack.extend((children[k], depth + 1, k) for k in reversed(range(len(children))))
-    return []
+    return _compare(_compile(root), scale, adequacy_threshold)
 
 
 def _check_grid(scale: Scale, start: float, stop: float, steps: int) -> None:
@@ -426,68 +460,54 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     ]
 
 
-def _sweep_path(
-    root: HierarchyNode,
-    scale: Scale,
-    vary_id: str,
-    start: float,
-    stop: float,
-    steps: int,
-) -> list[tuple[HierarchyNode, int]]:
-    """Check the sweep arguments; returns the path down to the varied leaf."""
-    _check_grid(scale, start, stop, steps)
-    if root.is_leaf:
-        raise EvaluationError("sweep needs a subsystem root with children")
-    path = _path_to(root, vary_id)
-    if not path:
-        raise EvaluationError(f"unknown element id {vary_id!r}")
-    if not path[-1][0].is_leaf:
-        raise EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
-    return path
+def _vary_error(vary_id: str, has_root: bool, subsystem: bool) -> EvaluationError:
+    """Why a sweep cannot vary ``vary_id``, which names no leaf: the tree
+    has no subsystem root, or ``vary_id`` is a subsystem's id, or no id."""
+    if not has_root:
+        return EvaluationError("sweep needs a subsystem root with children")
+    if subsystem:
+        return EvaluationError(f"{vary_id!r} is a subsystem; only leaves can vary")
+    return EvaluationError(f"unknown element id {vary_id!r}")
+
+
+def _sweep_path(subs: list[_Sub], vary_id: str) -> list[tuple[int, int]]:
+    """The entries of a compiled list from its root down to leaf ``vary_id``,
+    each with the position among its children of the next node down."""
+    for j, sub in enumerate(subs):
+        if vary_id in sub.ids and sub.ids.index(vary_id) not in sub.below:
+            break
+    else:
+        raise _vary_error(vary_id, bool(subs), any(sub.id == vary_id for sub in subs))
+    parent = {i: (p, k) for p, sub in enumerate(subs) for k, i in sub.below.items()}
+    path = [(j, subs[j].ids.index(vary_id))]
+    while path[-1][0] in parent:
+        path.append(parent[path[-1][0]])
+    return path[::-1]
 
 
 def _sweep(
+    subs: list[_Sub],
     scale: Scale,
-    path: list[tuple[HierarchyNode, int]],
+    path: list[tuple[int, int]],
     start: float,
     stop: float,
     steps: int,
 ) -> list[SweepRow]:
-    """:func:`sweep` along a checked path in a tree already validated."""
-    # One (operator, child values, slot of the path child) per level, root
-    # first.  Only the subtrees off the path are rolled here: a full re-roll
-    # never evaluates the path at the leaf's stored value, so neither does this.
-    levels = [
-        (
-            _operator(node),
-            [
-                0.0 if k == slot else _roll(_postorder(child), scale)[child.id][0]
-                for k, child in enumerate(node.children)
-            ],
-            slot,
-        )
-        for (node, _), (_, slot) in zip(path, path[1:])
-    ]
-    below = levels[:0:-1]  # the path's ancestors under the root, deepest first
-    root_operator, root_values, root_slot = levels[0]
-    root = path[0][0]
-    weights = _child_weights(root)
-    plan = _group_plan(root)
-    # The root's value is not reported, but an overflow in its operator ends
-    # a full roll-up.  _metrics runs the same kernel on the same values,
-    # except nam under child priorities, which only a wem-then root with a
-    # nam fallback reaches; only that root runs its operator on its own.
-    check_root = root_operator is _nam and weights is not None
+    """:func:`sweep` on a compiled list along a path from :func:`_sweep_path`."""
+    # Only the subtrees off the path are rolled: a full re-roll never
+    # evaluates the path at the leaf's stored value, so neither does this.
+    _roll(subs, scale, {j for j, _ in path})
+    (root, root_slot), *below = [(subs[j], slot) for j, slot in path]
+    below.reverse()
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        for operator, values, slot in below:
-            values[slot] = value
-            value = scale.clamp(operator(values))
-        root_values[root_slot] = value
-        if check_root:
-            _nam(root_values)
-        rows.append(SweepRow(varied, *_metrics(root_values, weights, plan)))
+        for sub, slot in below:  # the path's ancestors under the root, deepest first
+            sub.values[slot] = value
+            value = scale.clamp(_operate(sub, sub.values))
+        root.values[root_slot] = value
+        _check_root(root)
+        rows.append(SweepRow(varied, *_metrics(root.values, root.weights, root.plan)))
     return rows
 
 
@@ -507,6 +527,11 @@ def sweep(
     give them.  Subtrees off the varied leaf's path are rolled once; each
     grid point recomputes only the leaf's ancestors.
     """
-    path = _sweep_path(root, scale, vary_id, start, stop, steps)
+    _check_grid(scale, start, stop, steps)
+    # The id checks come before validation, on the first node in preorder.
+    node = next((node for node in root.walk() if node.id == vary_id), None)
+    if root.is_leaf or node is None or not node.is_leaf:
+        raise _vary_error(vary_id, not root.is_leaf, node is not None)
     _check_tree(root, scale)
-    return _sweep(scale, path, start, stop, steps)
+    subs = _compile(root)
+    return _sweep(subs, scale, _sweep_path(subs, vary_id), start, stop, steps)

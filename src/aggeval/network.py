@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from .core import Group, Method, Scale
 
@@ -132,14 +132,26 @@ class MethodConfig:
         )
 
 
+_T = TypeVar("_T", bound="_Tree")
+
+
 class _Tree:
-    """``repr``, ``==`` and ``hash`` of a dataclass tree, without recursion.
+    """Preorder ``walk``, ``repr``, ``==`` and ``hash`` of a dataclass tree,
+    without recursion.
 
     For a frozen dataclass declared with ``repr=False, eq=False`` whose
     ``children`` field holds nodes of its own class.  ``repr`` and ``==``
     give what the generated methods give, and equal trees hash equal, at
     any depth.
     """
+
+    def walk(self: _T) -> Iterator[_T]:
+        """This node and every node below it, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def _preorder(self) -> list[tuple]:
         """Class, fields but ``children``, and child count of each node, in
@@ -207,14 +219,6 @@ class HierarchyNode(_Tree):
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def walk(self) -> Iterator["HierarchyNode"]:
-        """All nodes in preorder."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
 
     def leaf_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.walk() if n.is_leaf)

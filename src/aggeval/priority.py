@@ -248,6 +248,11 @@ def derive_priorities(net: Network, strategy: PriorityStrategy) -> PriorityVecto
     )
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise EvaluationError(f"tolerance must be nonnegative, got {tolerance!r}")
+
+
 def group_by_priority(
     priorities: PriorityVector, tolerance: float
 ) -> tuple[Group, ...]:
@@ -259,8 +264,7 @@ def group_by_priority(
     members' and groups come out ordered by descending priority, named
     ``g1, g2, ...``.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise EvaluationError(f"tolerance must be nonnegative, got {tolerance!r}")
+    _check_tolerance(tolerance)
     items = sorted(priorities.weights, key=lambda kv: (-kv[1], kv[0]))
     clusters: list[list[tuple[str, float]]] = [[items[0]]]
     for previous, current in zip(items, items[1:]):

@@ -651,6 +651,21 @@ class TestPriorities:
         assert "g1: priority 1, members b" in out
         assert "g2: priority 0.5, members a, c" in out
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_fails_before_the_table(self, capsys, fixture_path, tolerance):
+        code, out, err = run(
+            capsys,
+            "priorities",
+            "--input",
+            fixture_path("path_network.json"),
+            "--strategy",
+            "degree",
+            "--group-tolerance",
+            tolerance,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be nonnegative, got {float(tolerance)!r}\n"
+
     def test_single_node_network(self, capsys, tmp_path):
         path = write_doc(
             tmp_path,

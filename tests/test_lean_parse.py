@@ -249,7 +249,9 @@ def faulty_documents(draw, faults=1):
         elif fault == "leaf-root":
             document["hierarchy"] = draw(st.sampled_from(element_ids))
         else:
-            node["id"] = draw(st.sampled_from([s["id"] for s in subsystems]))
+            # An earlier fault may have removed an id: copy one that is left.
+            ids = [s["id"] for s in subsystems if "id" in s]
+            node["id"] = draw(st.sampled_from(ids or ["s0"]))
     return document
 
 

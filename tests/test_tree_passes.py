@@ -689,9 +689,9 @@ class TestSweepRootOperator:
 
 def with_value(root, leaf_id, value):
     """``root`` with one leaf's value replaced, built without recursion."""
-    order = aggeval.hierarchy._postorder(root)
+    order = list(root.walk())
     built = {}
-    for node in order:
+    for node in reversed(order):  # every node after its children
         if not node.children:
             new_value = value if node.id == leaf_id else node.value
             built[node.id] = HierarchyNode(node.id, new_value, node.priority)
@@ -711,7 +711,13 @@ class TestSweepMatchesFullReroll:
             desc = load_description(str(path))
         root, scale = desc.hierarchy, desc.scale
         hierarchy = aggeval.hierarchy
-        weights, plan = hierarchy._child_weights(root), hierarchy._group_plan(root)
+        children = root.children
+        weights = None
+        if any(child.priority is not None for child in children):
+            weights = [1.0 if child.priority is None else child.priority for child in children]
+        position = {child.id: k for k, child in enumerate(children)}
+        groups = root.config.groups if root.config else ()
+        plan = [([position[m] for m in group.members], group.priority) for group in groups]
         for element in doc["elements"]:
             rows = hierarchy.sweep(root, scale, element["id"], 0, 100, 5)
             expected = []
