@@ -35,7 +35,12 @@ fault each:
   priority, a duplicate group id, and an element in no group.
 
 They run the parser's reporting checks, or for the duplicate subsystem
-id and the bad partition the tree validation, at workload size.
+id and the bad partition the tree validation, at workload size.  Two
+more copies of seed-1 flat-grouped give every seventh element a
+priority, some below 1, one with its groups and one without; the whole
+mix of a file runs on each, so the flat summary's ``nam`` without a
+value, weighted ``wlam`` and wem-then's top-priority critical set are
+covered.
 ``--fixtures-only`` skips them.  Every call whose exit code, stdout,
 stderr or written file differs between the sides is printed; the exit
 status is 1 if any differs, else 0.
@@ -171,6 +176,17 @@ def _group_faults(doc: dict) -> dict[str, dict]:
 
 
 FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults}
+PRIORITIES = (0.25, 0.5, 2, 3)
+
+
+def _priority_copies(doc: dict) -> dict[str, dict]:
+    """Copies of a flat-grouped document with priorities on every seventh
+    element, with and without its groups."""
+    grouped = json.loads(json.dumps(doc))
+    for k, element in enumerate(grouped["elements"][::7]):
+        element["priority"] = PRIORITIES[k % len(PRIORITIES)]
+    flat = {key: value for key, value in grouped.items() if key != "groups"}
+    return {"priorities": grouped, "priorities-no-groups": flat}
 
 
 def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
@@ -198,6 +214,11 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
                     path.write_text(json.dumps(doc), encoding="utf-8")
                     commands += [["evaluate", "--input", str(path)],
                                  ["compare", "--input", str(path)]]
+            if name == "flat-grouped" and seed == SEEDS[0]:
+                for label, doc in _priority_copies(prepared.doc).items():
+                    path = workdir / f"{name}-{seed}-{label}.json"
+                    path.write_text(json.dumps(doc), encoding="utf-8")
+                    commands += _file_commands(path)
     return commands
 
 

@@ -25,7 +25,6 @@ from .core import (
     Method,
     PriorityVector,
     Scale,
-    _masking_ratio,
     _signed_gap,
     _wlam,
 )
@@ -40,7 +39,7 @@ from .hierarchy import (
     _compare,
     _compile,
     _compile_flat,
-    _metrics,
+    _comparison_row,
     _operate,
     _roll,
     _Sub,
@@ -101,71 +100,72 @@ def _line_out(lines: Iterable[str]) -> None:
     print("\n".join(lines))
 
 
-def _emit_value(method: Method, value: float, fmt: str) -> None:
-    if fmt == "text":
-        print(_g(value))
-    elif fmt == "json":
-        print(json.dumps({"method": method.value, "value": value}, indent=2))
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_cell(value: str | float | None) -> str:
+    """One CSV cell: a number as ``.6f``, None empty, and a string as it is,
+    or quoted with its quotes doubled where it holds a comma, a quote, CR
+    or LF (RFC 4180)."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        return f"{value:.6f}"
+    if _needs_quotes(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _record_out(fields: list[tuple[str, str | float | None]], fmt: str) -> None:
+    """One result as a JSON object, a CSV header and row, or text: a
+    ``name value`` line per number (None as ``n/a``; strings are left out),
+    or the bare number when there is only one."""
+    if fmt == "json":
+        print(json.dumps(dict(fields), indent=2))
+    elif fmt == "csv":
+        _line_out([",".join(name for name, _ in fields), ",".join(_csv_cell(v) for _, v in fields)])
     else:
-        _line_out(["method,value", f"{method.value},{value:.6f}"])
-
-
-def _flat_critical_ids(desc: SystemDescription) -> tuple[str, ...]:
-    """Critical subset for a flat wem-then run.
-
-    Preference order: members of the highest-priority group, then the
-    elements holding the top explicit priority, then everything.
-    """
-    if desc.groups:
-        best = max(desc.groups, key=lambda g: g.priority)
-        return best.members
-    explicit = [e for e in desc.elements if e.priority is not None]
-    if explicit:
-        top = max(e.priority for e in explicit)
-        return tuple(e.id for e in explicit if e.priority == top)
-    return tuple(e.id for e in desc.elements)
-
-
-def _evaluate_method(desc: SystemDescription, method: Method, fmt: str) -> int:
-    root = _compile_flat(desc.elements, desc.groups)[0]
-    if method is Method.HYBRID_GROUPED and not desc.groups:
-        raise EvaluationError("the hybrid method needs a groups section in the description")
-    if method is not Method.WEM_THEN:
-        _emit_value(method, _operate(root._replace(kernel=method), root.values), fmt)
-    else:
-        by_id = {e.id: e.evaluation for e in desc.elements}
-        critical_wem = min(by_id[i] for i in _flat_critical_ids(desc))
-        aggregate = _wlam(root.values, root.weights)
-        adequacy = _signed_gap(aggregate, critical_wem)
-        if fmt == "text":
-            _line_out(
-                [
-                    f"critical_wem {_g(critical_wem)}",
-                    f"aggregate {_g(aggregate)}",
-                    f"adequacy {_g(adequacy)}",
-                ]
-            )
-        elif fmt == "json":
-            print(
-                json.dumps(
-                    {
-                        "method": method.value,
-                        "critical_wem": critical_wem,
-                        "aggregate": aggregate,
-                        "adequacy": adequacy,
-                    },
-                    indent=2,
-                )
-            )
+        numbers = [(name, v) for name, v in fields if not isinstance(v, str)]
+        if len(numbers) == 1:
+            print(_g(numbers[0][1]))
         else:
-            _line_out(
-                [
-                    "method,critical_wem,aggregate,adequacy",
-                    f"{method.value},{critical_wem:.6f},"
-                    f"{aggregate:.6f},{adequacy:.6f}",
-                ]
-            )
-    return EXIT_OK
+            _line_out(f"{name} {'n/a' if v is None else _g(v)}" for name, v in numbers)
+
+
+def _critical_wem(desc: SystemDescription) -> float:
+    """Weakest value of a flat wem-then run's critical subset: the members
+    of the highest-priority group, else the elements holding the top
+    explicit priority, else every element."""
+    if desc.groups:
+        by_id = {e.id: e.evaluation for e in desc.elements}
+        return min(by_id[i] for i in max(desc.groups, key=lambda g: g.priority).members)
+    top = max((e.priority for e in desc.elements if e.priority is not None), default=None)
+    return min(e.evaluation for e in desc.elements if e.priority == top)
+
+
+def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> None:
+    """One method over the flat element vector, or all of them side by side."""
+    root = _compile_flat(desc.elements, desc.groups)[0]
+    if method is None:
+        # sigma_12 is at most 1, so a threshold of 1 builds no warning.
+        row = _comparison_row(root.id, root.values, root.weights, root.plan, (), 1.0)
+        fields = [("wem", row.wem), ("wlam", row.wlam), ("nam", row.nam),
+                  ("sigma_12", row.sigma_12), ("sigma_13", row.sigma_13)]
+        if row.hybrid is not None:
+            # JSON lists hybrid last, text and CSV right after nam.
+            fields.insert(len(fields) if fmt == "json" else 3, ("hybrid", row.hybrid))
+    elif method is Method.HYBRID_GROUPED and not desc.groups:
+        raise EvaluationError("the hybrid method needs a groups section in the description")
+    elif method is Method.WEM_THEN:
+        critical_wem = _critical_wem(desc)
+        aggregate = _wlam(root.values, root.weights)
+        fields = [("method", method.value), ("critical_wem", critical_wem),
+                  ("aggregate", aggregate), ("adequacy", _signed_gap(aggregate, critical_wem))]
+    else:
+        fields = [("method", method.value),
+                  ("value", _operate(root._replace(kernel=method), root.values))]
+    _record_out(fields, fmt)
 
 
 def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
@@ -174,12 +174,17 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
     subs = _compile(root)
     rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
+    # Every node is the root or some entry's child, so one check over those
+    # ids tells whether any id cell needs quoting; most trees need none.
+    quote = csv and _needs_quotes(root.id + "".join(["".join(sub.ids) for sub in subs]))
     # A leaf is pushed as (pad, id, value), a subsystem as (pad, None, index).
     stack = [("", root.id, float(root.value)) if root.is_leaf else ("", None, len(subs) - 1)]
     while stack:
         pad, node_id, item = stack.pop()
         if node_id is not None:
             if csv:
+                if quote:
+                    node_id = _csv_cell(node_id)
                 lines.append(f"{node_id},leaf,{item:.6f},{0:.6f},{node_id}")
             else:
                 lines.append(f"{pad}{node_id} = {item:.6g}")
@@ -187,9 +192,10 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
         sub = subs[item]
         value, _, weakest, adequacy, warnings = rows[item]
         if csv:
-            lines.append(
-                f"{sub.id},{sub.label},{value:.6f},{adequacy:.6f},{';'.join(weakest)}"
-            )
+            node_id, weakest = sub.id, ";".join(weakest)
+            if quote:
+                node_id, weakest = _csv_cell(node_id), _csv_cell(weakest)
+            lines.append(f"{node_id},{sub.label},{value:.6f},{adequacy:.6f},{weakest}")
         else:
             lines.append(
                 f"{pad}{sub.id} [{sub.label}] = {value:.6g} "
@@ -203,49 +209,6 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
             for k in reversed(range(len(sub.ids)))
         )
     return lines
-
-
-def _evaluate_summary(desc: SystemDescription, fmt: str) -> int:
-    """All methods side by side on the flat element vector."""
-    root = _compile_flat(desc.elements, desc.groups)[0]
-    wem_value, wlam_value, nam_value, hybrid_value = _metrics(
-        root.values, root.weights, root.plan
-    )
-    sigma_12 = _masking_ratio(wlam_value, wem_value)
-    sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
-    if fmt == "text":
-        lines = [f"wem {_g(wem_value)}", f"wlam {_g(wlam_value)}"]
-        lines.append(f"nam {_g(nam_value)}" if nam_value is not None else "nam n/a")
-        if hybrid_value is not None:
-            lines.append(f"hybrid {_g(hybrid_value)}")
-        lines.append(f"sigma_12 {_g(sigma_12)}")
-        lines.append(
-            f"sigma_13 {_g(sigma_13)}" if sigma_13 is not None else "sigma_13 n/a"
-        )
-        _line_out(lines)
-    elif fmt == "json":
-        doc = {
-            "wem": wem_value,
-            "wlam": wlam_value,
-            "nam": nam_value,
-            "sigma_12": sigma_12,
-            "sigma_13": sigma_13,
-        }
-        if hybrid_value is not None:
-            doc["hybrid"] = hybrid_value
-        print(json.dumps(doc, indent=2))
-    else:
-        header = ["wem", "wlam", "nam"]
-        row = [f"{wem_value:.6f}", f"{wlam_value:.6f}"]
-        row.append("" if nam_value is None else f"{nam_value:.6f}")
-        if hybrid_value is not None:
-            header.append("hybrid")
-            row.append(f"{hybrid_value:.6f}")
-        header += ["sigma_12", "sigma_13"]
-        row.append(f"{sigma_12:.6f}")
-        row.append("" if sigma_13 is None else f"{sigma_13:.6f}")
-        _line_out([",".join(header), ",".join(row)])
-    return EXIT_OK
 
 
 # load_description has validated the description, so the commands below
@@ -262,16 +225,13 @@ def _compiled(desc: SystemDescription) -> list[_Sub]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    if args.method is not None:
-        return _evaluate_method(desc, Method(args.method), args.format)
-    if desc.hierarchy is not None:
-        if args.format == "json":
-            report = _aggregate(desc.hierarchy, desc.scale)
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            _line_out(_tree_lines(desc.hierarchy, desc.scale, args.format == "csv"))
-        return EXIT_OK
-    return _evaluate_summary(desc, args.format)
+    if args.method is not None or desc.hierarchy is None:
+        _evaluate_flat(desc, args.method and Method(args.method), args.format)
+    elif args.format == "json":
+        print(json.dumps(_aggregate(desc.hierarchy, desc.scale).to_dict(), indent=2))
+    else:
+        _line_out(_tree_lines(desc.hierarchy, desc.scale, args.format == "csv"))
+    return EXIT_OK
 
 
 def _table(rows: list[list[str]]) -> list[str]:
@@ -382,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument(
         "--format", choices=["text", "json", "csv"], default="text"
     )
-    evaluate_cmd.set_defaults(handler=_cmd_evaluate)
 
     compare_cmd = commands.add_parser(
         "compare", help="per-node method comparison with adequacy warnings"
@@ -394,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="warn when sigma_12 exceeds this value (default 0.5)",
     )
-    compare_cmd.set_defaults(handler=_cmd_compare)
 
     sweep_cmd = commands.add_parser(
         "sweep", help="trace the aggregates while one element's value varies"
@@ -411,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, required=True, help="number of grid points (>= 2)"
     )
     sweep_cmd.add_argument("--out", help="write CSV here instead of stdout")
-    sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     priorities_cmd = commands.add_parser(
         "priorities", help="rank network nodes and derive priorities"
@@ -425,18 +382,21 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         help="also group nodes whose priorities differ by at most this",
     )
-    priorities_cmd.set_defaults(handler=_cmd_priorities)
     return parser
 
 
+# Built once; the handler is looked up by command name on each call, so a
+# replaced module attribute (as a test's patch) is the one that runs.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else str(exc)
         print(f"error: no such file: {name}", file=sys.stderr)

@@ -511,13 +511,13 @@ def wem_then_aggregate(
     critical = tuple(dict.fromkeys(critical_ids))
     if not critical:
         raise EvaluationError("critical set must not be empty")
-    known = set(evals.ids)
-    unknown = [i for i in critical if i not in known]
+    by_id = dict(evals.entries)
+    unknown = [i for i in critical if i not in by_id]
     if unknown:
         raise EvaluationError(
             "critical set references unknown ids: " + ", ".join(sorted(unknown))
         )
-    critical_wem = min(evals.value_of(i) for i in critical)
+    critical_wem = min(by_id[i] for i in critical)
     if method is Method.WLAM:
         aggregate = wlam(evals, weights)
     elif method is Method.NAM:

@@ -1,15 +1,19 @@
 """End-to-end tests of the command line interface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import aggeval.description
 import aggeval.hierarchy
+from aggeval import cli
 from aggeval.cli import main
 
 
@@ -201,6 +205,68 @@ class TestEvaluateSummary:
         assert doc["sigma_12"] == doc["sigma_13"] == 0.0
 
 
+PRIORITIES_DOC = {
+    "scale": {"min": 0, "max": 100},
+    "elements": [
+        {"id": "s1", "evaluation": 10, "priority": 3.0},
+        {"id": "s2", "evaluation": 100, "priority": 1.0},
+    ],
+}
+
+
+class TestFlatRecordLayout:
+    """Exact bytes of flat ``evaluate`` in every format: hybrid sits after
+    nam in text and CSV but last in JSON; a missing value is ``n/a``,
+    ``null`` or an empty cell."""
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "wem 50\nwlam 80\nnam 61.0352\nhybrid 83.3333\n"
+                     "sigma_12 0.375\nsigma_13 0.1808\n"),
+            ("json", '{\n  "wem": 50.0,\n  "wlam": 80.0,\n  "nam": 61.03515625,\n'
+                     '  "sigma_12": 0.375,\n  "sigma_13": 0.1808,\n'
+                     '  "hybrid": 83.33333333333333\n}\n'),
+            ("csv", "wem,wlam,nam,hybrid,sigma_12,sigma_13\n"
+                    "50.000000,80.000000,61.035156,83.333333,0.375000,0.180800\n"),
+        ],
+    )
+    def test_grouped_summary(self, capsys, fixture_path, fmt, expected):
+        code, out, _ = run(
+            capsys, "evaluate", "--input", fixture_path("two_group.json"), "--format", fmt
+        )
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("json", '{\n  "wem": 10.0,\n  "wlam": 32.5,\n  "nam": null,\n'
+                     '  "sigma_12": 0.6923076923076923,\n  "sigma_13": null\n}\n'),
+            ("csv", "wem,wlam,nam,sigma_12,sigma_13\n10.000000,32.500000,,0.692308,\n"),
+        ],
+    )
+    def test_summary_without_nam(self, capsys, tmp_path, fmt, expected):
+        path = write_doc(tmp_path, PRIORITIES_DOC)
+        code, out, _ = run(capsys, "evaluate", "--input", path, "--format", fmt)
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("json", '{\n  "method": "wem-then",\n  "critical_wem": 100.0,\n'
+                     '  "aggregate": 80.0,\n  "adequacy": -0.25\n}\n'),
+            ("csv", "method,critical_wem,aggregate,adequacy\n"
+                    "wem-then,100.000000,80.000000,-0.250000\n"),
+        ],
+    )
+    def test_wem_then_record(self, capsys, fixture_path, fmt, expected):
+        code, out, _ = run(
+            capsys, "evaluate", "--input", fixture_path("two_group.json"),
+            "--method", "wem-then", "--format", fmt,
+        )
+        assert (code, out) == (0, expected)
+
+
 class TestEvaluateHierarchy:
     def test_tree_report(self, capsys, fixture_path):
         code, out, _ = run(
@@ -246,6 +312,98 @@ class TestEvaluateHierarchy:
         assert doc["node"] == "plant"
         assert [c["node"] for c in doc["children"]] == ["line", "supply"]
         assert doc["children"][1]["warnings"]
+
+
+class TestTreeCsvQuoting:
+    """Tree ``evaluate --format csv`` quotes an id cell holding a comma, a
+    quote, CR or LF, with its quotes doubled (RFC 4180)."""
+
+    IDS = ["a,b", 'c"d', "e\nf", "g\rh", "plain"]
+
+    def _rows(self, capsys, tmp_path, hierarchy):
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": i, "evaluation": 50 if k < 2 else 70}
+                         for k, i in enumerate(self.IDS)],
+            "hierarchy": hierarchy,
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "evaluate", "--input", path, "--format", "csv")
+        assert (code, err) == (0, "")
+        return list(csv.reader(io.StringIO(out, newline="")))
+
+    def test_every_row_parses_to_five_fields_and_keeps_its_ids(self, capsys, tmp_path):
+        inner = {"id": "sub,1", "method": {"method": "wem"}, "children": self.IDS[:3]}
+        rows = self._rows(
+            capsys, tmp_path, {"id": 'top"', "children": [inner, *self.IDS[3:]]}
+        )
+        assert rows[0] == ["node", "method", "value", "adequacy", "weakest"]
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == ['top"', "sub,1", *self.IDS]
+        assert rows[1][4].split(";") == ["a,b", 'c"d']
+        assert rows[2][1:] == ["wem", "50.000000", "0.000000", 'a,b;c"d']
+        for row in rows[3:]:
+            assert row[4] == row[0]
+
+    def test_quoted_bytes(self, capsys, tmp_path):
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": "a,b", "evaluation": 50}, {"id": 'c"d', "evaluation": 50}],
+            "hierarchy": {"id": "root", "children": ["a,b", 'c"d']},
+        }
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run(capsys, "evaluate", "--input", path, "--format", "csv")
+        assert (code, out) == (
+            0,
+            "node,method,value,adequacy,weakest\n"
+            'root,wlam,50.000000,0.000000,"a,b;c""d"\n'
+            '"a,b",leaf,50.000000,0.000000,"a,b"\n'
+            '"c""d",leaf,50.000000,0.000000,"c""d"\n',
+        )
+
+
+class TestSharedParser:
+    """The argument parser is built once, at import; each call looks its
+    command's handler up by name."""
+
+    def test_patched_handler_is_the_one_that_runs(self, fixture_path):
+        calls = []
+
+        def fake(args):
+            calls.append(args.threshold)
+            return 7
+
+        with mock.patch.object(cli, "_cmd_compare", fake):
+            code = main(["compare", "--input", fixture_path("weak_element.json"),
+                         "--threshold", "0.25"])
+        assert (code, calls) == (7, [0.25])
+
+    def test_main_does_not_build_a_parser(self, capsys, fixture_path):
+        with mock.patch.object(cli, "_build_parser", side_effect=AssertionError):
+            code, out, _ = run(capsys, "evaluate", "--input",
+                               fixture_path("weak_element.json"), "--method", "wem")
+        assert (code, out) == (0, "10\n")
+
+    def test_alternating_calls_match_a_fresh_parser(self, capsys, fixture_path):
+        weak = fixture_path("weak_element.json")
+        calls = [
+            ["evaluate", "--input", weak],
+            ["evaluate"],
+            ["compare", "--input", weak],
+            ["--help"],
+            ["evaluate", "--input", weak, "--method", "median"],
+            ["sweep", "--help"],
+            ["evaluate", "--input", weak, "--format", "csv"],
+            ["destroy"],
+        ]
+        shared = [run(capsys, *argv) for argv in calls + calls]
+        fresh = []
+        for argv in calls:
+            with mock.patch.object(cli, "_PARSER", cli._build_parser()):
+                fresh.append(run(capsys, *argv))
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0, 1, 3, 0, 1, 0, 0, 1]
+        assert fresh[3][1].startswith("usage: aggeval ")
 
 
 class TestInputErrors:
