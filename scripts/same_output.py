@@ -42,8 +42,11 @@ mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
 ``--fixtures-only`` skips them.  Every call whose exit code, stdout,
-stderr or written file differs between the sides is printed; the exit
-status is 1 if any differs, else 0.
+stderr or written file differs between the sides is printed.  One more
+entry compares the library surface: the sorted ``aggeval.__all__`` with
+each name's ``__module__`` and ``__qualname__`` (a constant's type name
+and ``repr``), so a public name dropped or moved shows up as well.  The
+exit status is 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -222,8 +225,23 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     return commands
 
 
+def _surface(package) -> list[list[str]]:
+    """Each public name with where it is defined, or with its type name and
+    ``repr`` for a constant."""
+    records = []
+    for name in sorted(package.__all__):
+        value = getattr(package, name)
+        qualname = getattr(value, "__qualname__", None)
+        if qualname is None:
+            records.append([name, type(value).__name__, repr(value)])
+        else:
+            records.append([name, value.__module__, qualname])
+    return records
+
+
 def _worker(commands_file: str, src: str) -> None:
-    """Run every command in-process; write the outcomes as JSON to stdout."""
+    """Run every command in-process, then record the library surface; write
+    the outcomes as JSON to stdout."""
     import aggeval.cli
 
     package = Path(aggeval.cli.__file__).resolve().parent
@@ -242,6 +260,7 @@ def _worker(commands_file: str, src: str) -> None:
             written = Path(OUT).read_text(encoding="utf-8")
             os.remove(OUT)
         results.append([code, out.getvalue(), err.getvalue(), written])
+    results.append(_surface(aggeval))
     json.dump(results, sys.stdout)
 
 
@@ -279,7 +298,12 @@ def main(argv: list[str] | None = None) -> int:
         if changed:
             differing += 1
             print(f"differs ({', '.join(changed)}): aggeval {' '.join(argv_)}")
-    print(f"{differing} of {len(commands)} calls differ")
+    if first[-1] != second[-1]:
+        differing += 1
+        changed = {tuple(r) for r in first[-1]} ^ {tuple(r) for r in second[-1]}
+        names = ", ".join(sorted({r[0] for r in changed})) or "a name listed twice"
+        print(f"differs (library surface): {names}")
+    print(f"{differing} of {len(commands) + 1} calls differ")
     return 1 if differing else 0
 
 

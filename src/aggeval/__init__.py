@@ -9,136 +9,18 @@ sweeps (:mod:`aggeval.hierarchy`), and a JSON description format plus
 CLI (:mod:`aggeval.description`, :mod:`aggeval.cli`).
 """
 
-from .core import (
-    ABS_TOL,
-    PERCENT,
-    REL_TOL,
-    AdequacyReport,
-    CriticalGroupResult,
-    EvaluationError,
-    EvaluationVector,
-    Group,
-    GroupedSystem,
-    HybridBoundsCheck,
-    Method,
-    OrderingCheck,
-    PriorityVector,
-    ProductBoundCheck,
-    Scale,
-    adequacy_report,
-    adequacy_wem_nam,
-    adequacy_wem_wlam,
-    check_hybrid_bounds,
-    check_ordering,
-    check_product_bound,
-    hybrid_grouped,
-    nam,
-    weakest_ids,
-    wem,
-    wem_then_aggregate,
-    wlam,
-)
-from .description import (
-    DescriptionError,
-    Element,
-    SystemDescription,
-    load_description,
-    parse_description,
-    serialize_description,
-)
-from .hierarchy import (
-    AggregationReport,
-    HierarchyValidationError,
-    MethodComparison,
-    SweepRow,
-    aggregate,
-    compare_methods,
-    sweep,
-)
-from .network import (
-    Flow,
-    HierarchyNode,
-    MethodConfig,
-    Network,
-    validate_hierarchy,
-    validate_network,
-)
-from .priority import (
-    MIN_PRIORITY,
-    FlowVolumes,
-    Normalization,
-    PriorityBasis,
-    PriorityStrategy,
-    RankedNode,
-    betweenness_centrality,
-    degree_centrality,
-    derive_priorities,
-    flow_volume,
-    group_by_priority,
-    rank_nodes,
-    route_priority,
-)
+from .core import *
+from .description import *
+from .hierarchy import *
+from .network import *
+from .priority import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABS_TOL",
-    "MIN_PRIORITY",
-    "PERCENT",
-    "REL_TOL",
-    "AdequacyReport",
-    "AggregationReport",
-    "CriticalGroupResult",
-    "DescriptionError",
-    "Element",
-    "EvaluationError",
-    "EvaluationVector",
-    "Flow",
-    "FlowVolumes",
-    "Group",
-    "GroupedSystem",
-    "HierarchyNode",
-    "HierarchyValidationError",
-    "HybridBoundsCheck",
-    "Method",
-    "MethodComparison",
-    "MethodConfig",
-    "Network",
-    "Normalization",
-    "OrderingCheck",
-    "PriorityBasis",
-    "PriorityStrategy",
-    "PriorityVector",
-    "ProductBoundCheck",
-    "RankedNode",
-    "Scale",
-    "SweepRow",
-    "SystemDescription",
-    "adequacy_report",
-    "adequacy_wem_nam",
-    "adequacy_wem_wlam",
-    "aggregate",
-    "betweenness_centrality",
-    "check_hybrid_bounds",
-    "check_ordering",
-    "check_product_bound",
-    "compare_methods",
-    "degree_centrality",
-    "derive_priorities",
-    "flow_volume",
-    "group_by_priority",
-    "hybrid_grouped",
-    "load_description",
-    "nam",
-    "parse_description",
-    "rank_nodes",
-    "route_priority",
-    "serialize_description",
-    "sweep",
-    "validate_hierarchy",
-    "validate_network",
-    "weakest_ids",
-    "wem",
-    "wem_then_aggregate",
-    "wlam",
-]
+__all__ = (
+    core.__all__
+    + description.__all__
+    + hierarchy.__all__
+    + network.__all__
+    + priority.__all__
+)

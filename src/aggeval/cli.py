@@ -100,6 +100,16 @@ def _line_out(lines: Iterable[str]) -> None:
     print("\n".join(lines))
 
 
+def _one_line(texts: list[str]) -> list[str]:
+    """Strings of text output with CR and LF written as the two characters
+    ``\\r`` and ``\\n``, so each record stays on one line (only ids hold
+    either); one scan tells whether any string needs it."""
+    joined = "".join(texts)
+    if "\r" not in joined and "\n" not in joined:
+        return texts
+    return [text.replace("\r", "\\r").replace("\n", "\\n") for text in texts]
+
+
 def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
@@ -208,7 +218,7 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
             (pad, None, below[k]) if k in below else (pad, sub.ids[k], sub.values[k])
             for k in reversed(range(len(sub.ids)))
         )
-    return lines
+    return lines if csv else _one_line(lines)
 
 
 # load_description has validated the description, so the commands below
@@ -235,8 +245,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _table(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    """Left-aligned columns; cells are made one-line before their widths
+    are measured."""
+    columns = [_one_line(list(column)) for column in zip(*rows)]
+    widths = [max(map(len, column)) for column in columns]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in zip(*columns)]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -271,11 +285,8 @@ def _sweep_csv(rows: list) -> str:
     header = "varied,wem,wlam,nam" + (",hybrid" if with_hybrid else "")
     lines = [header]
     for row in rows:
-        nam_cell = "" if row.nam is None else f"{row.nam:.6f}"
-        line = f"{row.varied:g},{row.wem:.6f},{row.wlam:.6f},{nam_cell}"
-        if with_hybrid:
-            line += f",{row.hybrid:.6f}"
-        lines.append(line)
+        line = f"{row.varied:g},{_csv_cell(row.wem)},{_csv_cell(row.wlam)},{_csv_cell(row.nam)}"
+        lines.append(f"{line},{_csv_cell(row.hybrid)}" if with_hybrid else line)
     return "\n".join(lines) + "\n"
 
 
@@ -314,11 +325,8 @@ def _cmd_priorities(args: argparse.Namespace) -> int:
         priorities = PriorityVector(tuple((r.node, r.priority) for r in ranked))
         groups = group_by_priority(priorities, args.group_tolerance)
         print(f"groups (tolerance {args.group_tolerance:g}):")
-        for group in groups:
-            print(
-                f"{group.id}: priority {_g(group.priority)}, "
-                f"members {', '.join(group.members)}"
-            )
+        _line_out(_one_line([f"{group.id}: priority {_g(group.priority)}, "
+                             f"members {', '.join(group.members)}" for group in groups]))
     return EXIT_OK
 
 

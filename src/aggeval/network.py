@@ -156,14 +156,12 @@ class _Tree:
     def _preorder(self) -> list[tuple]:
         """Class, fields but ``children``, and child count of each node, in
         preorder; the list determines the tree."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            own = tuple(getattr(node, f.name) for f in fields(node) if f.name != "children")
-            out.append((node.__class__, own, len(node.children)))
-            stack.extend(reversed(node.children))
-        return out
+        return [
+            (node.__class__,
+             tuple(getattr(node, f.name) for f in fields(node) if f.name != "children"),
+             len(node.children))
+            for node in self.walk()
+        ]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -210,11 +208,8 @@ class HierarchyNode(_Tree):
     config: MethodConfig | None = None
 
     def __post_init__(self) -> None:
-        # The parser passes a str and a tuple; only other types are coerced.
-        if type(self.id) is not str:
-            object.__setattr__(self, "id", str(self.id))
-        if type(self.children) is not tuple:
-            object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "id", str(self.id))
+        object.__setattr__(self, "children", tuple(self.children))
 
     @property
     def is_leaf(self) -> bool:

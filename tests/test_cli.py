@@ -362,6 +362,67 @@ class TestTreeCsvQuoting:
         )
 
 
+class TestTextLineBreaksInIds:
+    """Text output writes CR and LF in an id as the two characters ``\\r``
+    and ``\\n``, so each node, row or group stays on one line."""
+
+    BREAKS = [("\n", "\\n"), ("\r", "\\r")]
+
+    def _tree(self, tmp_path, brk):
+        leaf = f"e{brk}f"
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": leaf, "evaluation": 10}, {"id": "plain", "evaluation": 90}],
+            "hierarchy": {"id": "root", "children": [leaf, "plain"]},
+        }
+        return write_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("brk,shown", BREAKS)
+    def test_evaluate_tree_text(self, capsys, tmp_path, brk, shown):
+        code, out, _ = run(capsys, "evaluate", "--input", self._tree(tmp_path, brk))
+        assert code == 0
+        assert out.split("\n") == [
+            f"root [wlam] = 50 (adequacy 0.8; weakest e{shown}f)",
+            f"  e{shown}f = 10",
+            "  plain = 90",
+            "",
+        ]
+
+    @pytest.mark.parametrize("brk,shown", BREAKS)
+    def test_compare_table(self, capsys, tmp_path, brk, shown):
+        code, out, _ = run(capsys, "compare", "--input", self._tree(tmp_path, brk))
+        assert code == 3
+        assert out.split("\n") == [
+            "node  wem  wlam  nam  hybrid  sigma_12  sigma_13  warnings",
+            f"root  10   50    18   -       0.8       0.444444  hidden weak element: "
+            f"e{shown}f (sigma_12 0.8 > threshold 0.5)",
+            "",
+        ]
+
+    @pytest.mark.parametrize("brk,shown", BREAKS)
+    def test_priorities_table_and_groups(self, capsys, tmp_path, brk, shown):
+        node = f"a{brk}b"
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": "x", "evaluation": 10}],
+            "network": {"nodes": [node, "c", "d"], "edges": [[node, "c"], ["c", "d"]]},
+        }
+        code, out, _ = run(capsys, "priorities", "--input", write_doc(tmp_path, doc),
+                           "--strategy", "degree", "--group-tolerance", "0.01")
+        assert code == 0
+        # The escaped id is four characters wide, and its column is too.
+        assert out.split("\n") == [
+            "rank  node  score  priority",
+            "1     c     2      1",
+            f"2     a{shown}b  1      0.5",
+            "3     d     1      0.5",
+            "groups (tolerance 0.01):",
+            "g1: priority 1, members c",
+            f"g2: priority 0.5, members a{shown}b, d",
+            "",
+        ]
+
+
 class TestSharedParser:
     """The argument parser is built once, at import; each call looks its
     command's handler up by name."""

@@ -113,6 +113,13 @@ class TestHierarchyNode:
         assert leaf("x", 1).is_leaf
         assert not sub("y", [leaf("x", 1)]).is_leaf
 
+    def test_id_and_children_are_coerced(self):
+        node = HierarchyNode(7, children=[leaf("x", 1)])
+        assert node.id == "7" and type(node.id) is str
+        assert type(node.children) is tuple
+        assert node == sub("7", [leaf("x", 1)])
+        assert hash(node) == hash(sub("7", [leaf("x", 1)]))
+
 
 class TestValidateHierarchy:
     def test_sound_tree_is_clean(self):
