@@ -41,18 +41,39 @@ priority, some below 1, one with its groups and one without; the whole
 mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
-``--fixtures-only`` skips them.  Every call whose exit code, stdout,
-stderr or written file differs between the sides is printed.  One more
-entry compares the library surface: the sorted ``aggeval.__all__`` with
-each name's ``__module__`` and ``__qualname__`` (a constant's type name
-and ``repr``), so a public name dropped or moved shows up as well.  The
-exit status is 1 if anything differs, else 0.
+``--fixtures-only`` skips them.  The mix ends with usage errors (no
+command, an unknown command, a missing ``--input``, a bad ``--method``,
+``--steps x``) and with paths that cannot be opened, for ``--input`` and
+for ``--out``: a file name under a file, a name too long for the file
+system and a symbolic link to itself.  Every call whose exit code,
+stdout, stderr or written file differs between the sides is printed.  One
+more entry compares the library surface: the sorted ``aggeval.__all__``
+with each name's ``__module__`` and ``__qualname__`` (a constant's type
+name and ``repr``), so a public name dropped or moved shows up as well.
+The exit status is 1 if anything differs, else 0.
+
+Golden mode compares one side with recorded digests instead:
+
+    python3 scripts/same_output.py <src> --golden tests/data/cli_golden.json
+    python3 scripts/same_output.py <src> --golden tests/data/cli_golden.json --record
+
+It hashes each call's stdout, stderr and written file with
+``perfbench/reference.py``'s ``digest``, after replacing the repository
+root with ``<root>`` and the scratch directory with ``<work>``, so the
+digests hold in any checkout.  The golden also pins the sha256 of each
+generated input file, the Python version it was recorded with and the
+library surface.  The check names every generated file and every call
+that differs; calls on a changed generated file are only counted, since
+the generator changed under them.  ``--record`` writes the golden from
+the given side instead; a change that alters output on purpose records it
+again and lists the changed calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -64,7 +85,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
+PERFBENCH = ROOT / "perfbench"
 SEEDS = (1, 7)
 OUT = "out.csv"
 
@@ -192,16 +213,36 @@ def _priority_copies(doc: dict) -> dict[str, dict]:
     return {"priorities": grouped, "priorities-no-groups": flat}
 
 
+def _error_commands(workdir: Path) -> list[list[str]]:
+    """Usage errors, then paths that cannot be opened as ``--input`` and as
+    ``--out``."""
+    weak = str(FIXTURES / "weak_element.json")
+    loop = workdir / "loop"
+    loop.symlink_to(loop.name)
+    bad_paths = [f"{weak}/x", str(workdir / ("x" * 300)), str(loop)]
+    sweep = ["sweep", "--input", weak, "--vary", "s1", "--from", "0", "--to", "100", "--steps"]
+    return [[], ["destroy"], ["evaluate"], ["evaluate", "--input", weak, "--method", "median"],
+            [*sweep, "x"], *(["evaluate", "--input", path] for path in bad_paths),
+            *([*sweep, "3", "--out", path] for path in bad_paths)]
+
+
+def _perfbench(name: str):
+    """A module of ``perfbench/`` by file name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     commands = []
     for path in sorted(FIXTURES.glob("*.json")):
         commands += _file_commands(path)
+    commands += _error_commands(workdir)
     if fixtures_only:
         return commands
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             prepared = workloads.materialize(name, seed, str(workdir / f"{name}-{seed}"))
@@ -267,7 +308,8 @@ def _worker(commands_file: str, src: str) -> None:
 def _run_side(src: str, commands_file: Path, workdir: Path) -> list:
     workdir.mkdir()
     src = str(Path(src).resolve())
-    env = dict(os.environ, PYTHONPATH=src)
+    # A fixed width, so usage lines wrap the same in every terminal.
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     done = subprocess.run(
         [sys.executable, __file__, "--worker", str(commands_file), src],
         cwd=workdir, env=env, capture_output=True, text=True, check=False,
@@ -277,20 +319,110 @@ def _run_side(src: str, commands_file: Path, workdir: Path) -> list:
     return json.loads(done.stdout)
 
 
+def _surface_change(first: list, second: list) -> str | None:
+    """The public names whose records differ, or None."""
+    if first == second:
+        return None
+    changed = {tuple(r) for r in first} ^ {tuple(r) for r in second}
+    return ", ".join(sorted({r[0] for r in changed})) or "a name listed twice"
+
+
+def _golden(commands: list[list[str]], results: list, files: dict, workdir: Path) -> dict:
+    """Per call its argv, exit code and output digest, with the repository
+    root and the scratch directory replaced by placeholders."""
+    digest = _perfbench("reference").digest
+    places = sorted([(str(workdir), "<work>"), (str(ROOT), "<root>")], key=lambda p: -len(p[0]))
+
+    def placed(text):
+        for path, name in places:
+            text = text.replace(path, name)
+        return text
+
+    entries = []
+    for argv, (code, out, err, written) in zip(commands, results):
+        data = None if written is None else placed(written).encode("utf-8")
+        code = code if isinstance(code, int) else placed(code)
+        entries.append([placed(" ".join(argv)), code, digest(placed(out), placed(err), data)])
+    return {"python": "%d.%d" % sys.version_info[:2], "files": files,
+            "surface": results[-1], "entries": entries}
+
+
+def _write_golden(path: Path, golden: dict) -> None:
+    """The golden as JSON with one call per line."""
+    head = json.dumps({key: golden[key] for key in ("python", "files", "surface")}, indent=1)
+    entries = ",\n  ".join(json.dumps(entry) for entry in golden["entries"])
+    path.write_text(f'{head[:-2]},\n "entries": [\n  {entries}\n ]\n}}\n', encoding="utf-8")
+
+
+def _golden_differences(recorded: dict, current: dict) -> tuple[list[str], int]:
+    """Lines naming each generated file and call that differs, and how
+    many of them differ."""
+    lines = []
+    if recorded["python"] != current["python"]:
+        lines.append(f"note: recorded with Python {recorded['python']}, run with {current['python']}")
+    changed_files = sorted(name for name in recorded["files"].keys() | current["files"].keys()
+                           if recorded["files"].get(name) != current["files"].get(name))
+    lines += [f"differs (generated input): {name}" for name in changed_files]
+    outcomes: dict[str, list] = {}
+    for argv, code, key in recorded["entries"]:
+        outcomes.setdefault(argv, [[], []])[0].append([code, key])
+    for argv, code, key in current["entries"]:
+        outcomes.setdefault(argv, [[], []])[1].append([code, key])
+    differing = skipped = 0
+    for argv, (was, now) in outcomes.items():
+        if was == now:
+            continue
+        if any(f"<work>/{name}" in argv for name in changed_files):
+            skipped += 1
+            continue
+        differing += 1
+        state = "not in the golden" if not was else "not run" if not now else "differs"
+        lines.append(f"{state}: aggeval {argv}")
+    surface = _surface_change(recorded["surface"], current["surface"])
+    if surface is not None:
+        differing += 1
+        lines.append(f"differs (library surface): {surface}")
+    total = len(current["entries"]) + 1
+    lines.append(f"{differing} of {total} calls differ"
+                 + (f"; {skipped} more differ on changed generated inputs" if skipped else ""))
+    return lines, differing + len(changed_files)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("first", help="src directory of the first side")
-    parser.add_argument("second", help="src directory of the second side")
+    parser.add_argument("second", nargs="?", help="src directory of the second side")
     parser.add_argument("--fixtures-only", action="store_true",
                         help="skip the generated workload files")
+    parser.add_argument("--golden", type=Path, metavar="FILE",
+                        help="compare the first side with the digests in FILE")
+    parser.add_argument("--record", action="store_true", help="write FILE from the first side")
     args = parser.parse_args(argv)
+    if (args.second is None) == (args.golden is None) or args.record and args.golden is None:
+        parser.error("give a second side or --golden FILE, and --record only with --golden")
+    if args.golden is not None and args.fixtures_only:
+        parser.error("the golden covers the whole mix; --fixtures-only does not apply")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         commands = _command_mix(workdir, args.fixtures_only)
+        files = {path.relative_to(workdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(workdir.rglob("*.json"))}
         commands_file = workdir / "commands.json"
         commands_file.write_text(json.dumps(commands), encoding="utf-8")
         first = _run_side(args.first, commands_file, workdir / "first")
-        second = _run_side(args.second, commands_file, workdir / "second")
+        if args.golden is not None:
+            current = _golden(commands, first, files, workdir)
+        else:
+            second = _run_side(args.second, commands_file, workdir / "second")
+    if args.record:
+        _write_golden(args.golden, current)
+        print(f"recorded {len(current['entries']) + 1} calls in {args.golden}")
+        return 0
+    if args.golden is not None:
+        lines, differing = _golden_differences(
+            json.loads(args.golden.read_text(encoding="utf-8")), current)
+        print("\n".join(lines))
+        return 1 if differing else 0
     parts = ("exit code", "stdout", "stderr", "written file")
     differing = 0
     for argv_, a, b in zip(commands, first, second):
@@ -298,14 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         if changed:
             differing += 1
             print(f"differs ({', '.join(changed)}): aggeval {' '.join(argv_)}")
-    if first[-1] != second[-1]:
+    surface = _surface_change(first[-1], second[-1])
+    if surface is not None:
         differing += 1
-        changed = {tuple(r) for r in first[-1]} ^ {tuple(r) for r in second[-1]}
-        names = ", ".join(sorted({r[0] for r in changed})) or "a name listed twice"
-        print(f"differs (library surface): {names}")
+        print(f"differs (library surface): {surface}")
     print(f"{differing} of {len(commands) + 1} calls differ")
     return 1 if differing else 0
-
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:

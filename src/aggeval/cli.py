@@ -8,7 +8,8 @@ Four subcommands over a JSON system description:
 * ``sweep``      -- CSV trace of the aggregates while one element varies.
 * ``priorities`` -- node ranking derived from the network section.
 
-Exit codes: 0 success, 1 usage, unreadable input or stdout closed early,
+Exit codes (set in ``main`` only): 0 success, 1 usage, a path that cannot
+be opened, output that cannot be written or encoded, or stdout closed early,
 2 validation failure, 3 at least one adequacy warning (``compare`` only).
 """
 
@@ -30,7 +31,6 @@ from .core import (
 )
 from .description import DescriptionError, SystemDescription, load_description
 from .hierarchy import (
-    HierarchyValidationError,
     MethodComparison,
     SweepRow,
     _aggregate,
@@ -83,13 +83,9 @@ _STRATEGIES = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; this tool reserves 2 for
-    validation failures, so usage errors are remapped to 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+# What main prints for these; any other OSError prints its strerror.
+_OS_REASONS = {FileNotFoundError: "no such file", IsADirectoryError: "not a file",
+               PermissionError: "permission denied"}
 
 
 def _g(value: float) -> str:
@@ -275,9 +271,7 @@ def _emit_comparison(rows: list[MethodComparison]) -> int:
             ]
         )
     _line_out(_table(cells))
-    if any(row.warnings for row in rows):
-        return EXIT_WARNING
-    return EXIT_OK
+    return EXIT_WARNING if any(row.warnings for row in rows) else EXIT_OK
 
 
 def _sweep_csv(rows: list) -> str:
@@ -311,8 +305,7 @@ def _emit_sweep(rows: list[SweepRow], out: str | None) -> None:
 def _cmd_priorities(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     if desc.network is None:
-        print("error: description has no network section", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise DescriptionError(["description has no network section"])
     if args.group_tolerance is not None:
         _check_tolerance(args.group_tolerance)
     strategy = _STRATEGIES[args.strategy]
@@ -331,7 +324,7 @@ def _cmd_priorities(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="aggeval",
         description="Aggregate element evaluations of a networked system.",
     )
@@ -401,21 +394,24 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        code = globals()[f"_cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        return globals()[f"_cmd_{args.command}"](args)
-    except FileNotFoundError as exc:
-        name = exc.filename if exc.filename else str(exc)
-        print(f"error: no such file: {name}", file=sys.stderr)
+        # argparse's 2 for bad usage is 1 here, where 2 means invalid input.
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except BrokenPipeError:
+        raise  # entry() ends a closed pipe quietly
+    except OSError as exc:
+        known = _OS_REASONS.get(type(exc))
+        reason = known or (exc.strerror or str(exc)).lower()
+        name = exc.filename or (known and str(exc))
+        print(f"error: {reason}: {name}" if name else f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except IsADirectoryError as exc:
-        print(f"error: not a file: {exc.filename}", file=sys.stderr)
+    except UnicodeEncodeError as exc:  # stderr backslash-escapes what it cannot encode
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PermissionError as exc:
-        print(f"error: permission denied: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DescriptionError, HierarchyValidationError, EvaluationError) as exc:
+    except (DescriptionError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:
@@ -429,9 +425,10 @@ def entry() -> None:
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early (as `| head` does): send what is
-        # left to the null device, so the flush at exit cannot fail again.
+    except OSError:
+        # The reader closed the pipe early (as `| head` does), or stdout is
+        # full and main has said so: send what is left to the null device,
+        # so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_USAGE
     raise SystemExit(code)

@@ -598,10 +598,8 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     if not isinstance(doc, dict):
         raise DescriptionError(["document: expected a top-level object"])
     diag = _Collector()
-    known = {"scale", "elements", "groups", "hierarchy", "network"}
-    for key in doc:
-        if key not in known:
-            diag.add("document", f"unexpected key {key!r}")
+    _check_object(doc, {"scale", "elements", "groups", "hierarchy", "network"}, (),
+                  "document", diag)
     scale = _parse_scale(doc, diag)
     # Popped: the decoded entries are freed before the tree is built.
     elements = _parse_elements(doc.pop("elements", None), scale, diag)

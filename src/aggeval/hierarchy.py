@@ -71,9 +71,11 @@ class AggregationReport(_Tree):
 
         Built without recursion, so depth is bounded by memory only.
         """
-
-        def fields(report: AggregationReport) -> dict:
-            return {
+        top: list[dict] = []
+        stack = [(self, top)]
+        while stack:
+            report, out = stack.pop()
+            doc = {
                 "node": report.node_id,
                 "method": report.method,
                 "value": report.value,
@@ -82,16 +84,9 @@ class AggregationReport(_Tree):
                 "warnings": list(report.warnings),
                 "children": [],
             }
-
-        doc = fields(self)
-        stack = [(self, doc["children"])]
-        while stack:
-            report, out = stack.pop()
-            for child in report.children:
-                child_doc = fields(child)
-                out.append(child_doc)
-                stack.append((child, child_doc["children"]))
-        return doc
+            out.append(doc)
+            stack.extend((child, doc["children"]) for child in reversed(report.children))
+        return top[0]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import csv
+import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aggeval.description
 import aggeval.hierarchy
@@ -1063,6 +1067,188 @@ class TestHostileInput:
         code, out, err = run(capsys, "evaluate", "--input", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: number literal longer than the JSON decoder allows\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_child(*argv, stdout=subprocess.PIPE, **env_changes):
+    """``python -m aggeval`` in one child process; a None value removes
+    that variable from its environment."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run(
+        [sys.executable, "-m", "aggeval", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, check=False,
+    )
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+
+
+class TestErrorBoundary:
+    """Every failure ends in one ``error:`` line and exit 1 or 2 from
+    ``main``, never in a traceback."""
+
+    @staticmethod
+    def bad_path(kind, tmp_path, fixture_path):
+        """A path that cannot be opened, and the reason printed for it."""
+        if kind == "under-a-file":
+            return fixture_path("weak_element.json") + "/x", errno.ENOTDIR
+        if kind == "name-too-long":
+            return str(tmp_path / ("x" * 300)), errno.ENAMETOOLONG
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop.name)
+        return str(loop), errno.ELOOP
+
+    KINDS = ["under-a-file", "name-too-long", "symlink-loop"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_input_that_cannot_be_opened(self, capsys, tmp_path, fixture_path, kind):
+        path, number = self.bad_path(kind, tmp_path, fixture_path)
+        code, out, err = run(capsys, "evaluate", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {os.strerror(number).lower()}: {path}\n"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_that_cannot_be_opened(self, capsys, tmp_path, fixture_path, kind):
+        path, number = self.bad_path(kind, tmp_path, fixture_path)
+        code, out, err = run(capsys, "sweep", "--input", fixture_path("weak_element.json"),
+                             "--vary", "s1", "--from", "0", "--to", "100", "--steps", "3",
+                             "--out", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {os.strerror(number).lower()}: {path}\n"
+
+    def test_empty_input_name_keeps_its_message(self, capsys):
+        code, _, err = run(capsys, "evaluate", "--input", "")
+        assert code == 1
+        assert err == "error: no such file: [Errno 2] No such file or directory: ''\n"
+
+    def test_no_command_is_pinned(self, capsys):
+        assert run(capsys) == (1, "", (
+            "usage: aggeval [-h] command ...\n"
+            "aggeval: error: the following arguments are required: command\n"
+        ))
+
+    def test_unknown_command_is_pinned(self, capsys):
+        assert run(capsys, "destroy") == (1, "", (
+            "usage: aggeval [-h] command ...\n"
+            "aggeval: error: argument command: invalid choice: 'destroy' "
+            "(choose from 'evaluate', 'compare', 'sweep', 'priorities')\n"
+        ))
+
+    # Child processes, one at a time: these fail at the real stdout or file.
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep"])
+    def test_stdout_on_a_full_device(self, fixture_path, command, unbuffered):
+        extra = ["--vary", "press", "--from", "0", "--to", "100", "--steps", "3"]
+        with open("/dev/full", "wb") as full:
+            done = run_child(command, "--input", fixture_path("plant_hierarchy.json"),
+                             *(extra if command == "sweep" else []),
+                             stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert done.returncode == 1
+        assert done.stderr.decode() == f"error: {os.strerror(errno.ENOSPC).lower()}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_out_on_a_full_device(self, fixture_path):
+        done = run_child("sweep", "--input", fixture_path("weak_element.json"), "--vary", "s1",
+                         "--from", "0", "--to", "100", "--steps", "3", "--out", "/dev/full")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.decode() == f"error: {os.strerror(errno.ENOSPC).lower()}\n"
+
+    TREE = (
+        '{"scale": {"min": 0, "max": 100}, "elements": [{"id": "%s", "evaluation": 10},'
+        ' {"id": "b", "evaluation": 90}], "hierarchy": {"id": "root", "children": ["%s", "b"]}}'
+    )
+
+    @pytest.mark.parametrize("argv", [["evaluate"], ["evaluate", "--format", "csv"], ["compare"]],
+                             ids=["evaluate", "evaluate-csv", "compare"])
+    def test_lone_surrogate_id_cannot_be_written(self, tmp_path, argv):
+        path = tmp_path / "surrogate.json"
+        path.write_text(self.TREE % ("\\ud800", "\\ud800"), encoding="utf-8")
+        done = run_child(*argv, "--input", str(path))
+        assert (done.returncode, done.stdout) == (1, b"")
+        err = done.stderr.decode()
+        assert_one_error_line(err)
+        assert err.startswith("error: cannot write output: 'utf-8' codec can't encode")
+
+    def test_lone_surrogate_id_in_json_is_escaped(self, capsys, tmp_path):
+        path = tmp_path / "surrogate.json"
+        path.write_text(self.TREE % ("\\ud800", "\\ud800"), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert '"node": "\\ud800"' in out
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_id_the_output_encoding_cannot_hold(self, tmp_path, command):
+        path = tmp_path / "cafe.json"
+        path.write_text(self.TREE % ("caf\u00e9", "caf\u00e9"), encoding="utf-8")
+        done = run_child(command, "--input", str(path), PYTHONIOENCODING="ascii")
+        assert (done.returncode, done.stdout) == (1, b"")
+        err = done.stderr.decode()
+        assert_one_error_line(err)
+        assert err.startswith("error: cannot write output: 'ascii' codec can't encode")
+
+    def test_closed_pipe_exits_quietly(self, fixture_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_child("evaluate", "--input", fixture_path("plant_hierarchy.json"),
+                             stdout=write_end, PYTHONUNBUFFERED=None)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
+# Usage lines, continued usage lines and argparse's or main's error lines.
+STDERR_LINE = re.compile(r"(error: |usage: |aggeval(?: \w+)?: error: | {2,}).*")
+NUMBERS = ["-1", "0", "1", "100", "nan", "inf", "-inf", "1e400", "-1e400", "-0.0", "0.5"]
+
+
+class TestNumericArgvProperty:
+    """Hostile numbers in every numeric option end in a documented exit code
+    with only usage or ``error:`` lines on stderr."""
+
+    FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["compare", "sweep", "priorities"]),
+        file=st.sampled_from(["weak_element.json", "plant_hierarchy.json", "two_group.json",
+                              "path_network.json"]),
+        steps=st.sampled_from(["-1", "0", "1", "2", "3", "1000"]),
+        start=st.sampled_from(NUMBERS),
+        stop=st.sampled_from(NUMBERS),
+        number=st.sampled_from(NUMBERS),
+    )
+    def test_exit_code_and_stderr(self, command, file, steps, start, stop, number):
+        path = str(self.FIXTURES / file)
+        if command == "compare":
+            argv = ["compare", "--input", path, "--threshold", number]
+        elif command == "sweep":
+            vary = "press" if file == "plant_hierarchy.json" else "a" if "network" in file else "s1"
+            argv = ["sweep", "--input", path, "--vary", vary, "--from", start, "--to", stop,
+                    "--steps", steps]
+        else:
+            argv = ["priorities", "--input", path, "--strategy", "combined",
+                    "--group-tolerance", number]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 1, 2, 3}
+        for line in err.getvalue().splitlines():
+            assert STDERR_LINE.fullmatch(line), (argv, line)
+        if code in {0, 3}:
+            assert err.getvalue() == ""
 
 
 def test_python_dash_m_runs_the_cli(capsys, fixture_path):

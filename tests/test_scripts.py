@@ -45,3 +45,22 @@ def test_same_output_finds_no_difference_between_equal_sources():
     last = done.stdout.splitlines()[-1]
     assert last.startswith("0 of ") and last.endswith(" calls differ")
     assert int(last.split()[2]) > 300
+
+
+def test_demo_prints_the_worked_example_and_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["demo_weak_element.py"])
+    runpy.run_path(str(SCRIPTS / "demo_weak_element.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:4]] == [
+        ["wem", "10.0000"], ["wlam", "70.0000"], ["nam", "20.4082"],
+    ]
+    table = lines[lines.index("weak value      wem     wlam      nam") + 1:]
+    assert [row.split() for row in table] == [
+        ["0.0", "0.00", "66.67", "0.00"],
+        ["10.0", "10.00", "70.00", "20.41"],
+        ["25.0", "25.00", "75.00", "44.44"],
+        ["50.0", "50.00", "83.33", "72.00"],
+        ["75.0", "75.00", "91.67", "89.26"],
+        ["90.0", "90.00", "96.67", "96.31"],
+        ["100.0", "100.00", "100.00", "100.00"],
+    ]
