@@ -41,7 +41,11 @@ priority, some below 1, one with its groups and one without; the whole
 mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
-``--fixtures-only`` skips them.  The mix ends with usage errors (no
+``--fixtures-only`` skips them, but not what follows.  The whole mix of
+a file also runs on four small generated files: flat means that round a few ulps above the
+scale's maximum under nam, under weighted wlam and under hybrid, and a
+hierarchy that is a single element; ``compare`` runs with the threshold
+``-1e5`` after a space and after ``=``.  The mix ends with usage errors (no
 command, an unknown command, a missing ``--input``, a bad ``--method``,
 ``--steps x``) and with paths that cannot be opened, for ``--input`` and
 for ``--out``: a file name under a file, a name too long for the file
@@ -213,6 +217,38 @@ def _priority_copies(doc: dict) -> dict[str, dict]:
     return {"priorities": grouped, "priorities-no-groups": flat}
 
 
+def _scores(values: list[float], priorities: list[float] | None = None) -> list[dict]:
+    elements = [{"id": i, "evaluation": v} for i, v in zip("abcde", values)]
+    for element, priority in zip(elements, priorities or []):
+        element["priority"] = priority
+    return elements
+
+
+OVERSHOOT = [100, 99.99999999999999, 100]
+EDGE_FILES = {  # each on the scale [0, 100]
+    "overshoot-nam": {"elements": _scores([99.9999999999999, 100, 99.99999999999999, 100, 100])},
+    "overshoot-wlam": {"elements": _scores(OVERSHOOT, [3.3, 0.3, 3.3])},
+    "overshoot-hybrid": {"elements": _scores(OVERSHOOT),
+                         "groups": [{"id": "g1", "members": ["a", "c"], "priority": 3.3},
+                                    {"id": "g2", "members": ["b"], "priority": 0.3}]},
+    "single-element": {"elements": _scores([50]), "hierarchy": "a"},
+}
+
+
+def _edge_commands(workdir: Path) -> list[list[str]]:
+    """The mix of each small generated file, then ``compare`` with a
+    negative threshold that has an exponent, which argparse reads as an
+    option after a space."""
+    commands = []
+    for name, doc in EDGE_FILES.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps({"scale": {"min": 0, "max": 100}, **doc}), encoding="utf-8")
+        commands += _file_commands(path)
+    weak = str(FIXTURES / "weak_element.json")
+    return [*commands, ["compare", "--input", weak, "--threshold", "-1e5"],
+            ["compare", "--input", weak, "--threshold=-1e5"]]
+
+
 def _error_commands(workdir: Path) -> list[list[str]]:
     """Usage errors, then paths that cannot be opened as ``--input`` and as
     ``--out``."""
@@ -240,6 +276,7 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     for path in sorted(FIXTURES.glob("*.json")):
         commands += _file_commands(path)
     commands += _error_commands(workdir)
+    commands += _edge_commands(workdir)
     if fixtures_only:
         return commands
     workloads = _perfbench("workloads")

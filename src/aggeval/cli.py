@@ -48,7 +48,6 @@ from .hierarchy import (
 )
 from .network import HierarchyNode
 from .priority import (
-    Normalization,
     PriorityBasis,
     PriorityStrategy,
     _check_tolerance,
@@ -63,23 +62,12 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_WARNING = 3
 
+_FLOW = (PriorityBasis.FLOW_VOLUME,)  # tie-break of the structural bases
 _STRATEGIES = {
-    "degree": PriorityStrategy(
-        PriorityBasis.DEGREE,
-        tie_break=(PriorityBasis.FLOW_VOLUME,),
-        normalization=Normalization.MAX_TO_ONE,
-    ),
-    "betweenness": PriorityStrategy(
-        PriorityBasis.BETWEENNESS,
-        tie_break=(PriorityBasis.FLOW_VOLUME,),
-        normalization=Normalization.MAX_TO_ONE,
-    ),
-    "flow": PriorityStrategy(
-        PriorityBasis.FLOW_VOLUME, normalization=Normalization.MAX_TO_ONE
-    ),
-    "combined": PriorityStrategy(
-        PriorityBasis.COMBINED, normalization=Normalization.MAX_TO_ONE
-    ),
+    "degree": PriorityStrategy(PriorityBasis.DEGREE, _FLOW),
+    "betweenness": PriorityStrategy(PriorityBasis.BETWEENNESS, _FLOW),
+    "flow": PriorityStrategy(PriorityBasis.FLOW_VOLUME),
+    "combined": PriorityStrategy(PriorityBasis.COMBINED),
 }
 
 
@@ -139,38 +127,42 @@ def _record_out(fields: list[tuple[str, str | float | None]], fmt: str) -> None:
             _line_out(f"{name} {'n/a' if v is None else _g(v)}" for name, v in numbers)
 
 
-def _critical_wem(desc: SystemDescription) -> float:
+def _critical_wem(desc: SystemDescription, root: _Sub) -> float:
     """Weakest value of a flat wem-then run's critical subset: the members
     of the highest-priority group, else the elements holding the top
     explicit priority, else every element."""
-    if desc.groups:
-        by_id = {e.id: e.evaluation for e in desc.elements}
-        return min(by_id[i] for i in max(desc.groups, key=lambda g: g.priority).members)
+    if root.plan:
+        return min(root.values[k] for k in max(root.plan, key=lambda group: group[1])[0])
     top = max((e.priority for e in desc.elements if e.priority is not None), default=None)
     return min(e.evaluation for e in desc.elements if e.priority == top)
 
 
 def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> None:
-    """One method over the flat element vector, or all of them side by side."""
+    """One method over the flat element vector, or all of them side by side.
+    Each aggregate printed is clamped to the scale, as the roll-up's are;
+    sigmas and adequacy are taken before clamping."""
     root = _compile_flat(desc.elements, desc.groups)[0]
+    clamp = desc.scale.clamp
     if method is None:
         # sigma_12 is at most 1, so a threshold of 1 builds no warning.
         row = _comparison_row(root.id, root.values, root.weights, root.plan, (), 1.0)
-        fields = [("wem", row.wem), ("wlam", row.wlam), ("nam", row.nam),
+        fields = [("wem", row.wem), ("wlam", clamp(row.wlam)),
+                  ("nam", None if row.nam is None else clamp(row.nam)),
                   ("sigma_12", row.sigma_12), ("sigma_13", row.sigma_13)]
         if row.hybrid is not None:
             # JSON lists hybrid last, text and CSV right after nam.
-            fields.insert(len(fields) if fmt == "json" else 3, ("hybrid", row.hybrid))
+            fields.insert(len(fields) if fmt == "json" else 3, ("hybrid", clamp(row.hybrid)))
     elif method is Method.HYBRID_GROUPED and not desc.groups:
         raise EvaluationError("the hybrid method needs a groups section in the description")
     elif method is Method.WEM_THEN:
-        critical_wem = _critical_wem(desc)
+        critical_wem = _critical_wem(desc, root)
         aggregate = _wlam(root.values, root.weights)
         fields = [("method", method.value), ("critical_wem", critical_wem),
-                  ("aggregate", aggregate), ("adequacy", _signed_gap(aggregate, critical_wem))]
+                  ("aggregate", clamp(aggregate)),
+                  ("adequacy", _signed_gap(aggregate, critical_wem))]
     else:
         fields = [("method", method.value),
-                  ("value", _operate(root._replace(kernel=method), root.values))]
+                  ("value", clamp(_operate(root._replace(kernel=method), root.values)))]
     _record_out(fields, fmt)
 
 
@@ -330,10 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    evaluate_cmd = commands.add_parser(
-        "evaluate", help="score the system described in a JSON file"
-    )
-    evaluate_cmd.add_argument("--input", required=True, help="description file")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help)
+        sub.add_argument("--input", required=True, help="description file")
+        return sub
+
+    evaluate_cmd = command("evaluate", "score the system described in a JSON file")
     evaluate_cmd.add_argument(
         "--method",
         choices=[m.value for m in Method],
@@ -344,10 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json", "csv"], default="text"
     )
 
-    compare_cmd = commands.add_parser(
-        "compare", help="per-node method comparison with adequacy warnings"
-    )
-    compare_cmd.add_argument("--input", required=True, help="description file")
+    compare_cmd = command("compare", "per-node method comparison with adequacy warnings")
     compare_cmd.add_argument(
         "--threshold",
         type=float,
@@ -355,10 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="warn when sigma_12 exceeds this value (default 0.5)",
     )
 
-    sweep_cmd = commands.add_parser(
-        "sweep", help="trace the aggregates while one element's value varies"
-    )
-    sweep_cmd.add_argument("--input", required=True, help="description file")
+    sweep_cmd = command("sweep", "trace the aggregates while one element's value varies")
     sweep_cmd.add_argument("--vary", required=True, help="leaf element id to vary")
     sweep_cmd.add_argument(
         "--from", dest="start", type=float, required=True, help="first grid value"
@@ -371,10 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument("--out", help="write CSV here instead of stdout")
 
-    priorities_cmd = commands.add_parser(
-        "priorities", help="rank network nodes and derive priorities"
-    )
-    priorities_cmd.add_argument("--input", required=True, help="description file")
+    priorities_cmd = command("priorities", "rank network nodes and derive priorities")
     priorities_cmd.add_argument(
         "--strategy", required=True, choices=sorted(_STRATEGIES)
     )

@@ -227,17 +227,20 @@ def _parse_scale(doc: dict, diag: _Collector) -> Scale | None:
 
 def _parse_elements(
     raw: Any, scale: Scale | None, diag: _Collector
-) -> tuple[Element, ...]:
+) -> dict[str, Element]:
+    """The accepted elements by id, in document order."""
     if raw is None:
         diag.add("elements", "missing required section")
-        return ()
+        return {}
     if not isinstance(raw, list):
         diag.add("elements", f"expected an array, got {raw!r}")
-        return ()
+        return {}
     if not raw:
         diag.add("elements", "empty system: at least one element is required")
-        return ()
-    elements: list[Element] = []
+        return {}
+    elements: dict[str, Element] = {}
+    # Also holds the ids of entries dropped after their id was read: no
+    # members, but each still flags a later duplicate.
     seen: set[str] = set()
     # NaN bounds send every entry to the reporting path when the scale is bad.
     low, high = (scale.min, scale.max) if scale is not None else (math.nan, math.nan)
@@ -263,9 +266,9 @@ def _parse_elements(
                 )
             ):
                 seen.add(element_id)
-                elements.append(_built(Element, {
+                elements[element_id] = _built(Element, {
                     "id": element_id, "evaluation": float(evaluation),
-                    "priority": None if priority is None else float(priority)}))
+                    "priority": None if priority is None else float(priority)})
                 continue
         path = f"elements[{index}]"
         if not _check_object(entry, _ELEMENT_KEYS, ("id", "evaluation"), path, diag):
@@ -285,12 +288,12 @@ def _parse_elements(
                 f"value {evaluation!r} is outside [{scale.min}, {scale.max}]",
             )
             continue
-        elements.append(Element(element_id, evaluation, priority))
-    return tuple(elements)
+        elements[element_id] = Element(element_id, evaluation, priority)
+    return elements
 
 
 def _parse_group_list(
-    raw: Any, member_pool: set[str] | None, path: str, diag: _Collector
+    raw: Any, member_pool: AbstractSet[str] | None, path: str, diag: _Collector
 ) -> tuple[Group, ...] | None:
     if not isinstance(raw, list):
         diag.add(path, f"expected an array, got {raw!r}")
@@ -542,14 +545,11 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
     if not isinstance(flows_raw, list):
         diag.add("network.flows", f"expected an array, got {flows_raw!r}")
         return None
-    edges: list[tuple[str, str]] = []
     ok = True  # no edge or flow dropped
     for index, edge in enumerate(edges_raw):
         if not _is_id_list(edge) or len(edge) != 2:
             diag.add(f"network.edges[{index}]", f"expected a pair [from, to], got {edge!r}")
             ok = False
-            continue
-        edges.append((edge[0], edge[1]))
     flows: list[Flow] = []
     for index, entry in enumerate(flows_raw):
         path = f"network.flows[{index}]"
@@ -565,10 +565,10 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
         if volume is None:
             ok = False
             continue
-        flows.append(Flow(route=tuple(route), volume=volume))
+        flows.append(Flow(route=route, volume=volume))
     if not ok:
         return None
-    network = Network(nodes=tuple(nodes_raw), edges=tuple(edges), flows=tuple(flows))
+    network = Network(nodes=nodes_raw, edges=edges_raw, flows=flows)
     for violation in validate_network(network):
         diag.add("network", violation)
     return network
@@ -603,21 +603,18 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     scale = _parse_scale(doc, diag)
     # Popped: the decoded entries are freed before the tree is built.
     elements = _parse_elements(doc.pop("elements", None), scale, diag)
-    element_ids = {e.id for e in elements}
 
     groups: tuple[Group, ...] | None = None
     if "groups" in doc:
         groups = _parse_group_list(
-            doc["groups"], element_ids if elements else None, "groups", diag
+            doc["groups"], elements.keys() if elements else None, "groups", diag
         )
 
     hierarchy: HierarchyNode | None = None
     if "hierarchy" in doc:
-        hierarchy, used = _parse_hierarchy(
-            doc["hierarchy"], {e.id: e for e in elements}, diag
-        )
+        hierarchy, used = _parse_hierarchy(doc["hierarchy"], elements, diag)
         if elements:
-            unreferenced = sorted(element_ids - set(used))
+            unreferenced = sorted(elements.keys() - used.keys())
             if unreferenced:
                 diag.add(
                     "hierarchy",
@@ -636,7 +633,7 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     assert scale is not None
     return SystemDescription(
         scale=scale,
-        elements=elements,
+        elements=tuple(elements.values()),
         groups=groups,
         hierarchy=hierarchy,
         network=network,

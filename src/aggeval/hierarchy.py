@@ -176,16 +176,15 @@ def _sub(
 
 
 def _compile(root: HierarchyNode) -> list[_Sub]:
-    """The subsystems of a validated tree in post-order, children left to
-    right, so the root comes last; empty for a leaf root."""
-    # Preorder with the children pushed left to right visits them right to
-    # left; read backwards, that is the left-to-right post-order.
-    order = []
+    """The subsystems of a validated tree in post-order, children right to
+    left, so the root comes last; read backwards, the list is the
+    left-to-right preorder.  Empty for a leaf root."""
+    order = []  # the left-to-right preorder
     stack = [root] if root.children else []
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(child for child in node.children if child.children)
+        stack.extend(child for child in reversed(node.children) if child.children)
     subs: list[_Sub] = []
     index: dict[str, int] = {}
     for node in reversed(order):
@@ -395,10 +394,9 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
     rows = _roll(subs, scale, {root})
     _check_root(subs[root])
     out: list[MethodComparison] = []
-    # Preorder over the subsystems: each one's row, then one per group.
-    stack = [root]
-    while stack:
-        j = stack.pop()
+    # The list read backwards is the preorder: each subsystem's row, then
+    # one per group.
+    for j in range(root, -1, -1):
         sub = subs[j]
         values = sub.values
         row = rows[j]
@@ -416,7 +414,6 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
                     threshold,
                 )
             )
-        stack.extend(reversed(sub.below.values()))
     return out
 
 

@@ -1269,3 +1269,82 @@ def test_python_dash_m_runs_the_cli(capsys, fixture_path):
         out.encode("utf-8"),
         err.encode("utf-8"),
     )
+
+
+def overshoot_doc(values, priorities=None, groups=None):
+    """A flat document on [0, 100] whose means round a few ulps above 100."""
+    elements = [{"id": i, "evaluation": v} for i, v in zip("abcde", values)]
+    for element, priority in zip(elements, priorities or []):
+        element["priority"] = priority
+    doc = {"scale": {"min": 0, "max": 100}, "elements": elements}
+    if groups:
+        doc["groups"] = [{"id": g, "members": m, "priority": p} for g, m, p in groups]
+    return doc
+
+
+OVERSHOOT = [100, 99.99999999999999, 100]
+
+
+class TestFlatValuesStayOnTheScale:
+    """Flat ``evaluate`` clamps every aggregate it prints to the scale, as
+    the roll-up does; sigmas and adequacy come from the unclamped values."""
+
+    def evaluate(self, capsys, tmp_path, doc, *method):
+        path = write_doc(tmp_path, doc)
+        return run(capsys, "evaluate", "--input", path, "--format", "json", *method)
+
+    def test_nam(self, capsys, tmp_path):
+        doc = overshoot_doc([99.9999999999999, 100, 99.99999999999999, 100, 100])
+        assert self.evaluate(capsys, tmp_path, doc, "--method", "nam") == (
+            0, '{\n  "method": "nam",\n  "value": 100.0\n}\n', "")
+        assert self.evaluate(capsys, tmp_path, doc) == (0, (
+            '{\n  "wem": 99.9999999999999,\n  "wlam": 99.99999999999997,\n  "nam": 100.0,\n'
+            '  "sigma_12": 7.105427357601004e-16,\n  "sigma_13": 1.2789769243681799e-15\n}\n'
+        ), "")
+
+    def test_weighted_wlam_and_wem_then(self, capsys, tmp_path):
+        doc = overshoot_doc(OVERSHOOT, priorities=[3.3, 0.3, 3.3])
+        assert self.evaluate(capsys, tmp_path, doc, "--method", "wlam") == (
+            0, '{\n  "method": "wlam",\n  "value": 100.0\n}\n', "")
+        assert self.evaluate(capsys, tmp_path, doc, "--method", "wem-then") == (0, (
+            '{\n  "method": "wem-then",\n  "critical_wem": 100.0,\n  "aggregate": 100.0,\n'
+            '  "adequacy": 1.4210854715202002e-16\n}\n'
+        ), "")
+        assert self.evaluate(capsys, tmp_path, doc) == (0, (
+            '{\n  "wem": 99.99999999999999,\n  "wlam": 100.0,\n  "nam": null,\n'
+            '  "sigma_12": 2.8421709430404003e-16,\n  "sigma_13": null\n}\n'
+        ), "")
+
+    def test_hybrid(self, capsys, tmp_path):
+        doc = overshoot_doc(OVERSHOOT, groups=[("g1", ["a", "c"], 3.3), ("g2", ["b"], 0.3)])
+        assert self.evaluate(capsys, tmp_path, doc, "--method", "hybrid") == (
+            0, '{\n  "method": "hybrid",\n  "value": 100.0\n}\n', "")
+        assert self.evaluate(capsys, tmp_path, doc) == (0, (
+            '{\n  "wem": 99.99999999999999,\n  "wlam": 100.0,\n  "nam": 99.99999999999997,\n'
+            '  "sigma_12": 1.4210854715202004e-16,\n  "sigma_13": 0.0,\n  "hybrid": 100.0\n}\n'
+        ), "")
+
+
+class TestNegativeThresholdSpelling:
+    """argparse reads a negative number with an exponent as an option after
+    a space; after ``=`` it reaches the range check."""
+
+    def test_after_a_space_is_a_usage_error(self, capsys, fixture_path):
+        code, out, err = run(capsys, "compare", "--input", fixture_path("weak_element.json"),
+                             "--threshold", "-1e5")
+        assert (code, out) == (1, "")
+        assert err.endswith("aggeval compare: error: argument --threshold: expected one argument\n")
+
+    def test_after_equals_is_a_range_error(self, capsys, fixture_path):
+        assert run(capsys, "compare", "--input", fixture_path("weak_element.json"),
+                   "--threshold=-1e5") == (
+            2, "", "error: adequacy threshold must lie in [0, 1], got -100000.0\n")
+
+
+def test_compare_on_a_single_element_prints_only_the_header(capsys, tmp_path):
+    path = write_doc(tmp_path, {"scale": {"min": 0, "max": 100},
+                                "elements": [{"id": "a", "evaluation": 50}], "hierarchy": "a"})
+    assert run(capsys, "compare", "--input", path) == (
+        0, "node  wem  wlam  nam  hybrid  sigma_12  sigma_13  warnings\n", "")
+    desc = aggeval.description.load_description(path)
+    assert aggeval.hierarchy.compare_methods(desc.hierarchy, desc.scale) == []

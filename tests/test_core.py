@@ -75,7 +75,26 @@ class TestEvaluationVector:
             v.subset(["nope"])
 
 
+class TestEvaluationVectorAccess:
+    def test_value_of(self):
+        assert WEAK.value_of("s1") == 10.0
+        with pytest.raises(KeyError):
+            WEAK.value_of("nope")
+
+    def test_len_and_iteration(self):
+        assert len(WEAK) == 3
+        assert list(WEAK) == [("s1", 10.0), ("s2", 100.0), ("s3", 100.0)]
+
+
 class TestPriorityVector:
+    def test_empty_rejected(self):
+        with pytest.raises(EvaluationError, match="^priority vector must not be empty$"):
+            PriorityVector(())
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(EvaluationError, match="^duplicate priority for 'a'$"):
+            PriorityVector((("a", 1.0), ("a", 2.0)))
+
     def test_zero_weight_rejected(self):
         with pytest.raises(EvaluationError, match="positive"):
             PriorityVector((("s1", 0.0),))
@@ -86,6 +105,20 @@ class TestPriorityVector:
 
     def test_unit_builder(self):
         assert PriorityVector.unit(["a", "b"]).weights == (("a", 1.0), ("b", 1.0))
+
+
+class TestGroupedSystemChecks:
+    def test_no_groups_rejected(self):
+        with pytest.raises(EvaluationError, match="^grouped system needs at least one group$"):
+            GroupedSystem((), WEAK)
+
+    def test_duplicate_id_and_empty_group_reported_together(self):
+        groups = (Group("g", ("s1",)), Group("g", ("s2", "s3")), Group("h", ()))
+        with pytest.raises(EvaluationError) as excinfo:
+            GroupedSystem(groups, WEAK)
+        assert str(excinfo.value) == (
+            "invalid grouping: duplicate group id 'g'; group 'h' has no members"
+        )
 
 
 class TestWem:

@@ -224,6 +224,33 @@ class TestElementDiagnostics:
         assert "elements[0]: unexpected key 'score'" in diagnostics_of(text)
 
 
+class TestDroppedElementIds:
+    """An entry dropped after its id was read still flags a later duplicate
+    of that id, but is no member of a group or the hierarchy."""
+
+    ELEMENTS = [
+        {"id": "a", "evaluation": 200},
+        {"id": "a", "evaluation": 50},
+        {"id": "b", "evaluation": 60},
+    ]
+    HEAD = (
+        "elements[0].evaluation: value 200.0 is outside [0.0, 100.0]",
+        "elements[1].id: duplicate element id 'a'",
+    )
+
+    def test_in_groups(self):
+        text = doc(elements=self.ELEMENTS, groups=[{"id": "g", "members": ["a", "b"]}])
+        assert diagnostics_of(text) == (
+            *self.HEAD, "groups[0].members[0]: unknown member id 'a'"
+        )
+
+    def test_in_the_hierarchy(self):
+        text = doc(elements=self.ELEMENTS, hierarchy={"id": "r", "children": ["a", "b"]})
+        assert diagnostics_of(text) == (
+            *self.HEAD, "hierarchy.children[0]: unknown element 'a'"
+        )
+
+
 class TestGroupDiagnostics:
     def test_unknown_member(self):
         text = doc(groups=[{"id": "g1", "members": ["s1", "s2", "ghost"]}])
@@ -391,6 +418,15 @@ class TestRoundTrip:
         once = serialize_description(desc)
         twice = serialize_description(parse_description(once))
         assert once == twice
+
+    def test_wem_then_fallback_round_trips(self):
+        method = {"method": "wem-then", "critical": ["s1"], "fallback": "nam"}
+        desc = parse_description(
+            doc(hierarchy={"id": "root", "method": method, "children": ["s1", "s2"]})
+        )
+        text = serialize_description(desc)
+        assert json.loads(text)["hierarchy"]["method"]["fallback"] == "nam"
+        assert parse_description(text) == desc
 
     def test_output_shape(self, fixture_path):
         text = serialize_description(load_description(fixture_path("two_group.json")))
