@@ -29,7 +29,7 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .description import DescriptionError, SystemDescription, load_description
+from .description import DescriptionError, SystemDescription, _element_columns, load_description
 from .hierarchy import (
     MethodComparison,
     SweepRow,
@@ -133,15 +133,16 @@ def _critical_wem(desc: SystemDescription, root: _Sub) -> float:
     explicit priority, else every element."""
     if root.plan:
         return min(root.values[k] for k in max(root.plan, key=lambda group: group[1])[0])
-    top = max((e.priority for e in desc.elements if e.priority is not None), default=None)
-    return min(e.evaluation for e in desc.elements if e.priority == top)
+    priorities = _element_columns(desc).priorities
+    top = max((p for p in priorities if p is not None), default=None)
+    return min(v for v, p in zip(root.values, priorities) if p == top)
 
 
 def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> None:
     """One method over the flat element vector, or all of them side by side.
     Each aggregate printed is clamped to the scale, as the roll-up's are;
     sigmas and adequacy are taken before clamping."""
-    root = _compile_flat(desc.elements, desc.groups)[0]
+    root = _compile_flat(desc)[0]
     clamp = desc.scale.clamp
     if method is None:
         # sigma_12 is at most 1, so a threshold of 1 builds no warning.
@@ -217,7 +218,7 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
 
 def _compiled(desc: SystemDescription) -> list[_Sub]:
     if desc.hierarchy is None:
-        return _compile_flat(desc.elements, desc.groups)
+        return _compile_flat(desc)
     return _compile(desc.hierarchy)
 
 

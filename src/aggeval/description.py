@@ -9,11 +9,12 @@ format.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Any
+from typing import AbstractSet, Any, NamedTuple
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
 from .network import (
@@ -62,29 +63,48 @@ class Element:
     priority: float | None = None
 
 
+class _Columns(NamedTuple):
+    """Parsed elements as parallel lists in document order; read, never written."""
+
+    ids: list[str]
+    evaluations: list[float]
+    priorities: list[float | None]
+
+
+class _ElementsField:
+    """``SystemDescription.elements``: parsed ``_Columns`` become the ``Element``
+    tuple on first read; a value given to the constructor is stored as it is."""
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            raise AttributeError("elements")  # the field has no default
+        value = obj.__dict__["elements"]
+        if type(value) is _Columns:
+            value = obj.__dict__["elements"] = tuple(map(Element, *value))
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__["elements"] = value
+
+
 @dataclass(frozen=True)
 class SystemDescription:
     """Parsed and validated system description."""
 
     scale: Scale
-    elements: tuple[Element, ...]
+    elements: tuple[Element, ...] = _ElementsField()  # type: ignore[assignment]
     groups: tuple[Group, ...] | None = None
     hierarchy: HierarchyNode | None = None
     network: Network | None = None
 
     def evaluation_vector(self) -> EvaluationVector:
-        return EvaluationVector(
-            tuple((e.id, e.evaluation) for e in self.elements), self.scale
-        )
+        ids, evaluations, _ = _element_columns(self)
+        return EvaluationVector(tuple(zip(ids, evaluations)), self.scale)
 
     def priority_vector(self) -> PriorityVector:
         """Element priorities, defaulting to 1 where the file sets none."""
-        return PriorityVector(
-            tuple(
-                (e.id, 1.0 if e.priority is None else e.priority)
-                for e in self.elements
-            )
-        )
+        ids, _, priorities = _element_columns(self)
+        return PriorityVector(tuple(zip(ids, [1.0 if p is None else p for p in priorities])))
 
     def hierarchy_root(self) -> HierarchyNode:
         """The explicit hierarchy, or a canonical single-level tree.
@@ -95,15 +115,22 @@ class SystemDescription:
         """
         if self.hierarchy is not None:
             return self.hierarchy
-        root_id = _synthetic_root_id([e.id for e in self.elements])
-        leaves = tuple(
-            HierarchyNode(id=e.id, value=e.evaluation, priority=e.priority)
-            for e in self.elements
-        )
+        ids, evaluations, priorities = _element_columns(self)
+        leaves = tuple(map(HierarchyNode, ids, evaluations, priorities))
+        root_id = _synthetic_root_id(ids)
         config = None
         if self.groups:
             config = MethodConfig(Method.HYBRID_GROUPED, groups=self.groups)
         return HierarchyNode(id=root_id, children=leaves, config=config)
+
+
+def _element_columns(desc: SystemDescription) -> _Columns:
+    """The elements as columns, read without building ``Element`` objects."""
+    stored = vars(desc)["elements"]
+    if type(stored) is _Columns:
+        return stored
+    return _Columns([e.id for e in stored], [e.evaluation for e in stored],
+                    [e.priority for e in stored])
 
 
 def _synthetic_root_id(element_ids: list[str]) -> str:
@@ -227,18 +254,19 @@ def _parse_scale(doc: dict, diag: _Collector) -> Scale | None:
 
 def _parse_elements(
     raw: Any, scale: Scale | None, diag: _Collector
-) -> dict[str, Element]:
-    """The accepted elements by id, in document order."""
+) -> tuple[dict[str, int], _Columns]:
+    """Each accepted element's position by id, and the accepted elements as columns."""
     if raw is None:
         diag.add("elements", "missing required section")
-        return {}
-    if not isinstance(raw, list):
+        raw = []
+    elif not isinstance(raw, list):
         diag.add("elements", f"expected an array, got {raw!r}")
-        return {}
-    if not raw:
+        raw = []
+    elif not raw:
         diag.add("elements", "empty system: at least one element is required")
-        return {}
-    elements: dict[str, Element] = {}
+    positions: dict[str, int] = {}
+    evaluations: list[float] = []
+    priorities: list[float | None] = []
     # Also holds the ids of entries dropped after their id was read: no
     # members, but each still flags a later duplicate.
     seen: set[str] = set()
@@ -266,9 +294,9 @@ def _parse_elements(
                 )
             ):
                 seen.add(element_id)
-                elements[element_id] = _built(Element, {
-                    "id": element_id, "evaluation": float(evaluation),
-                    "priority": None if priority is None else float(priority)})
+                positions[element_id] = len(evaluations)
+                evaluations.append(float(evaluation))
+                priorities.append(None if priority is None else float(priority))
                 continue
         path = f"elements[{index}]"
         if not _check_object(entry, _ELEMENT_KEYS, ("id", "evaluation"), path, diag):
@@ -288,8 +316,10 @@ def _parse_elements(
                 f"value {evaluation!r} is outside [{scale.min}, {scale.max}]",
             )
             continue
-        elements[element_id] = Element(element_id, evaluation, priority)
-    return elements
+        positions[element_id] = len(evaluations)
+        evaluations.append(evaluation)
+        priorities.append(priority)
+    return positions, _Columns(list(positions), evaluations, priorities)
 
 
 def _parse_group_list(
@@ -420,7 +450,7 @@ def _hierarchy_path(location: Any) -> str:
 def _subsystem(
     raw: Any,
     location: Any,
-    elements: dict[str, Element],
+    positions: dict[str, int],
     diag: _Collector,
     scratch: _Collector,
 ) -> tuple[str | None, float | None, MethodConfig | None, list] | None:
@@ -439,7 +469,7 @@ def _subsystem(
         if (
             type(node_id) is str
             and node_id
-            and node_id not in elements
+            and node_id not in positions
             and type(children) is list
             and children
             and len(raw) == 2 + (priority is not None) + ("method" in raw)
@@ -459,7 +489,7 @@ def _subsystem(
     if not _check_object(raw, _SUBSYSTEM_KEYS, ("id", "children"), path, diag):
         return None
     node_id = _get_string(raw, "id", path, diag)
-    if node_id is not None and node_id in elements:
+    if node_id is not None and node_id in positions:
         diag.add(f"{path}.id", f"subsystem id {node_id!r} shadows an element")
         node_id = None
     priority = _get_priority(raw, path, diag) if "priority" in raw else None
@@ -474,7 +504,7 @@ def _subsystem(
 
 
 def _parse_hierarchy(
-    raw: Any, elements: dict[str, Element], diag: _Collector
+    raw: Any, positions: dict[str, int], columns: _Columns, diag: _Collector
 ) -> tuple[HierarchyNode | None, dict[str, tuple]]:
     """The ``hierarchy`` section's tree, or None if an entry is bad, and
     the frame holding each leaf, by element id.
@@ -485,6 +515,7 @@ def _parse_hierarchy(
     diagnostic.  Nodes are built bottom-up, a subsystem only when its id
     and every child are good.
     """
+    ids, evaluations, priorities = columns
     used: dict[str, tuple] = {}
     scratch = _Collector()
     top: list[HierarchyNode] = []
@@ -498,13 +529,13 @@ def _parse_hierarchy(
         for index, child in entries:
             if type(child) is not str:
                 here = (location, index)
-                sub = _subsystem(child, here, elements, diag, scratch)
+                sub = _subsystem(child, here, positions, diag, scratch)
                 if sub is not None:
                     stack.append((enumerate(sub[3]), here, sub, []))
                     break
                 continue
-            element = elements.get(child)
-            if element is None:
+            position = positions.get(child)
+            if position is None:
                 diag.add(_hierarchy_path((location, index)), f"unknown element {child!r}")
             elif child in used:
                 # A leaf is recorded at its first occurrence in the frame's
@@ -519,8 +550,8 @@ def _parse_hierarchy(
             else:
                 used[child] = frame
                 kids.append(_built(HierarchyNode, {
-                    "id": element.id, "value": element.evaluation,
-                    "priority": element.priority, "children": (), "config": None}))
+                    "id": ids[position], "value": evaluations[position],
+                    "priority": priorities[position], "children": (), "config": None}))
         else:
             stack.pop()
             if node_id is not None and len(kids) == len(children):
@@ -579,8 +610,19 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
 
     Raises :class:`DescriptionError` whose diagnostics cover every
     problem found, each with a document location; syntax errors carry the
-    line and column.
+    line and column.  The parse makes no cyclic garbage, so the process-wide
+    cyclic collector is paused while it runs; the caller's setting is restored.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text, source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str, source: str) -> SystemDescription:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -602,19 +644,19 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
                   "document", diag)
     scale = _parse_scale(doc, diag)
     # Popped: the decoded entries are freed before the tree is built.
-    elements = _parse_elements(doc.pop("elements", None), scale, diag)
+    positions, columns = _parse_elements(doc.pop("elements", None), scale, diag)
 
     groups: tuple[Group, ...] | None = None
     if "groups" in doc:
         groups = _parse_group_list(
-            doc["groups"], elements.keys() if elements else None, "groups", diag
+            doc["groups"], positions.keys() if positions else None, "groups", diag
         )
 
     hierarchy: HierarchyNode | None = None
     if "hierarchy" in doc:
-        hierarchy, used = _parse_hierarchy(doc["hierarchy"], elements, diag)
-        if elements:
-            unreferenced = sorted(elements.keys() - used.keys())
+        hierarchy, used = _parse_hierarchy(doc["hierarchy"], positions, columns, diag)
+        if positions:
+            unreferenced = sorted(positions.keys() - used.keys())
             if unreferenced:
                 diag.add(
                     "hierarchy",
@@ -633,7 +675,7 @@ def parse_description(text: str, source: str = "<description>") -> SystemDescrip
     assert scale is not None
     return SystemDescription(
         scale=scale,
-        elements=tuple(elements.values()),
+        elements=columns,  # type: ignore[arg-type]
         groups=groups,
         hierarchy=hierarchy,
         network=network,
@@ -695,10 +737,10 @@ def serialize_description(desc: SystemDescription) -> str:
         "scale": {"min": desc.scale.min, "max": desc.scale.max},
         "elements": [],
     }
-    for element in desc.elements:
-        entry: dict[str, Any] = {"id": element.id, "evaluation": element.evaluation}
-        if element.priority is not None:
-            entry["priority"] = element.priority
+    for element_id, evaluation, priority in zip(*_element_columns(desc)):
+        entry: dict[str, Any] = {"id": element_id, "evaluation": evaluation}
+        if priority is not None:
+            entry["priority"] = priority
         doc["elements"].append(entry)
     if desc.groups is not None:
         doc["groups"] = _groups_to_doc(desc.groups)

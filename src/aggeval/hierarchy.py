@@ -15,7 +15,6 @@ from typing import AbstractSet, NamedTuple, Sequence
 
 from .core import (
     EvaluationError,
-    Group,
     Method,
     Scale,
     _hybrid,
@@ -24,7 +23,7 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .description import Element, _synthetic_root_id
+from .description import SystemDescription, _element_columns, _synthetic_root_id
 from .network import HierarchyNode, MethodConfig, _Tree, validate_hierarchy
 
 __all__ = [
@@ -200,15 +199,13 @@ def _compile(root: HierarchyNode) -> list[_Sub]:
     return subs
 
 
-def _compile_flat(elements: Sequence[Element], groups: tuple[Group, ...] | None) -> list[_Sub]:
+def _compile_flat(desc: SystemDescription) -> list[_Sub]:
     """A flat description as one entry: the synthetic root over the
-    elements, with the groups as its hybrid plan."""
-    ids = [e.id for e in elements]
-    config = MethodConfig(Method.HYBRID_GROUPED, groups=groups) if groups else None
-    return [
-        _sub(_synthetic_root_id(ids), ids, [e.evaluation for e in elements], {},
-             [e.priority for e in elements], config)
-    ]
+    element columns, with the groups as its hybrid plan.  The values are
+    a copy, which a sweep may write into."""
+    ids, evaluations, priorities = _element_columns(desc)
+    config = MethodConfig(Method.HYBRID_GROUPED, groups=desc.groups) if desc.groups else None
+    return [_sub(_synthetic_root_id(ids), ids, evaluations[:], {}, priorities, config)]
 
 
 # One subsystem's roll-up: value, smallest leaf value below, weakest leaf

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,17 @@ def fixture_path():
         return str(FIXTURES / name)
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def collector_setting_kept(request):
+    """Fail a test that leaves the cyclic collector switched other than it
+    found it; the setting is put back first, so later tests run as usual."""
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(
+            f"{request.node.nodeid} left gc.isenabled() {not enabled}, found {enabled}",
+            pytrace=False,
+        )

@@ -19,6 +19,7 @@ import aggeval.description
 import aggeval.hierarchy
 from aggeval import cli
 from aggeval.cli import main
+from aggeval.description import _Columns
 
 
 def run(capsys, *argv):
@@ -769,6 +770,69 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown element id 'ghost'" in err
+
+
+METHOD_CHOICES = [None, "wem", "wlam", "nam", "hybrid", "wem-then"]
+
+
+class TestNoElementObjects:
+    """No command builds an ``Element``: the description each one loads
+    still holds the parser's element columns afterwards."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        descriptions = []
+
+        def keeping(path):
+            desc = aggeval.description.load_description(path)
+            descriptions.append(desc)
+            return desc
+
+        monkeypatch.setattr(cli, "load_description", keeping)
+        return descriptions
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "weak_element.json",  # flat, neither groups nor priorities
+            "two_group.json",  # flat with groups
+            "element priorities",  # flat with element priorities
+            "plant_hierarchy.json",
+            "path_network.json",
+        ],
+    )
+    def test_every_command_leaves_the_columns(self, capsys, fixture_path, tmp_path, loaded, name):
+        if name == "element priorities":
+            path = write_doc(tmp_path, {
+                "scale": {"min": 0, "max": 100},
+                "elements": [
+                    {"id": "a", "evaluation": 30, "priority": 2},
+                    {"id": "b", "evaluation": 80, "priority": 2},
+                    {"id": "c", "evaluation": 10},
+                ],
+            })
+        else:
+            path = fixture_path(name)
+        vary = json.loads(Path(path).read_text(encoding="utf-8"))["elements"][0]["id"]
+        grid = ["--vary", vary, "--from", "0", "--to", "100", "--steps", "3"]
+        calls = [
+            ["evaluate", "--format", fmt, *(["--method", method] if method else [])]
+            for fmt in ("text", "json", "csv")
+            for method in METHOD_CHOICES
+        ]
+        calls += [
+            ["compare"],
+            ["sweep", *grid],
+            ["sweep", *grid, "--out", str(tmp_path / "sweep.csv")],
+            ["priorities", "--strategy", "combined"],
+        ]
+        for argv in calls:
+            code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+            # hybrid without groups and priorities without a network exit 2
+            # after the load.
+            assert code in (0, 2, 3) and (out or err or "--out" in argv), argv
+            assert len(loaded) == 1, argv
+            assert type(vars(loaded.pop())["elements"]) is _Columns, argv
 
 
 class TestValidationRunsOnce:

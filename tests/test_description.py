@@ -1,10 +1,17 @@
 """Tests for parsing, validating, and serializing system descriptions."""
 
+import copy
+import dataclasses
+import gc
 import json
+import pickle
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import aggeval.description
 from aggeval import (
     DescriptionError,
     Method,
@@ -13,6 +20,7 @@ from aggeval import (
     serialize_description,
     validate_hierarchy,
 )
+from aggeval.description import Element, SystemDescription, _Columns
 
 VALID_FIXTURES = [
     "all_equal",
@@ -432,6 +440,118 @@ class TestRoundTrip:
         text = serialize_description(load_description(fixture_path("two_group.json")))
         assert text.endswith("\n")
         assert json.loads(text)["groups"][1]["priority"] == 0.5
+
+
+# A parsed description keeps its elements as columns until the first read of
+# ``elements``; each check below runs on a fresh parse, so the columns
+# state is the one checked.
+INDISTINGUISHABLE_CHECKS = {
+    "==": lambda d, c: d == c and c == d and not d != c and not c != d,
+    "hash": lambda d, c: hash(d) == hash(c),
+    "repr": lambda d, c: repr(d) == repr(c),
+    "fields": lambda d, c: dataclasses.fields(d) == dataclasses.fields(c),
+    "asdict": lambda d, c: dataclasses.asdict(d) == dataclasses.asdict(c),
+    "replace": lambda d, c: dataclasses.replace(d) == c
+    and dataclasses.replace(d, groups=None) == dataclasses.replace(c, groups=None),
+    "copy": lambda d, c: copy.copy(d) == c,
+    "deepcopy": lambda d, c: copy.deepcopy(d) == c,
+    "pickle": lambda d, c: pickle.loads(pickle.dumps(d)) == c,
+    "vars": lambda d, c: type(d)(**vars(d)) == d and type(d)(**vars(d)) == c,
+    "round trip": lambda d, c: parse_description(serialize_description(d)) == d == c,
+}
+
+PRIORITIES_DOC = doc(
+    elements=[
+        {"id": "s1", "evaluation": 10, "priority": 2},
+        {"id": "s2", "evaluation": 100},
+        {"id": "s3", "evaluation": 55.5, "priority": 0.5},
+    ]
+)
+
+
+def constructed_twin(text):
+    """The parse of ``text`` with its elements constructed from the decoded
+    document instead of parsed."""
+    parsed = parse_description(text)
+    elements = tuple(
+        Element(e["id"], float(e["evaluation"]), float(e["priority"]) if "priority" in e else None)
+        for e in json.loads(text)["elements"]
+    )
+    return SystemDescription(parsed.scale, elements, parsed.groups, parsed.hierarchy, parsed.network)
+
+
+class TestParsedDescriptionMatchesConstructed:
+    @pytest.mark.parametrize("read_first", [False, True], ids=["columns", "elements read"])
+    @pytest.mark.parametrize("name", [*VALID_FIXTURES, "element priorities"])
+    def test_indistinguishable(self, fixture_path, name, read_first):
+        if name == "element priorities":
+            text = PRIORITIES_DOC
+        else:
+            text = Path(fixture_path(f"{name}.json")).read_text(encoding="utf-8")
+        constructed = constructed_twin(text)
+        for check_name, check in INDISTINGUISHABLE_CHECKS.items():
+            parsed = parse_description(text)
+            if read_first:
+                assert parsed.elements == constructed.elements
+            assert type(vars(parsed)["elements"]) is (tuple if read_first else _Columns)
+            assert check(parsed, constructed), check_name
+
+    def test_read_builds_the_elements_once(self):
+        desc = parse_description(PRIORITIES_DOC)
+        elements = desc.elements
+        assert desc.elements is elements is vars(desc)["elements"]
+        assert elements == (Element("s1", 10.0, 2.0), Element("s2", 100.0), Element("s3", 55.5, 0.5))
+
+    def test_constructor_stores_a_list_as_given(self):
+        elements = [Element("a", 1.0)]
+        desc = SystemDescription(parse_description(doc()).scale, elements)
+        assert desc.elements is elements
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            desc.elements = ()
+
+
+# (id, text, a substring of the first diagnostic, or None for a parse).
+PARSE_OUTCOMES = [
+    ("parsed", doc(), None),
+    ("bad element", doc(elements=[{"id": "a", "evaluation": 500}]), "is outside"),
+    ("json syntax", '{"scale": ', "invalid JSON"),
+    ("decoder nesting", "[" * 5000 + "]" * 5000, "nesting deeper than the JSON decoder allows"),
+]
+
+
+class TestCollectorPause:
+    """The parse runs with the cyclic collector off and leaves the
+    caller's setting as it found it, whatever the outcome."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, expected", [o[1:] for o in PARSE_OUTCOMES], ids=[o[0] for o in PARSE_OUTCOMES]
+    )
+    def test_callers_setting_is_restored(self, text, expected, enabled):
+        during = []
+        loads = json.loads
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return loads(*args, **kwargs)
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with mock.patch.object(aggeval.description.json, "loads", recording):
+                try:
+                    outcome = parse_description(text)
+                except DescriptionError as exc:
+                    outcome = exc
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert during == [False]
+        assert after is enabled
+        if expected is None:
+            assert isinstance(outcome, SystemDescription)
+        else:
+            assert isinstance(outcome, DescriptionError)
+            assert expected in outcome.diagnostics[0]
 
 
 # Element ids that push the synthetic root's id from "system" to "system++".

@@ -7,6 +7,7 @@ write the same ``--out`` file and exit with the same code.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -250,6 +251,23 @@ class TestFlatCommandsBuildNoTree:
         before = _call(argv)
         monkeypatch.setattr(SystemDescription, "hierarchy_root", _refuse)
         assert _call(argv) == before
+
+
+class TestFlatSweepLeavesTheDescription:
+    """A flat sweep writes into its compiled copy of the values, never into
+    the parsed description's element columns."""
+
+    @pytest.mark.parametrize("name", ["two_group.json", "weak_element.json"])
+    def test_sweep_then_compile_again(self, fixture_path, name):
+        path = fixture_path(name)
+        desc = load_description(path)
+        subs = cli._compiled(desc)
+        first = copy.deepcopy(subs)
+        cli._sweep(subs, desc.scale, cli._sweep_path(subs, subs[0].ids[0]), 0.25, 0.5, 2)
+        assert subs[0].values[0] == 0.5  # the sweep wrote into its own list
+        values = [e["evaluation"] for e in json.loads(Path(path).read_text())["elements"]]
+        assert [e.evaluation for e in desc.elements] == values
+        assert cli._compiled(desc) == first
 
 
 def _cli_process(*argv):

@@ -34,6 +34,7 @@ from aggeval.description import (
     _built,
     _check_object,
     _Collector,
+    _element_columns,
     _get_number,
     _get_string,
     _parse_hierarchy,
@@ -91,8 +92,10 @@ def reference_node(raw, path, elements, used, diag):
     return HierarchyNode(id=node_id, priority=priority, children=tuple(children), config=config)
 
 
-def reference_parse(raw, elements, diag):
+def reference_parse(raw, positions, columns, diag):
     """``_parse_hierarchy``'s signature over the reference parse."""
+    _, evaluations, priorities = columns
+    elements = {i: Element(i, evaluations[k], priorities[k]) for i, k in positions.items()}
     used = {}
     return reference_node(raw, "hierarchy", elements, used, diag), used
 
@@ -100,11 +103,12 @@ def reference_parse(raw, elements, diag):
 def both_parses(text):
     """The pass's and the reference's tree and ``used`` on a valid document."""
     desc = parse_description(text)
-    by_id = {e.id: e for e in desc.elements}
+    columns = _element_columns(desc)
+    positions = {element_id: k for k, element_id in enumerate(columns.ids)}
     raw = json.loads(text)["hierarchy"]
     diag, reference_diag = _Collector(), _Collector()
-    parsed = _parse_hierarchy(raw, by_id, diag)
-    reference = reference_parse(raw, by_id, reference_diag)
+    parsed = _parse_hierarchy(raw, positions, columns, diag)
+    reference = reference_parse(raw, positions, columns, reference_diag)
     assert diag.diagnostics == reference_diag.diagnostics == []
     return parsed, reference
 
