@@ -39,7 +39,8 @@ from .hierarchy import (
     _compare,
     _compile,
     _compile_flat,
-    _comparison_row,
+    _comparison,
+    _metrics,
     _operate,
     _roll,
     _Sub,
@@ -146,7 +147,7 @@ def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> 
     clamp = desc.scale.clamp
     if method is None:
         # sigma_12 is at most 1, so a threshold of 1 builds no warning.
-        row = _comparison_row(root.id, root.values, root.weights, root.plan, (), 1.0)
+        row = _comparison(root.id, *_metrics(root.values, root.weights, root.plan), (), 1.0)
         fields = [("wem", row.wem), ("wlam", clamp(row.wlam)),
                   ("nam", None if row.nam is None else clamp(row.nam)),
                   ("sigma_12", row.sigma_12), ("sigma_13", row.sigma_13)]

@@ -22,6 +22,7 @@ operators to each other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -306,7 +307,7 @@ def _weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
     # is an impossible request and raises OverflowError.
     total = math.fsum(weights)
     try:
-        numerator = math.fsum(w * v for w, v in zip(weights, values))
+        numerator = math.fsum(map(operator.mul, weights, values))
     except OverflowError:  # finite products whose sum leaves the float range
         numerator = math.inf
     if math.isfinite(numerator):
@@ -357,27 +358,22 @@ def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> floa
 def _nam(values: Sequence[float]) -> float:
     """:func:`nam` over a nonempty sequence of nonnegative finite floats."""
     n = len(values)
-    if n == 1 or min(values) == max(values):
+    low, high = min(values), max(values)
+    if n == 1 or low == high:
         # Equal values aggregate to themselves; the closed formula would
         # only blur that equality with rounding.
         return values[0]
-    if 0.0 in values:
+    if low == 0.0:
         # A vanishing factor wipes out the product regardless of the mean;
         # deciding this up front also keeps the log path total.
         return 0.0
     mean = math.fsum(values) / n
-    ordered = sorted(values)  # fixed multiplication order: permutation-stable
-    if (
-        n > _LOG_DOMAIN_SIZE
-        or ordered[-1] > _LOG_DOMAIN_VALUE
-        or ordered[0] < _LOG_DOMAIN_TINY  # mean ** (n-1) could underflow to 0
-    ):
-        log_product = math.fsum(math.log(v) for v in ordered)
-        return math.exp(log_product - (n - 1) * math.log(mean))
-    product = 1.0
-    for v in ordered:
-        product *= v
-    return product / mean ** (n - 1)
+    if n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
+        # fsum is exactly rounded, so the log sum needs no fixed order; the
+        # tiny bound keeps mean ** (n-1) from underflowing on the direct path.
+        return math.exp(math.fsum(map(math.log, values)) - (n - 1) * math.log(mean))
+    # A fixed multiplication order keeps the product permutation-stable.
+    return math.prod(sorted(values)) / mean ** (n - 1)
 
 
 def nam(evals: EvaluationVector) -> float:

@@ -386,10 +386,10 @@ def _parse_group_list(
             continue
         seen_ids.add(group_id)
         groups.append(Group(id=group_id, members=tuple(members), priority=float(priority)))
-    if member_pool is not None:
+    # assigned is a subset of the pool, so equal sizes mean every element is covered.
+    if member_pool is not None and len(assigned) != len(member_pool):
         uncovered = sorted(member_pool - assigned)
-        if uncovered:
-            diag.add(path, "elements missing from every group: " + ", ".join(uncovered))
+        diag.add(path, "elements missing from every group: " + ", ".join(uncovered))
     return tuple(groups)
 
 

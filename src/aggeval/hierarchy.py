@@ -21,6 +21,7 @@ from .core import (
     _masking_ratio,
     _nam,
     _signed_gap,
+    _weighted_mean,
     _wlam,
 )
 from .description import SystemDescription, _element_columns, _synthetic_root_id
@@ -348,34 +349,25 @@ def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
     return _aggregate(root, scale)
 
 
-def _comparison_row(
+def _comparison(
     row_id: str,
-    values: list[float],
-    weights: list[float] | None,
-    plan: list[tuple[list[int], float]],
+    wem: float,
+    wlam: float,
+    nam: float | None,
+    hybrid: float | None,
     weakest: tuple[str, ...],
     threshold: float,
 ) -> MethodComparison:
-    wem_value, wlam_value, nam_value, hybrid_value = _metrics(values, weights, plan)
-    sigma_12 = _masking_ratio(wlam_value, wem_value)
-    sigma_13 = None if nam_value is None else _masking_ratio(nam_value, wem_value)
+    """One table row from metrics already computed."""
+    sigma_12 = _masking_ratio(wlam, wem)
+    sigma_13 = None if nam is None else _masking_ratio(nam, wem)
     warnings: tuple[str, ...] = ()
     if sigma_12 > threshold:
         warnings = (
             f"hidden weak element: {', '.join(weakest)} "
             f"(sigma_12 {sigma_12:.6g} > threshold {threshold:g})",
         )
-    return MethodComparison(
-        node_id=row_id,
-        wem=wem_value,
-        wlam=wlam_value,
-        nam=nam_value,
-        hybrid=hybrid_value,
-        sigma_12=sigma_12,
-        sigma_13=sigma_13,
-        weakest_ids=weakest,
-        warnings=warnings,
-    )
+    return MethodComparison(row_id, wem, wlam, nam, hybrid, sigma_12, sigma_13, weakest, warnings)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -384,34 +376,42 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodComparison]:
-    """:func:`compare_methods` on a compiled list and a checked threshold."""
-    if not subs:
-        return []
-    root = len(subs) - 1
-    rows = _roll(subs, scale, {root})
-    _check_root(subs[root])
-    out: list[MethodComparison] = []
+    """:func:`compare_methods` on a compiled list and a checked threshold.
+
+    One post-order pass runs each operator once per subsystem: its rows
+    and the value it passes up both read the same metrics, and hybrid is
+    the weighted mean of the group nams that its group rows report.
+    """
+    rolled: list[tuple[float, float, tuple[str, ...]]] = []
+    blocks: list[list[MethodComparison]] = []
+    for sub in subs:
+        values, lows, weights = sub.values, sub.lows, sub.weights
+        for k, j in sub.below.items():
+            values[k], lows[k] = rolled[j][0], rolled[j][1]
+        wem, wlam = min(values), _wlam(values, weights)
+        nam = None if weights is not None else _nam(values)
+        group_nams = [_nam([values[k] for k in positions]) for positions, _ in sub.plan]
+        hybrid = None
+        if sub.plan:
+            hybrid = _weighted_mean(group_nams, [priority for _, priority in sub.plan])
+        metric = {Method.WEM: wem, Method.NAM: nam, Method.HYBRID_GROUPED: hybrid}
+        value = metric.get(sub.kernel, wlam)
+        if value is None:  # a nam kernel under child priorities: no nam column, but it runs
+            value = _nam(values)
+        low, weakest = _weakest(sub, rolled)
+        rolled.append((scale.clamp(value), low, weakest))
+        block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold)]
+        for group_id, (positions, _), group_nam in zip(sub.group_ids, sub.plan, group_nams):
+            # Group values in member order; weakest leaves in child order.
+            group = [values[k] for k in positions]
+            block.append(_comparison(
+                f"{sub.id}/{group_id}", min(group), _wlam(group, None), group_nam, None,
+                _weakest(sub, rolled, sorted(positions))[1], threshold,
+            ))
+        blocks.append(block)
     # The list read backwards is the preorder: each subsystem's row, then
     # one per group.
-    for j in range(root, -1, -1):
-        sub = subs[j]
-        values = sub.values
-        row = rows[j]
-        weakest = _weakest(sub, rows)[1] if row is None else row[2]
-        out.append(_comparison_row(sub.id, values, sub.weights, sub.plan, weakest, threshold))
-        for group_id, (positions, _) in zip(sub.group_ids, sub.plan):
-            # Group values in member order; weakest leaves in child order.
-            out.append(
-                _comparison_row(
-                    f"{sub.id}/{group_id}",
-                    [values[k] for k in positions],
-                    None,
-                    [],
-                    _weakest(sub, rows, sorted(positions))[1],
-                    threshold,
-                )
-            )
-    return out
+    return [row for block in reversed(blocks) for row in block]
 
 
 def compare_methods(
@@ -486,14 +486,32 @@ def _sweep(
     # Only the subtrees off the path are rolled: a full re-roll never
     # evaluates the path at the leaf's stored value, so neither does this.
     _roll(subs, scale, {j for j, _ in path})
-    (root, root_slot), *below = [(subs[j], slot) for j, slot in path]
-    below.reverse()
+    (root, root_slot), *above = [(subs[j], slot) for j, slot in path]
+    # The path's ancestors under the root, deepest first.  A hybrid one
+    # keeps the nams of its groups that do not hold the slot, so a grid
+    # point recomputes only the group that does.
+    below = []
+    for sub, slot in reversed(above):
+        grouped = None
+        if sub.kernel is Method.HYBRID_GROUPED:
+            nams = [None if slot in positions else _nam([sub.values[k] for k in positions])
+                    for positions, _ in sub.plan]
+            group = nams.index(None)
+            grouped = nams, group, sub.plan[group][0], [priority for _, priority in sub.plan]
+        below.append((sub, slot, grouped))
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        for sub, slot in below:  # the path's ancestors under the root, deepest first
-            sub.values[slot] = value
-            value = scale.clamp(_operate(sub, sub.values))
+        for sub, slot, grouped in below:
+            values = sub.values
+            values[slot] = value
+            if grouped is None:
+                value = _operate(sub, values)
+            else:
+                nams, group, positions, priorities = grouped
+                nams[group] = _nam([values[k] for k in positions])
+                value = _weighted_mean(nams, priorities)
+            value = scale.clamp(value)
         root.values[root_slot] = value
         _check_root(root)
         rows.append(SweepRow(varied, *_metrics(root.values, root.weights, root.plan)))

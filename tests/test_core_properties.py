@@ -11,6 +11,11 @@ from aggeval.core import (
     GroupedSystem,
     PriorityVector,
     Scale,
+    _LOG_DOMAIN_SIZE,
+    _LOG_DOMAIN_TINY,
+    _LOG_DOMAIN_VALUE,
+    _nam,
+    _weighted_mean,
     adequacy_wem_nam,
     adequacy_wem_wlam,
     check_hybrid_bounds,
@@ -301,3 +306,69 @@ def test_singleton_groups_equal_wlam(values, data):
     assert math.isclose(
         hybrid_grouped(system), wlam(v, weights), rel_tol=1e-12, abs_tol=1e-12
     )
+
+
+# --- The kernels against their earlier formulations, bit for bit. ---
+
+
+def seed_nam(values):
+    """nam as first written: sorted values, a product loop and fsum over a generator."""
+    n = len(values)
+    if n == 1 or min(values) == max(values):
+        return values[0]
+    if 0.0 in values:
+        return 0.0
+    mean = math.fsum(values) / n
+    ordered = sorted(values)
+    if n > _LOG_DOMAIN_SIZE or ordered[-1] > _LOG_DOMAIN_VALUE or ordered[0] < _LOG_DOMAIN_TINY:
+        log_product = math.fsum(math.log(v) for v in ordered)
+        return math.exp(log_product - (n - 1) * math.log(mean))
+    product = 1.0
+    for v in ordered:
+        product *= v
+    return product / mean ** (n - 1)
+
+
+def seed_weighted_mean(values, weights):
+    """The weighted mean as first written: fsum over a generator of products."""
+    total = math.fsum(weights)
+    try:
+        numerator = math.fsum(w * v for w, v in zip(weights, values))
+    except OverflowError:
+        numerator = math.inf
+    if math.isfinite(numerator):
+        return numerator / total
+    top = max(weights)
+    scaled = [w / top for w in weights]
+    return math.fsum(w * v for w, v in zip(scaled, values)) / math.fsum(scaled)
+
+
+def outcome(function, *args):
+    """The result's ``float.hex``, or the type and text of what it raised."""
+    try:
+        return function(*args).hex()
+    except ArithmeticError as error:
+        return type(error), str(error)
+
+
+# Values at and just around the log-domain bounds, zeros, and the decades
+# either side of them; ties come from drawing a vector out of a few values.
+_EDGES = [0.0, 1e-7, _LOG_DOMAIN_TINY, _LOG_DOMAIN_VALUE, 1e7]
+kernel_values = (
+    st.sampled_from(
+        [x for edge in _EDGES for x in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf))]
+    )
+    | st.floats(0, 100)
+    | st.floats(1e-8, 1e-5)
+    | st.floats(1e5, 1e7)
+)
+kernel_weights = st.floats(1e-3, 1e3) | st.sampled_from([1.0, 1e300, 1.7e308])
+
+
+@given(st.sampled_from([1, 2, 30, 31, 200]), st.data())
+def test_kernels_equal_their_first_formulation_bit_for_bit(n, data):
+    pool = data.draw(st.lists(kernel_values, min_size=1, max_size=6), label="pool")
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="values")
+    weights = data.draw(st.lists(kernel_weights, min_size=n, max_size=n), label="weights")
+    assert outcome(_nam, values) == outcome(seed_nam, values)
+    assert outcome(_weighted_mean, values, weights) == outcome(seed_weighted_mean, values, weights)

@@ -726,3 +726,86 @@ class TestSweepMatchesFullReroll:
                 values = [child.value for child in report.children]
                 expected.append(hierarchy.SweepRow(varied, *hierarchy._metrics(values, weights, plan)))
             assert rows == expected
+
+
+def counting_nam(monkeypatch):
+    """Sizes of every nam run, through the hierarchy's name or inside core."""
+    calls = []
+    for module in (aggeval.core, aggeval.hierarchy):
+        def wrapper(values, _original=module._nam):
+            calls.append(len(values))
+            return _original(values)
+
+        monkeypatch.setattr(module, "_nam", wrapper)
+    return calls
+
+
+class TestCompareRunsEachOperatorOnce:
+    def test_each_group_nam_once_on_a_flat_file(self, monkeypatch):
+        calls = counting_nam(monkeypatch)
+        code, out, err = cli("compare", "--input", str(FIXTURES / "two_group.json"))
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()[1:]] == [
+            "system", "system/g1", "system/g2"
+        ]
+        # The root's nam over five elements, then g1 (3) and g2 (2) once
+        # each, shared by the hybrid and the group rows.
+        assert sorted(calls) == [2, 3, 5]
+
+    def test_nam_subsystems_run_nam_once(self, monkeypatch):
+        calls = counting_nam(monkeypatch)
+        code, _, err = cli("compare", "--input", str(FIXTURES / "plant_hierarchy.json"))
+        assert (code, err) == (3, "")
+        # line and supply (three leaves each) feed their parent and their
+        # own rows from one nam; the wlam root adds its nam column.
+        assert sorted(calls) == [2, 3, 3]
+
+    def test_nam_under_child_priorities_runs_once_without_a_column(self, monkeypatch):
+        tree = sub(
+            "root",
+            [
+                sub("x", [leaf("a", 10.0, 2.0), leaf("b", 20.0), leaf("c", 90.0)],
+                    MethodConfig(Method.WEM_THEN, critical_ids=("a",), fallback=Method.NAM)),
+                leaf("d", 40.0),
+            ],
+        )
+        calls = counting_nam(monkeypatch)
+        rows = aggeval.compare_methods(tree, PERCENT)
+        assert [(row.node_id, row.nam is None) for row in rows] == [("root", False), ("x", True)]
+        assert sorted(calls) == [2, 3]
+        assert rows[0].wlam == (aggregate(tree, PERCENT).children[0].value + 40.0) / 2
+
+
+class TestSweepRecomputesOneGroup:
+    # h groups its children into g1 (four leaves) and g2 (d, e); d varies.
+    TREE = sub(
+        "root",
+        [
+            sub(
+                "h",
+                [leaf(k, 20.0 + 15 * n) for n, k in enumerate("abcdef")],
+                MethodConfig(
+                    Method.HYBRID_GROUPED,
+                    groups=(Group("g1", ("a", "b", "c", "f"), 1.5), Group("g2", ("d", "e"), 0.5)),
+                ),
+            ),
+            leaf("y", 55.0),
+            leaf("z", 70.0),
+        ],
+    )
+
+    def test_one_nam_of_the_varied_group_per_grid_point(self, monkeypatch):
+        calls = counting_nam(monkeypatch)
+        rows = aggeval.sweep(self.TREE, PERCENT, "d", 0, 100, 11)
+        assert len(rows) == 11
+        # g1 once before the grid, g2 once per point, and the root's nam
+        # over its three children once per point.
+        assert calls == [4] + [2, 3] * 11
+
+    def test_rows_equal_a_full_reroll(self):
+        rows = aggeval.sweep(self.TREE, PERCENT, "d", 0, 100, 11)
+        for row in rows:
+            report = aggregate(with_value(self.TREE, "d", row.varied), PERCENT)
+            evals = aggeval.EvaluationVector.from_values([c.value for c in report.children])
+            expected = (aggeval.wem(evals), aggeval.wlam(evals), aggeval.nam(evals), None)
+            assert (row.wem, row.wlam, row.nam, row.hybrid) == expected
