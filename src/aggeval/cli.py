@@ -29,7 +29,14 @@ from .core import (
     _signed_gap,
     _wlam,
 )
-from .description import DescriptionError, SystemDescription, _element_columns, load_description
+from .description import (
+    DescriptionError,
+    SystemDescription,
+    _Compiled,
+    _element_columns,
+    _stored_hierarchy,
+    load_description,
+)
 from .hierarchy import (
     MethodComparison,
     SweepRow,
@@ -37,9 +44,9 @@ from .hierarchy import (
     _check_grid,
     _check_threshold,
     _compare,
-    _compile,
     _compile_flat,
     _comparison,
+    _entries,
     _metrics,
     _operate,
     _roll,
@@ -168,17 +175,18 @@ def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> 
     _record_out(fields, fmt)
 
 
-def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
-    """The roll-up as CSV rows, or as the indented text tree with one line
-    per node plus one per warning; a single preorder walk over the tree."""
-    subs = _compile(root)
+def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> list[str]:
+    """The roll-up of a tree or a parsed section as CSV rows, or as the
+    indented text tree with one line per node plus one per warning; a
+    single preorder walk over the compiled entries."""
+    subs, root_id, root_value = _entries(root)
     rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
     # Every node is the root or some entry's child, so one check over those
     # ids tells whether any id cell needs quoting; most trees need none.
-    quote = csv and _needs_quotes(root.id + "".join(["".join(sub.ids) for sub in subs]))
+    quote = csv and _needs_quotes(root_id + "".join(["".join(sub.ids) for sub in subs]))
     # A leaf is pushed as (pad, id, value), a subsystem as (pad, None, index).
-    stack = [("", root.id, float(root.value)) if root.is_leaf else ("", None, len(subs) - 1)]
+    stack = [("", None, len(subs) - 1) if subs else ("", root_id, float(root_value))]
     while stack:
         pad, node_id, item = stack.pop()
         if node_id is not None:
@@ -211,26 +219,26 @@ def _tree_lines(root: HierarchyNode, scale: Scale, csv: bool) -> list[str]:
     return lines if csv else _one_line(lines)
 
 
-# load_description has validated the description, so the commands below
-# compile it and call the roll-up past the public functions' second
-# validation pass; argument checks still run.  A flat description compiles
-# to hierarchy_root's synthetic root without building that tree.
+# load_description has validated and compiled the description, so the
+# commands below call the roll-up past the public functions' second
+# validation pass, without building the node tree; argument checks still
+# run.  A flat description compiles to hierarchy_root's synthetic root.
 
 
 def _compiled(desc: SystemDescription) -> list[_Sub]:
-    if desc.hierarchy is None:
-        return _compile_flat(desc)
-    return _compile(desc.hierarchy)
+    hierarchy = _stored_hierarchy(desc)
+    return _compile_flat(desc) if hierarchy is None else _entries(hierarchy)[0]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    if args.method is not None or desc.hierarchy is None:
+    hierarchy = _stored_hierarchy(desc)
+    if args.method is not None or hierarchy is None:
         _evaluate_flat(desc, args.method and Method(args.method), args.format)
     elif args.format == "json":
         print(json.dumps(_aggregate(desc.hierarchy, desc.scale).to_dict(), indent=2))
     else:
-        _line_out(_tree_lines(desc.hierarchy, desc.scale, args.format == "csv"))
+        _line_out(_tree_lines(hierarchy, desc.scale, args.format == "csv"))
     return EXIT_OK
 
 

@@ -14,17 +14,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Any, NamedTuple
+from typing import AbstractSet, Any, Callable, NamedTuple
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
-from .network import (
-    Flow,
-    HierarchyNode,
-    MethodConfig,
-    Network,
-    validate_hierarchy,
-    validate_network,
-)
+from .network import Flow, HierarchyNode, MethodConfig, Network, _check_method, validate_network
 
 __all__ = [
     "DescriptionError",
@@ -71,30 +64,66 @@ class _Columns(NamedTuple):
     priorities: list[float | None]
 
 
-class _ElementsField:
-    """``SystemDescription.elements``: parsed ``_Columns`` become the ``Element``
-    tuple on first read; a value given to the constructor is stored as it is."""
+class _Compiled(list):
+    """A parsed ``hierarchy`` section: its subsystems as ``hierarchy._compile``
+    lists them, then an entry with no id whose one child is the root; read,
+    never written."""
+
+
+def _node_tree(parsed: _Compiled) -> HierarchyNode:
+    """The node tree of a parsed ``hierarchy`` section, built bottom-up."""
+    parts: list[tuple] = []  # each entry's child nodes and config
+    for sub in parsed:
+        below, children = sub.below, []
+        for k, (child_id, value, priority) in enumerate(zip(sub.ids, sub.values, sub.priorities)):
+            # A subsystem child (which has children) takes the parts of its entry.
+            grand, config = parts[below[k]] if k in below else ((), None)
+            children.append(_built(HierarchyNode, {
+                "id": child_id, "value": None if grand else value, "priority": priority,
+                "children": grand, "config": config}))
+        parts.append((tuple(children), sub.config))
+    return parts[-1][0][0]
+
+
+class _Parsed:
+    """A ``SystemDescription`` field held in its parsed form, of type
+    ``kind``, until the first read stores and returns ``build`` of it; a
+    value given to the constructor is stored as it is."""
+
+    def __init__(self, kind: type, build: Callable[[Any], Any], *default: Any) -> None:
+        self.kind, self.build = kind, build
+        if default:
+            self.default = default[0]
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
     def __get__(self, obj: Any, owner: type | None = None) -> Any:
         if obj is None:
-            raise AttributeError("elements")  # the field has no default
-        value = obj.__dict__["elements"]
-        if type(value) is _Columns:
-            value = obj.__dict__["elements"] = tuple(map(Element, *value))
+            return self.default  # an AttributeError for a field with no default
+        value = obj.__dict__[self.name]
+        if type(value) is self.kind:
+            value = obj.__dict__[self.name] = self.build(value)
         return value
 
     def __set__(self, obj: Any, value: Any) -> None:
-        obj.__dict__["elements"] = value
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
 class SystemDescription:
-    """Parsed and validated system description."""
+    """Parsed and validated system description.
+
+    A parse keeps the elements as columns and the hierarchy compiled;
+    each becomes its public value on first read.
+    """
 
     scale: Scale
-    elements: tuple[Element, ...] = _ElementsField()  # type: ignore[assignment]
+    elements: tuple[Element, ...] = _Parsed(  # type: ignore[assignment]
+        _Columns, lambda columns: tuple(map(Element, *columns)))
     groups: tuple[Group, ...] | None = None
-    hierarchy: HierarchyNode | None = None
+    hierarchy: HierarchyNode | None = _Parsed(  # type: ignore[assignment]
+        _Compiled, _node_tree, None)
     network: Network | None = None
 
     def evaluation_vector(self) -> EvaluationVector:
@@ -131,6 +160,11 @@ def _element_columns(desc: SystemDescription) -> _Columns:
         return stored
     return _Columns([e.id for e in stored], [e.evaluation for e in stored],
                     [e.priority for e in stored])
+
+
+def _stored_hierarchy(desc: SystemDescription) -> HierarchyNode | _Compiled | None:
+    """The ``hierarchy`` field as stored, read without building a parsed tree."""
+    return vars(desc)["hierarchy"]
 
 
 def _synthetic_root_id(element_ids: list[str]) -> str:
@@ -504,34 +538,41 @@ def _subsystem(
 
 
 def _parse_hierarchy(
-    raw: Any, positions: dict[str, int], columns: _Columns, diag: _Collector
-) -> tuple[HierarchyNode | None, dict[str, tuple]]:
-    """The ``hierarchy`` section's tree, or None if an entry is bad, and
-    the frame holding each leaf, by element id.
+    raw: Any, positions: dict[str, int], columns: _Columns, scale: Scale | None, diag: _Collector
+) -> tuple[_Compiled | None, dict[str, tuple]]:
+    """The ``hierarchy`` section compiled, or None after any diagnostic,
+    and the frame holding each leaf, by element id.
 
     One preorder pass over an explicit stack: an entry's diagnostics come
     before its children's, and a subsystem's whole subtree before its next
     sibling.  Leaves are read inline; locations are formatted only for a
-    diagnostic.  Nodes are built bottom-up, a subsystem only when its id
-    and every child are good.
+    diagnostic.  The elements never referenced follow, and then, if every
+    entry is good and the scale is valid, what ``validate_hierarchy``
+    finds on the tree.
     """
-    ids, evaluations, priorities = columns
+    from .hierarchy import _sub  # hierarchy imports this module
+
+    _, evaluations, priorities = columns
     used: dict[str, tuple] = {}
     scratch = _Collector()
-    top: list[HierarchyNode] = []
     # Frames: (children iterator, the subsystem's location, its id, priority,
-    # config and children, the child nodes built so far).  The root is the
-    # one child of a top frame with no id.
-    stack: list[tuple] = [(enumerate([raw]), None, (None, None, None, [raw]), top)]
+    # config and children, its number in preorder, and the ids, values and
+    # priorities of the children read so far, with the number of each
+    # subsystem child by position).  The root is the one child of a top
+    # frame with no id.
+    frames = [(enumerate([raw]), None, (None, None, None, [raw]), 0, ([], [], [], {}))]
+    stack = frames[:]
     while stack:
         frame = stack[-1]
-        entries, location, (node_id, priority, config, children), kids = frame
+        entries, location, (node_id, priority, config, children), number, kids = frame
+        kid_ids, kid_values, kid_priorities, below = kids
         for index, child in entries:
             if type(child) is not str:
                 here = (location, index)
                 sub = _subsystem(child, here, positions, diag, scratch)
                 if sub is not None:
-                    stack.append((enumerate(sub[3]), here, sub, []))
+                    frames.append((enumerate(sub[3]), here, sub, len(frames), ([], [], [], {})))
+                    stack.append(frames[-1])
                     break
                 continue
             position = positions.get(child)
@@ -549,16 +590,44 @@ def _parse_hierarchy(
                 )
             else:
                 used[child] = frame
-                kids.append(_built(HierarchyNode, {
-                    "id": ids[position], "value": evaluations[position],
-                    "priority": priorities[position], "children": (), "config": None}))
+                kid_ids.append(child)
+                kid_values.append(evaluations[position])
+                kid_priorities.append(priorities[position])
         else:
             stack.pop()
-            if node_id is not None and len(kids) == len(children):
-                stack[-1][3].append(_built(HierarchyNode, {
-                    "id": node_id, "value": None, "priority": priority,
-                    "children": tuple(kids), "config": config}))
-    return (top[0] if top else None), used
+            if node_id is not None and len(kid_ids) == len(children):
+                parent_ids, parent_values, parent_priorities, parent_below = stack[-1][4]
+                parent_below[len(parent_ids)] = number
+                parent_ids.append(node_id)
+                parent_values.append(0.0)  # filled in by the roll-up
+                parent_priorities.append(priority)
+    unreferenced = sorted(positions.keys() - used.keys())
+    if unreferenced:
+        diag.add("hierarchy", "elements never referenced: " + ", ".join(unreferenced))
+    if not frames[0][4][0]:  # an entry is bad: the top frame holds no root
+        return None, used
+    if scale is not None:
+        # validate_hierarchy's walk, over the subsystems in preorder: a
+        # parsed leaf passes its checks, and a reused id skips the method.
+        violations: list[str] = []
+        seen: set[str] = set()
+        for _, _, (node_id, _, config, _), _, (kid_ids, _, kid_priorities, _) in frames[1:]:
+            if node_id in seen:
+                violations.append(f"node id {node_id!r} used more than once")
+            elif config is not None:
+                _check_method(node_id, config, kid_ids, kid_priorities, violations)
+            seen.add(node_id)
+        for violation in violations:
+            diag.add("hierarchy", violation)
+    if diag.diagnostics:  # a faulty method config may name no child: it cannot compile
+        return None, used
+    # Read backwards, the preorder is _compile's order, with the top frame
+    # last: number q is entry last - q.
+    last, compiled = len(frames) - 1, _Compiled()
+    for _, _, (node_id, _, config, _), _, (kid_ids, values, kid_priorities, below) in frames[::-1]:
+        below = {k: last - q for k, q in below.items()}
+        compiled.append(_sub(node_id, kid_ids, values, below, kid_priorities, config))
+    return compiled, used
 
 
 def _parse_network(raw: Any, diag: _Collector) -> Network | None:
@@ -652,19 +721,9 @@ def _parse(text: str, source: str) -> SystemDescription:
             doc["groups"], positions.keys() if positions else None, "groups", diag
         )
 
-    hierarchy: HierarchyNode | None = None
+    hierarchy: _Compiled | None = None
     if "hierarchy" in doc:
-        hierarchy, used = _parse_hierarchy(doc["hierarchy"], positions, columns, diag)
-        if positions:
-            unreferenced = sorted(positions.keys() - used.keys())
-            if unreferenced:
-                diag.add(
-                    "hierarchy",
-                    "elements never referenced: " + ", ".join(unreferenced),
-                )
-        if hierarchy is not None and scale is not None:
-            for violation in validate_hierarchy(hierarchy, scale):
-                diag.add("hierarchy", violation)
+        hierarchy, _ = _parse_hierarchy(doc["hierarchy"], positions, columns, scale, diag)
 
     network: Network | None = None
     if "network" in doc:
@@ -677,7 +736,7 @@ def _parse(text: str, source: str) -> SystemDescription:
         scale=scale,
         elements=columns,  # type: ignore[arg-type]
         groups=groups,
-        hierarchy=hierarchy,
+        hierarchy=hierarchy,  # type: ignore[arg-type]
         network=network,
     )
 

@@ -24,7 +24,7 @@ from .core import (
     _weighted_mean,
     _wlam,
 )
-from .description import SystemDescription, _element_columns, _synthetic_root_id
+from .description import SystemDescription, _Compiled, _element_columns, _synthetic_root_id
 from .network import HierarchyNode, MethodConfig, _Tree, validate_hierarchy
 
 __all__ = [
@@ -130,7 +130,8 @@ class _Sub(NamedTuple):
     operator run over ``values`` (a wem-then node's fallback), ``plan``
     gives each group's child positions in member order and its priority,
     and ``critical`` the positions a wem-then node measures adequacy
-    against.
+    against.  ``priorities`` and ``config`` are the children's priorities
+    and the method config as given.
     """
 
     id: str
@@ -145,6 +146,8 @@ class _Sub(NamedTuple):
     group_ids: list[str]
     critical: list[int] | None
     threshold: float | None
+    priorities: list[float | None]
+    config: MethodConfig | None
 
 
 _WLAM = MethodConfig(Method.WLAM)  # a subsystem without a method object
@@ -162,7 +165,7 @@ def _sub(
     weights = None
     if priorities.count(None) < len(priorities):
         weights = [1.0 if priority is None else priority for priority in priorities]
-    config = config or _WLAM
+    given, config = config, config or _WLAM
     method = kernel = config.method
     plan, critical = [], None
     if config.groups or config.critical_ids:
@@ -171,8 +174,9 @@ def _sub(
         critical = [position[i] for i in config.critical_ids] or None
     if method is Method.WEM_THEN:
         kernel = Method.NAM if config.fallback is Method.NAM else Method.WLAM
-    return _Sub(node_id, ids, values, values[:], below, method.value, kernel, weights,
-                plan, [g.id for g in config.groups], critical, config.adequacy_threshold)
+    return _Sub(node_id, ids, values, values[:], below, method.value, kernel, weights, plan,
+                [g.id for g in config.groups], critical, config.adequacy_threshold,
+                priorities, given)
 
 
 def _compile(root: HierarchyNode) -> list[_Sub]:
@@ -198,6 +202,17 @@ def _compile(root: HierarchyNode) -> list[_Sub]:
                  [child.priority for child in children], node.config)
         )
     return subs
+
+
+def _entries(hierarchy: HierarchyNode | _Compiled) -> tuple[list[_Sub], str, float | None]:
+    """The compiled entries of a tree, or of a parsed section with value
+    lists of their own, which a roll-up or sweep may write into; then the
+    root's id and its value, which only a leaf root reads."""
+    if type(hierarchy) is not _Compiled:
+        return _compile(hierarchy), hierarchy.id, hierarchy.value
+    *subs, top = [_Sub(sub.id, sub.ids, sub.values[:], sub.values[:], *sub[4:])
+                  for sub in hierarchy]
+    return subs, top.ids[0], top.values[0]
 
 
 def _compile_flat(desc: SystemDescription) -> list[_Sub]:

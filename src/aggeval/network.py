@@ -220,11 +220,18 @@ class HierarchyNode(_Tree):
 
 
 def _check_config(node: HierarchyNode, out: list[str]) -> None:
-    config = node.config
-    if config is None:
-        return
-    label = f"subsystem {node.id!r}"
-    child_ids = [c.id for c in node.children]
+    """:func:`_check_method` on a tree node."""
+    if node.config is not None:
+        children = node.children
+        _check_method(node.id, node.config, [c.id for c in children],
+                      [c.priority for c in children], out)
+
+
+def _check_method(node_id: str, config: MethodConfig, child_ids: list[str],
+                  priorities: list[float | None], out: list[str]) -> None:
+    """Check a subsystem's method config against its children's ids and
+    priorities, in child order."""
+    label = f"subsystem {node_id!r}"
     if config.groups and config.method is not Method.HYBRID_GROUPED:
         out.append(f"{label}: grouping is only meaningful for the hybrid method")
     if config.critical_ids and config.method is not Method.WEM_THEN:
@@ -256,7 +263,7 @@ def _check_config(node: HierarchyNode, out: list[str]) -> None:
             for i in unknown:
                 out.append(f"{label}: critical id {i!r} is not a child")
     if config.method is Method.NAM:
-        weighted = [c.id for c in node.children if c.priority is not None]
+        weighted = [i for i, p in zip(child_ids, priorities) if p is not None]
         if weighted:
             out.append(
                 f"{label}: nam cannot use child priorities "
@@ -331,6 +338,5 @@ def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
         else:
             if node.value is not None:
                 violations.append(f"subsystem {node_id!r} cannot carry a leaf value")
-            if node.config is not None:
-                _check_config(node, violations)
+            _check_config(node, violations)
     return violations

@@ -250,7 +250,7 @@ def derive_priorities(net: Network, strategy: PriorityStrategy) -> PriorityVecto
 
 def _check_tolerance(tolerance: float) -> None:
     if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise EvaluationError(f"tolerance must be nonnegative, got {tolerance!r}")
+        raise EvaluationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
 
 def group_by_priority(

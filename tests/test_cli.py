@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import aggeval.description
 import aggeval.hierarchy
-from aggeval import cli
+from aggeval import HierarchyNode, aggregate, cli
 from aggeval.cli import main
-from aggeval.description import _Columns
+from aggeval.description import _Columns, _Compiled
+from test_reference_oracle import workloads
 
 
 def run(capsys, *argv):
@@ -835,20 +836,154 @@ class TestNoElementObjects:
             assert type(vars(loaded.pop())["elements"]) is _Columns, argv
 
 
+LEAF_ROOT = {
+    "scale": {"min": 0, "max": 100},
+    "elements": [{"id": "e1", "evaluation": 42}],
+    "hierarchy": "e1",
+}
+
+
+def hierarchy_files(tmp_path, fixture_path):
+    """The hierarchy fixture, a leaf root, and a hybrid tree, each with a
+    leaf to vary, by name."""
+    sweep = workloads.materialize("tree-sweep", 1, str(tmp_path / "tree-sweep"))
+    return {
+        "plant": (fixture_path("plant_hierarchy.json"), "supply_a"),
+        "leaf root": (write_doc(tmp_path, LEAF_ROOT), "e1"),
+        "tree-sweep": (sweep.path, sweep.commands[0].argv[4]),
+    }
+
+
+def tree_calls(vary, out):
+    grid = ["--vary", vary, "--from", "0", "--to", "100", "--steps", "5"]
+    return [
+        ["evaluate"],
+        ["evaluate", "--format", "csv"],
+        ["compare"],
+        ["compare", "--threshold", "0.1"],
+        ["sweep", *grid],
+        ["sweep", *grid, "--out", out],
+    ]
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """Each description a command loads, in order."""
+    descriptions = []
+
+    def keeping(path):
+        desc = aggeval.description.load_description(path)
+        descriptions.append(desc)
+        return desc
+
+    monkeypatch.setattr(cli, "load_description", keeping)
+    return descriptions
+
+
+def node_builds(monkeypatch):
+    """The ``HierarchyNode`` objects the parser's builder makes, as a list."""
+    built = []
+    original = aggeval.description._built
+
+    def counting(cls, fields):
+        obj = original(cls, fields)
+        if cls is HierarchyNode:
+            built.append(obj)
+        return obj
+
+    monkeypatch.setattr(aggeval.description, "_built", counting)
+    return built
+
+
+class TestNoHierarchyNodeObjects:
+    """Text and CSV ``evaluate``, ``compare`` and ``sweep`` on a hierarchy
+    file build no node tree: the description each loads still holds the
+    parser's compiled entries afterwards.  ``--format json`` and
+    ``hierarchy_root()`` build the tree, once."""
+
+    @pytest.mark.parametrize("name", ["plant", "leaf root", "tree-sweep"])
+    def test_commands_leave_the_entries(self, capsys, fixture_path, tmp_path, loaded, name):
+        path, vary = hierarchy_files(tmp_path, fixture_path)[name]
+        calls = tree_calls(vary, str(tmp_path / "sweep.csv"))
+        # One method over the flat element vector, in any format.
+        calls += [["evaluate", "--method", m, "--format", "json"] for m in METHOD_CHOICES[1:]]
+        for argv in calls:
+            code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+            # A leaf root cannot be swept, and hybrid needs a groups section.
+            assert code in (0, 2, 3) and (out or err or "--out" in argv), argv
+            assert len(loaded) == 1, argv
+            assert type(vars(loaded.pop())["hierarchy"]) is _Compiled, argv
+
+    @pytest.mark.parametrize("name", ["plant", "leaf root", "tree-sweep"])
+    def test_json_and_hierarchy_root_build_the_tree_once(
+        self, capsys, fixture_path, tmp_path, loaded, monkeypatch, name
+    ):
+        path, _ = hierarchy_files(tmp_path, fixture_path)[name]
+        built = node_builds(monkeypatch)
+        code, out, _ = run(capsys, "evaluate", "--input", path, "--format", "json")
+        assert code == 0 and out
+        tree = vars(loaded.pop())["hierarchy"]
+        assert type(tree) is HierarchyNode
+        assert sorted(map(id, built)) == sorted(map(id, tree.walk()))  # each node once
+        built.clear()
+        desc = aggeval.description.load_description(path)
+        root = desc.hierarchy_root()
+        assert desc.hierarchy_root() is root is desc.hierarchy is vars(desc)["hierarchy"]
+        assert len(built) == sum(1 for _ in root.walk())
+
+
+class TestStoredEntriesAreNeverWritten:
+    """The commands roll up, compare and sweep copies of the value lists:
+    after each, twice over, the loaded description gives what a fresh load
+    gives, down to ``aggregate`` on its tree."""
+
+    @pytest.mark.parametrize("name", ["plant", "leaf root", "tree-sweep"])
+    def test_commands_twice_then_aggregate(self, capsys, fixture_path, tmp_path, monkeypatch, name):
+        path, vary = hierarchy_files(tmp_path, fixture_path)[name]
+        out_path = tmp_path / "sweep.csv"
+        calls = tree_calls(vary, str(out_path))
+        calls = calls[4:] + calls[2:4] + calls[:2]  # sweep, compare, then evaluate
+
+        def outputs():
+            results = []
+            for argv in calls:
+                out_path.unlink(missing_ok=True)
+                results.append(run(capsys, argv[0], "--input", path, *argv[1:]))
+                if "--out" in argv:
+                    results.append(out_path.read_text(encoding="utf-8") if out_path.exists() else None)
+            return results
+
+        fresh = outputs()
+        desc = aggeval.description.load_description(path)
+        monkeypatch.setattr(cli, "load_description", lambda _: desc)
+        assert outputs() == fresh
+        assert outputs() == fresh
+        assert type(vars(desc)["hierarchy"]) is _Compiled
+        reloaded = aggeval.description.load_description(path)
+        assert aggregate(desc.hierarchy, desc.scale) == aggregate(reloaded.hierarchy, reloaded.scale)
+        assert desc == reloaded
+
+
 class TestValidationRunsOnce:
-    """The parser validates the tree; the commands do not validate it again."""
+    """The parse checks the tree in its one pass, running the shared method
+    checker once per configured subsystem; no command calls
+    ``validate_hierarchy``, from any module."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
         calls = []
-        for module in (aggeval.description, aggeval.hierarchy):
-            original = module.validate_hierarchy
+        modules = [m for n, m in sys.modules.items() if n == "aggeval" or n.startswith("aggeval.")]
+        for module in modules:
+            for name in ("validate_hierarchy", "_check_method"):
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
 
-            def counting(*args, _original=original, _name=module.__name__):
-                calls.append(_name)
-                return _original(*args)
+                def counting(*args, _original=original, _name=f"{module.__name__}.{name}"):
+                    calls.append(_name)
+                    return _original(*args)
 
-            monkeypatch.setattr(module, "validate_hierarchy", counting)
+                monkeypatch.setattr(module, name, counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -865,7 +1000,8 @@ class TestValidationRunsOnce:
         path = fixture_path("plant_hierarchy.json")
         code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
         assert code in (0, 3) and out and not err
-        assert validations == ["aggeval.description"]
+        # plant, line and supply each have a method object.
+        assert validations == ["aggeval.description._check_method"] * 3
 
     @pytest.mark.parametrize("name", ["weak_element.json", "two_group.json"])
     def test_flat_compare_is_not_validated_again(self, capsys, fixture_path, validations, name):
@@ -951,7 +1087,9 @@ class TestPriorities:
             tolerance,
         )
         assert (code, out) == (2, "")
-        assert err == f"error: tolerance must be nonnegative, got {float(tolerance)!r}\n"
+        assert err == (
+            f"error: tolerance must be finite and nonnegative, got {float(tolerance)!r}\n"
+        )
 
     def test_single_node_network(self, capsys, tmp_path):
         path = write_doc(

@@ -14,13 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 import aggeval.description
 from aggeval import (
     DescriptionError,
+    Group,
+    HierarchyNode,
     Method,
+    MethodConfig,
     load_description,
     parse_description,
     serialize_description,
     validate_hierarchy,
 )
-from aggeval.description import Element, SystemDescription, _Columns
+from aggeval.description import Element, SystemDescription, _Columns, _Compiled
 
 VALID_FIXTURES = [
     "all_equal",
@@ -508,6 +511,96 @@ class TestParsedDescriptionMatchesConstructed:
         assert desc.elements is elements
         with pytest.raises(dataclasses.FrozenInstanceError):
             desc.elements = ()
+
+
+# Trees whose priorities, configs and leaf values a lazy tree must keep as
+# given: an unset priority apart from 1, every method object field, a
+# priority on the root, and a leaf root.
+HIERARCHY_DOCS = {
+    "plant": (Path(__file__).resolve().parent.parent / "fixtures" / "plant_hierarchy.json")
+    .read_text(encoding="utf-8"),
+    "configured": doc(
+        elements=[
+            {"id": "a", "evaluation": 10, "priority": 1},
+            {"id": "b", "evaluation": 100},
+            {"id": "c", "evaluation": 55.5, "priority": 2},
+            {"id": "d", "evaluation": 0},
+        ],
+        hierarchy={
+            "id": "root",
+            "priority": 3,
+            "method": {"method": "hybrid", "threshold": 0.25,
+                       "groups": [{"id": "g1", "members": ["a", "inner"], "priority": 2},
+                                  {"id": "g2", "members": ["b"]}]},
+            "children": [
+                "a",
+                {"id": "inner", "priority": 1,
+                 "method": {"method": "wem-then", "critical": ["d"], "fallback": "nam"},
+                 "children": ["c", "d"]},
+                "b",
+            ],
+        },
+    ),
+    "leaf root": doc(elements=[{"id": "a", "evaluation": 7, "priority": 1.5}], hierarchy="a"),
+}
+
+
+def constructed_node(raw, elements):
+    """A ``hierarchy`` entry built through the public constructors."""
+    if isinstance(raw, str):
+        element = elements[raw]
+        return HierarchyNode(element.id, element.evaluation, element.priority)
+    config = None
+    if "method" in raw:
+        method = raw["method"]
+        config = MethodConfig(
+            Method(method["method"]),
+            groups=tuple(Group(g["id"], tuple(g["members"]), float(g.get("priority", 1)))
+                         for g in method.get("groups", ())),
+            critical_ids=tuple(method.get("critical", ())),
+            fallback=Method(method["fallback"]) if "fallback" in method else None,
+            adequacy_threshold=float(method["threshold"]) if "threshold" in method else None,
+        )
+    return HierarchyNode(
+        raw["id"],
+        priority=float(raw["priority"]) if "priority" in raw else None,
+        children=tuple(constructed_node(child, elements) for child in raw["children"]),
+        config=config,
+    )
+
+
+class TestParsedHierarchyMatchesConstructed:
+    """A parse keeps the hierarchy compiled until ``hierarchy`` is first
+    read; before and after that read the description behaves as one
+    constructed with the same tree."""
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["compiled", "tree read"])
+    @pytest.mark.parametrize("name", list(HIERARCHY_DOCS))
+    def test_indistinguishable(self, name, read_first):
+        text = HIERARCHY_DOCS[name]
+        parsed = parse_description(text)
+        elements = {e.id: e for e in parsed.elements}
+        tree = constructed_node(json.loads(text)["hierarchy"], elements)
+        constructed = SystemDescription(parsed.scale, parsed.elements, parsed.groups, tree)
+        for check_name, check in INDISTINGUISHABLE_CHECKS.items():
+            parsed = parse_description(text)
+            if read_first:
+                assert parsed.hierarchy == tree
+            assert type(vars(parsed)["hierarchy"]) is (HierarchyNode if read_first else _Compiled)
+            assert check(parsed, constructed), check_name
+
+    def test_read_builds_the_tree_once(self):
+        desc = parse_description(HIERARCHY_DOCS["configured"])
+        tree = desc.hierarchy
+        assert desc.hierarchy is tree is vars(desc)["hierarchy"] is desc.hierarchy_root()
+        assert [n.priority for n in tree.walk()] == [3.0, 1.0, 1.0, 2.0, None, None]
+
+    def test_constructor_stores_a_tree_as_given(self):
+        tree = HierarchyNode("r", children=(HierarchyNode("a", 1.0),))
+        desc = SystemDescription(parse_description(doc()).scale, (Element("a", 1.0),), hierarchy=tree)
+        assert vars(desc)["hierarchy"] is tree is desc.hierarchy
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            desc.hierarchy = None
 
 
 # (id, text, a substring of the first diagnostic, or None for a parse).

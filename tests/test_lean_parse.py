@@ -4,7 +4,10 @@
 explicit-stack preorder pass, in which only a bad entry goes through the
 reporting checks.  These tests pin that pass to a recursive reference
 parse, the one it replaced: the same tree on valid documents, and the same
-diagnostics on documents with one or two faults in the hierarchy.
+diagnostics on documents with one or two faults in the hierarchy.  The
+pass also runs ``validate_hierarchy``'s checks and compiles the section;
+the reference parse followed by ``validate_hierarchy`` and ``_compile``
+is the oracle for both.
 """
 
 import copy
@@ -26,6 +29,7 @@ from aggeval import (
     PERCENT,
     parse_description,
     serialize_description,
+    validate_hierarchy,
 )
 from aggeval.description import (
     _SUBSYSTEM_KEYS,
@@ -40,8 +44,16 @@ from aggeval.description import (
     _parse_hierarchy,
     _parse_method,
 )
+from aggeval.hierarchy import _compile, _entries
 from test_description import documents
-from test_tree_passes import HIERARCHY_FIXTURES, chain, tree_documents, within_the_stack
+from test_reference_oracle import workloads
+from test_tree_passes import (
+    HIERARCHY_FIXTURES,
+    SHALLOW_TREES,
+    chain,
+    tree_documents,
+    within_the_stack,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,25 +104,36 @@ def reference_node(raw, path, elements, used, diag):
     return HierarchyNode(id=node_id, priority=priority, children=tuple(children), config=config)
 
 
-def reference_parse(raw, positions, columns, diag):
-    """``_parse_hierarchy``'s signature over the reference parse."""
+def reference_parse(raw, positions, columns, scale, diag):
+    """``_parse_hierarchy``'s signature over the pipeline it replaced: the
+    reference parse, the elements never referenced, then
+    ``validate_hierarchy`` on the whole tree.  The tree is returned as it
+    is, so the commands compile it with ``_compile``."""
     _, evaluations, priorities = columns
     elements = {i: Element(i, evaluations[k], priorities[k]) for i, k in positions.items()}
     used = {}
-    return reference_node(raw, "hierarchy", elements, used, diag), used
+    tree = reference_node(raw, "hierarchy", elements, used, diag)
+    unreferenced = sorted(positions.keys() - used.keys())
+    if unreferenced:
+        diag.add("hierarchy", "elements never referenced: " + ", ".join(unreferenced))
+    if tree is not None and scale is not None:
+        for violation in validate_hierarchy(tree, scale):
+            diag.add("hierarchy", violation)
+    return tree, used
 
 
 def both_parses(text):
-    """The pass's and the reference's tree and ``used`` on a valid document."""
+    """The pass's and the reference's tree and ``used`` on a valid document;
+    the pass's tree is the parsed description's."""
     desc = parse_description(text)
     columns = _element_columns(desc)
     positions = {element_id: k for k, element_id in enumerate(columns.ids)}
     raw = json.loads(text)["hierarchy"]
     diag, reference_diag = _Collector(), _Collector()
-    parsed = _parse_hierarchy(raw, positions, columns, diag)
-    reference = reference_parse(raw, positions, columns, reference_diag)
+    _, used = _parse_hierarchy(raw, positions, columns, desc.scale, diag)
+    reference = reference_parse(raw, positions, columns, desc.scale, reference_diag)
     assert diag.diagnostics == reference_diag.diagnostics == []
-    return parsed, reference
+    return (parse_description(text).hierarchy, used), reference
 
 
 def assert_same_tree(parsed, tree):
@@ -326,6 +349,175 @@ def decoded_outcome(document):
     as decoded; a RecursionError fails the test at once."""
     with mock.patch.object(aggeval.description.json, "loads", return_value=document):
         return within_the_stack(outcome, "decoded above")
+
+
+# --- Faults only the tree validation finds: the pass against the old pipeline. ---
+
+
+def assert_old_pipeline(document):
+    """The parse gives the outcome of the pipeline it replaced, with the
+    same diagnostics in the same order; an accepted document stores, before
+    its tree is first read, ``_compile``'s entries for that tree."""
+    text = json.dumps(document)
+    with mock.patch.object(aggeval.description, "_parse_hierarchy", reference_parse):
+        reference = outcome(text)
+    parsed = outcome(text)
+    if isinstance(parsed, SystemDescription):
+        subs, root_id, root_value = _entries(vars(parsed)["hierarchy"])
+        tree = parsed.hierarchy
+        compiled = _compile(tree)
+        assert len(subs) == len(compiled)
+        for entry, expected in zip(subs, compiled):
+            assert entry == expected  # every field, ``below`` included
+            assert all(type(v) is float for v in entry.values)
+        assert root_id == tree.id
+        if not compiled:
+            assert root_value == tree.value
+    assert parsed == reference
+
+
+VALIDATION_FAULTS = (
+    "duplicate-id", "groups-off-hybrid", "unknown-member", "member-twice", "uncovered-child",
+    "duplicate-group-id", "critical-not-child", "fallback-off-wem-then", "threshold",
+    "nam-under-priority", "unreferenced-element",
+)
+
+
+def _subsystems(root):
+    """Every subsystem object of a hierarchy section, in preorder."""
+    found, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        stack.extend(c for c in reversed(node["children"]) if isinstance(c, dict))
+    return found
+
+
+@st.composite
+def validation_faulty_documents(draw):
+    """A valid tree document with one to three subsystems made wrong in
+    ways its entries pass and only the tree's validation reports (or, for
+    a partition, the group list's own checks), or with an element the tree
+    never references, whose line comes before the validation's.  Faults
+    are drawn over the whole tree, so a duplicated id can have faults in
+    its own subtree."""
+    document = copy.deepcopy(draw(tree_documents()))
+    nodes = _subsystems(document["hierarchy"])
+    elements = {e["id"]: e for e in document["elements"]}
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(nodes))
+        child_ids = [c if isinstance(c, str) else c["id"] for c in node["children"]]
+        fault = draw(st.sampled_from(VALIDATION_FAULTS))
+        if fault == "duplicate-id":
+            node["id"] = draw(st.sampled_from(nodes))["id"]
+        elif fault == "groups-off-hybrid":
+            method = draw(st.sampled_from(["wlam", "wem", "nam", "wem-then"]))
+            node["method"] = {"method": method, "groups": [{"id": "g", "members": child_ids}]}
+            if method == "wem-then":
+                node["method"]["critical"] = child_ids[:1]
+        elif fault in ("unknown-member", "member-twice", "uncovered-child", "duplicate-group-id"):
+            groups = [{"id": f"g{k}", "members": [c]} for k, c in enumerate(child_ids)]
+            if fault == "unknown-member":
+                groups[-1]["members"].append(draw(st.sampled_from(["ghost", *elements])))
+            elif fault == "member-twice":
+                groups.append({"id": "again", "members": [child_ids[-1]]})
+            elif fault == "uncovered-child":
+                groups.pop(draw(st.integers(0, len(groups) - 1)))
+            else:
+                groups.append({"id": "g0", "members": ["ghost"]})
+            node["method"] = {"method": "hybrid", "groups": groups}
+        elif fault == "critical-not-child":
+            critical = [*child_ids[:1], draw(st.sampled_from(["ghost", *elements]))]
+            node["method"] = {"method": "wem-then", "critical": critical}
+        elif fault == "fallback-off-wem-then":
+            node["method"] = {
+                "method": draw(st.sampled_from(["wlam", "wem", "nam"])),
+                "fallback": draw(st.sampled_from(["wlam", "nam"])),
+            }
+        elif fault == "unreferenced-element":
+            document["elements"].append({"id": f"spare{len(elements)}", "evaluation": 1})
+        elif fault == "threshold":
+            method = node.setdefault("method", {"method": "wlam"})
+            method["threshold"] = draw(st.sampled_from([-0.1, 1.5, 1e300, -1e-300]))
+        else:
+            node["method"] = {"method": "nam"}
+            child = node["children"][draw(st.integers(0, len(child_ids) - 1))]
+            (elements[child] if isinstance(child, str) else child)["priority"] = 2.5
+    return document
+
+
+def valid_tree_document(tree):
+    """A description of a constructed tree that validates."""
+    elements = tuple(Element(n.id, n.value, n.priority) for n in tree.walk() if not n.children)
+    desc = SystemDescription(scale=PERCENT, elements=elements, hierarchy=tree)
+    return json.loads(serialize_description(desc))
+
+
+VALID_SHALLOW_TREES = [tree for tree in SHALLOW_TREES if not validate_hierarchy(tree, PERCENT)]
+
+
+class TestPassGivesTheOldPipelinesOutcome:
+    """The pass checks what ``validate_hierarchy`` checked and compiles what
+    ``_compile`` compiled; the reference parse followed by those two is
+    the oracle."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(validation_faulty_documents())
+    def test_validation_faults(self, document):
+        assert_old_pipeline(document)
+
+    def test_a_reused_id_skips_its_own_method_check_but_not_its_subtrees(self):
+        document = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": f"e{k}", "evaluation": 10 * k} for k in range(4)],
+            "hierarchy": {
+                "id": "a",
+                "children": [
+                    "e0",
+                    {
+                        "id": "a",
+                        "method": {"method": "wem-then", "critical": ["ghost"]},
+                        "children": [
+                            "e1",
+                            {"id": "b", "method": {"method": "wlam", "threshold": 2},
+                             "children": ["e2", "e3"]},
+                        ],
+                    },
+                ],
+            },
+        }
+        assert_old_pipeline(document)
+        assert outcome(json.dumps(document)) == (
+            "hierarchy: node id 'a' used more than once",
+            "hierarchy: subsystem 'b': adequacy threshold must lie in [0, 1], got 2.0",
+        )
+
+    @pytest.mark.parametrize("name", HIERARCHY_FIXTURES)
+    def test_fixtures(self, name):
+        assert_old_pipeline(json.loads((FIXTURES / name).read_text(encoding="utf-8")))
+
+    @settings(deadline=None, max_examples=200)
+    @given(tree_documents())
+    def test_random_trees(self, document):
+        assert_old_pipeline(document)
+
+    @pytest.mark.parametrize(
+        "tree", [*VALID_SHALLOW_TREES, chain(300)],
+        ids=[*(f"shallow{k}" for k in range(len(VALID_SHALLOW_TREES))), "chain300"],
+    )
+    def test_constructed_trees(self, tree):
+        assert_old_pipeline(valid_tree_document(tree))
+
+    def test_a_leaf_root(self):
+        assert_old_pipeline({
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": "e1", "evaluation": 42, "priority": 3}],
+            "hierarchy": "e1",
+        })
+
+    @pytest.mark.parametrize("name", ["tree-rollup", "tree-sweep"])
+    def test_seed_1_benchmark_trees(self, name, tmp_path):
+        assert_old_pipeline(workloads.materialize(name, 1, str(tmp_path)).doc)
 
 
 # --- Objects built without the frozen __init__. ---
