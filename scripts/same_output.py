@@ -42,9 +42,12 @@ mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
 ``--fixtures-only`` skips them, but not what follows.  The whole mix of
-a file also runs on four small generated files: flat means that round a few ulps above the
-scale's maximum under nam, under weighted wlam and under hybrid, and a
-hierarchy that is a single element; ``compare`` runs with the threshold
+a file also runs on six small generated files: flat means that round a few ulps above the
+scale's maximum under nam, under weighted wlam and under hybrid, a
+hierarchy that is a single element, and two flat files of more than 30
+elements, whose nam takes the log path: one with a 0 and values at 1e-6
+and 1e6, and one in three groups with one priority of 1e308, whose
+weighted mean takes its scaled fallback; ``compare`` runs with the threshold
 ``-1e5`` after a space and after ``=``.  The mix ends with usage errors (no
 command, an unknown command, a missing ``--input``, a bad ``--method``,
 ``--steps x``) and with paths that cannot be opened, for ``--input`` and
@@ -86,6 +89,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -217,21 +221,33 @@ def _priority_copies(doc: dict) -> dict[str, dict]:
     return {"priorities": grouped, "priorities-no-groups": flat}
 
 
-def _scores(values: list[float], priorities: list[float] | None = None) -> list[dict]:
-    elements = [{"id": i, "evaluation": v} for i, v in zip("abcde", values)]
+def _scores(values: list[float], priorities: list[float | None] | None = None,
+            ids: Sequence[str] = "abcde") -> list[dict]:
+    elements = [{"id": i, "evaluation": v} for i, v in zip(ids, values)]
     for element, priority in zip(elements, priorities or []):
-        element["priority"] = priority
+        if priority is not None:
+            element["priority"] = priority
     return elements
 
 
 OVERSHOOT = [100, 99.99999999999999, 100]
-EDGE_FILES = {  # each on the scale [0, 100]
+WIDE_IDS = [f"w{k:02d}" for k in range(35)]
+EDGE_FILES = {  # each on the scale [0, 100] unless it gives its own
     "overshoot-nam": {"elements": _scores([99.9999999999999, 100, 99.99999999999999, 100, 100])},
     "overshoot-wlam": {"elements": _scores(OVERSHOOT, [3.3, 0.3, 3.3])},
     "overshoot-hybrid": {"elements": _scores(OVERSHOOT),
                          "groups": [{"id": "g1", "members": ["a", "c"], "priority": 3.3},
                                     {"id": "g2", "members": ["b"], "priority": 0.3}]},
     "single-element": {"elements": _scores([50]), "hierarchy": "a"},
+    "wide-log-edges": {
+        "scale": {"min": 0, "max": 1e6},
+        "elements": _scores([0, 1e-6, 1e6, *(round(1.37 ** k, 6) for k in range(30))],
+                            ids=WIDE_IDS),
+    },
+    "wide-huge-priority": {
+        "elements": _scores([10 + 2.5 * k for k in range(35)], [None] * 7 + [1e308], WIDE_IDS),
+        "groups": [{"id": f"g{g}", "members": WIDE_IDS[g::3]} for g in range(3)],
+    },
 }
 
 

@@ -388,11 +388,15 @@ def nam(evals: EvaluationVector) -> float:
 
 
 def _hybrid(
-    values: Sequence[float], groups: Sequence[tuple[Sequence[int], float]]
+    values: Sequence[float],
+    groups: Sequence[tuple[Sequence[int], float]],
+    nams: Sequence[float | None] | None = None,
 ) -> float:
-    """:func:`hybrid_grouped` over ``values``, one ``(positions, priority)`` per group."""
+    """:func:`hybrid_grouped` over ``values``, one ``(positions, priority)`` per
+    group; ``nams`` holds each group's nam where it is already known."""
     return _weighted_mean(
-        [_nam([values[k] for k in positions]) for positions, _ in groups],
+        [_nam([values[k] for k in positions]) if nam is None else nam
+         for (positions, _), nam in zip(groups, nams or [None] * len(groups))],
         [priority for _, priority in groups],
     )
 

@@ -21,10 +21,9 @@ from .core import (
     _masking_ratio,
     _nam,
     _signed_gap,
-    _weighted_mean,
     _wlam,
 )
-from .description import SystemDescription, _Compiled, _element_columns, _synthetic_root_id
+from .description import SystemDescription, _built, _Compiled, _element_columns, _synthetic_root_id
 from .network import HierarchyNode, MethodConfig, _Tree, validate_hierarchy
 
 __all__ = [
@@ -263,13 +262,15 @@ def _metrics(
     values: list[float],
     weights: list[float] | None,
     plan: list[tuple[list[int], float]],
+    nams: list[float | None] | None = None,
 ) -> tuple[float, float, float | None, float | None]:
-    """wem, wlam, nam (None under child priorities), hybrid (None without groups)."""
+    """wem, wlam, nam (None under child priorities), hybrid (None without
+    groups, and from the group nams in ``nams`` where they are known)."""
     return (
         min(values),
         _wlam(values, weights),
         None if weights is not None else _nam(values),
-        _hybrid(values, plan) if plan else None,
+        _hybrid(values, plan, nams) if plan else None,
     )
 
 
@@ -403,12 +404,8 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
         values, lows, weights = sub.values, sub.lows, sub.weights
         for k, j in sub.below.items():
             values[k], lows[k] = rolled[j][0], rolled[j][1]
-        wem, wlam = min(values), _wlam(values, weights)
-        nam = None if weights is not None else _nam(values)
         group_nams = [_nam([values[k] for k in positions]) for positions, _ in sub.plan]
-        hybrid = None
-        if sub.plan:
-            hybrid = _weighted_mean(group_nams, [priority for _, priority in sub.plan])
+        wem, wlam, nam, hybrid = _metrics(values, weights, sub.plan, group_nams)
         metric = {Method.WEM: wem, Method.NAM: nam, Method.HYBRID_GROUPED: hybrid}
         value = metric.get(sub.kernel, wlam)
         if value is None:  # a nam kernel under child priorities: no nam column, but it runs
@@ -489,6 +486,12 @@ def _sweep_path(subs: list[_Sub], vary_id: str) -> list[tuple[int, int]]:
     return path[::-1]
 
 
+def _kept_nams(sub: _Sub, slot: int) -> list[float | None]:
+    """The nams of ``sub``'s groups, None for the group that holds ``slot``."""
+    return [None if slot in positions else _nam([sub.values[k] for k in positions])
+            for positions, _ in sub.plan]
+
+
 def _sweep(
     subs: list[_Sub],
     scale: Scale,
@@ -502,34 +505,25 @@ def _sweep(
     # evaluates the path at the leaf's stored value, so neither does this.
     _roll(subs, scale, {j for j, _ in path})
     (root, root_slot), *above = [(subs[j], slot) for j, slot in path]
-    # The path's ancestors under the root, deepest first.  A hybrid one
-    # keeps the nams of its groups that do not hold the slot, so a grid
-    # point recomputes only the group that does.
-    below = []
-    for sub, slot in reversed(above):
-        grouped = None
-        if sub.kernel is Method.HYBRID_GROUPED:
-            nams = [None if slot in positions else _nam([sub.values[k] for k in positions])
-                    for positions, _ in sub.plan]
-            group = nams.index(None)
-            grouped = nams, group, sub.plan[group][0], [priority for _, priority in sub.plan]
-        below.append((sub, slot, grouped))
+    # The path's ancestors under the root, deepest first.  A hybrid one, and
+    # the root, keep the nams of their groups that do not hold the slot, so
+    # a grid point recomputes only the group that does.
+    below = [(sub, slot, _kept_nams(sub, slot) if sub.kernel is Method.HYBRID_GROUPED else None)
+             for sub, slot in reversed(above)]
+    root_nams = _kept_nams(root, root_slot)
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        for sub, slot, grouped in below:
+        for sub, slot, nams in below:
             values = sub.values
             values[slot] = value
-            if grouped is None:
-                value = _operate(sub, values)
-            else:
-                nams, group, positions, priorities = grouped
-                nams[group] = _nam([values[k] for k in positions])
-                value = _weighted_mean(nams, priorities)
-            value = scale.clamp(value)
+            value = scale.clamp(_operate(sub, values) if nams is None
+                                else _hybrid(values, sub.plan, nams))
         root.values[root_slot] = value
         _check_root(root)
-        rows.append(SweepRow(varied, *_metrics(root.values, root.weights, root.plan)))
+        wem, wlam, nam, hybrid = _metrics(root.values, root.weights, root.plan, root_nams)
+        rows.append(_built(SweepRow, {
+            "varied": varied, "wem": wem, "wlam": wlam, "nam": nam, "hybrid": hybrid}))
     return rows
 
 
@@ -545,9 +539,12 @@ def sweep(
 
     The grid has ``steps`` points including both endpoints.  Every row
     reports wem, wlam, and (when applicable) nam and hybrid over the
-    root's children, each as a full roll-up of the mutated tree would
-    give them.  Subtrees off the varied leaf's path are rolled once; each
-    grid point recomputes only the leaf's ancestors.
+    root's children, bit for bit as a full roll-up of the mutated tree
+    would give them.  Subtrees off the varied leaf's path are rolled once.
+    Each grid point recomputes only the leaf's ancestors.  A hybrid
+    ancestor, and the root, keep the nams of their groups without the
+    leaf, so a point recomputes one group nam per such ancestor; the
+    root's wem, wlam and nam still run over all of its children.
     """
     _check_grid(scale, start, stop, steps)
     # The id checks come before validation, on the first node in preorder.

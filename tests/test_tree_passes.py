@@ -809,3 +809,114 @@ class TestSweepRecomputesOneGroup:
             evals = aggeval.EvaluationVector.from_values([c.value for c in report.children])
             expected = (aggeval.wem(evals), aggeval.wlam(evals), aggeval.nam(evals), None)
             assert (row.wem, row.wlam, row.nam, row.hybrid) == expected
+
+
+# --- A sweep step reuses each hybrid ancestor's kept group nams. ---
+
+
+TINY, LARGE = aggeval.core._LOG_DOMAIN_TINY, aggeval.core._LOG_DOMAIN_VALUE
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 1.0, 50.0, 100.0, 1e300, 8.9e307, 1.7e308,
+    *(math.nextafter(edge, toward) for edge in (TINY, LARGE) for toward in (0.0, math.inf)),
+    TINY, LARGE,
+]
+KEPT_WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 3.0, 1e-300, 1e300, 1.7e308]),
+                         st.floats(1e-300, 1.7e308))
+WIDEST = Scale(0.0, 1.7976931348623157e308)
+
+
+def outcome(call):
+    """What ``call()`` returns, with each float as its hex and repr, or the
+    exception it raises."""
+    try:
+        result = call()
+    except OverflowError as error:
+        return "OverflowError", str(error)
+    if isinstance(result, float):
+        return result.hex(), repr(result)
+    return [None if value is None else (value.hex(), repr(value)) for value in result]
+
+
+def assert_kept_matches(values, slot, weights, groups, xs):
+    """Each x of ``xs`` through the group nams kept for ``slot``, against the
+    full kernels: the root's metrics against ``_metrics``, a hybrid node's
+    operator against ``_operate``, both clamped to the scale."""
+    hierarchy = aggeval.hierarchy
+    ids = [f"c{k}" for k in range(len(values))]
+    config = MethodConfig(Method.HYBRID_GROUPED, groups=tuple(
+        Group(f"g{k}", tuple(ids[p] for p in positions), priority)
+        for k, (positions, priority) in enumerate(groups)))
+    sub = hierarchy._sub("node", ids, list(values), {}, weights or [None] * len(values), config)
+    try:
+        nams = hierarchy._kept_nams(sub, slot)
+    except OverflowError as error:  # a kept group nam: the first point's kernels raise it
+        full = list(values)
+        full[slot] = xs[0]
+        with pytest.raises(OverflowError, match=str(error)):
+            hierarchy._metrics(full, sub.weights, sub.plan)
+        return
+    assert nams.count(None) == 1
+    for x in xs:
+        full = list(values)
+        full[slot] = x
+        sub.values[slot] = x
+        assert outcome(lambda: hierarchy._metrics(sub.values, sub.weights, sub.plan, nams)) \
+            == outcome(lambda: hierarchy._metrics(full, sub.weights, sub.plan))
+        assert outcome(lambda: WIDEST.clamp(hierarchy._hybrid(sub.values, sub.plan, nams))) \
+            == outcome(lambda: WIDEST.clamp(hierarchy._operate(sub, full)))
+
+
+@st.composite
+def kept_cases(draw):
+    n = draw(st.sampled_from([1, 2, 30, 31, 200]))
+    slot = draw(st.sampled_from([0, n // 2, n - 1]))
+    # One range per case, so that most sums stay in range.
+    top = draw(st.sampled_from([100.0, 1e6, 1.7e308]))
+    low = draw(st.sampled_from([0.0, 5e-324]))  # without zeros, nam takes its log path
+    kept_values = st.sampled_from([v for v in EDGE_VALUES if low <= v <= top]) | st.floats(low, top)
+    values = draw(st.lists(kept_values, min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(KEPT_WEIGHTS, min_size=n, max_size=n))
+    # Slot groups of about n / count members: over 30 and at most 30 at n = 200.
+    count = min(n, draw(st.sampled_from([1, 2, 3, 8, 40])))
+    order = draw(st.permutations(range(n)))
+    groups = [(order[k::count], draw(KEPT_WEIGHTS)) for k in range(count)]
+    xs = draw(st.lists(kept_values, min_size=1, max_size=3))
+    return values, slot, weights, groups, xs
+
+
+class TestKeptGroupNams:
+    @settings(deadline=None, max_examples=300)
+    @given(kept_cases())
+    def test_equals_the_full_kernels_bit_for_bit(self, case):
+        assert_kept_matches(*case)
+
+    @pytest.mark.parametrize("slot", [0, 15, 30])
+    @pytest.mark.parametrize("priorities", [[1.0] * 3, [1.7e308, 1.0, 1.0]])
+    @pytest.mark.parametrize("values", [
+        [1e308] * 30 + [1.5e308],  # a group's sum overflows
+        [0.0] + [50.0] * 30,
+        [-0.0, 0.0] * 15 + [0.0],
+    ])
+    def test_group_sums_that_overflow_or_tie(self, values, priorities, slot):
+        groups = [(list(range(g, 31, 3)), priority) for g, priority in enumerate(priorities)]
+        assert_kept_matches(values, slot, None, groups, [0.0, -0.0, 1e308, 75.0])
+
+    def test_a_flat_sweep_runs_one_group_nam_per_point(self, monkeypatch, tmp_path):
+        rng = random.Random(21)
+        ids = [f"e{k:03d}" for k in range(400)]
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": i, "evaluation": rng.uniform(1, 100)} for i in ids],
+            "groups": [{"id": f"g{k}", "members": ids[k::10]} for k in range(10)],
+        }
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls = counting_nam(monkeypatch)
+        code, out, err = cli(
+            "sweep", "--input", str(path), "--vary", "e000",
+            "--from", "0", "--to", "100", "--steps", "51",
+        )
+        assert (code, err, len(out.splitlines())) == (0, "", 52)
+        # The nine other groups once before the grid, then per point e000's
+        # group and the root's nam column over all 400 elements.
+        assert calls == [40] * 9 + [400, 40] * 51
