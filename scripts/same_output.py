@@ -52,12 +52,22 @@ weighted mean takes its scaled fallback; ``compare`` runs with the threshold
 command, an unknown command, a missing ``--input``, a bad ``--method``,
 ``--steps x``) and with paths that cannot be opened, for ``--input`` and
 for ``--out``: a file name under a file, a name too long for the file
-system and a symbolic link to itself.  Every call whose exit code,
-stdout, stderr or written file differs between the sides is printed.  One
-more entry compares the library surface: the sorted ``aggeval.__all__``
-with each name's ``__module__`` and ``__qualname__`` (a constant's type
-name and ``repr``), so a public name dropped or moved shows up as well.
-The exit status is 1 if anything differs, else 0.
+system and a symbolic link to itself.
+
+A library mix runs next to the commands, as ``--library`` entries: the
+``repr`` of ``aggregate``, ``compare_methods``, a ``sweep`` of the first
+leaf over 11 points of the scale, and ``validate_hierarchy``, or of the
+exception each raises.  They run on ``hierarchy_root()`` of each hierarchy
+fixture, of the seed-1 tree-rollup and tree-sweep files and of the three
+overshoot files, and on two hand-built faulty trees: a reused id over a
+subtree with a bad method, and a bad leaf under a bad hybrid partition.
+
+Every call whose exit code, stdout, stderr or written file differs between
+the sides is printed.  One more entry compares the library surface: the
+sorted ``aggeval.__all__`` with each name's ``__module__`` and
+``__qualname__`` (a constant's type name and ``repr``), so a public name
+dropped or moved shows up as well.  The exit status is 1 if anything
+differs, else 0.
 
 Golden mode compares one side with recorded digests instead:
 
@@ -208,6 +218,51 @@ def _group_faults(doc: dict) -> dict[str, dict]:
 
 
 FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults}
+LIBRARY = "--library"
+LIBRARY_CALLS = ("aggregate", "compare_methods", "sweep", "validate_hierarchy")
+LIBRARY_WORKLOADS = ("tree-rollup", "tree-sweep")
+
+
+def _library_commands(source: str) -> list[list[str]]:
+    """The library mix on one description file or hand-built tree."""
+    return [[LIBRARY, call, source] for call in LIBRARY_CALLS]
+
+
+def _faulty_tree(aggeval, name: str):
+    """A hand-built tree that fails validation in more than one way."""
+    node, config, group = aggeval.HierarchyNode, aggeval.MethodConfig, aggeval.Group
+    if name == "reused-id-over-bad-method":
+        bad = node("t", children=(node("b", 20.0, 2.0), node("c", 30.0)),
+                   config=config(aggeval.Method.NAM))
+        return node("r", children=(node("s", children=(node("a", 10.0),)),
+                                   node("s", children=(bad, node("d", 40.0)))))
+    partition = config(aggeval.Method.HYBRID_GROUPED, groups=(group("g1", ("a", "ghost")),))
+    return node("r", children=(node("a", 150.0), node("b", 20.0)), config=partition)
+
+
+FAULTY_TREES = ("reused-id-over-bad-method", "bad-leaf-under-bad-hybrid")
+
+
+def _library_call(call: str, source: str) -> str:
+    """The ``repr`` of one library call, or of the exception it raises."""
+    import aggeval
+    from aggeval.description import load_description
+
+    if source in FAULTY_TREES:
+        tree, scale = _faulty_tree(aggeval, source), aggeval.PERCENT
+    else:
+        desc = load_description(source)
+        tree, scale = desc.hierarchy_root(), desc.scale
+    calls = {
+        "aggregate": lambda: aggeval.aggregate(tree, scale),
+        "compare_methods": lambda: aggeval.compare_methods(tree, scale),
+        "sweep": lambda: aggeval.sweep(tree, scale, tree.leaf_ids()[0], scale.min, scale.max, 11),
+        "validate_hierarchy": lambda: aggeval.validate_hierarchy(tree, scale),
+    }
+    try:
+        return repr(calls[call]())
+    except Exception as exc:  # an error is a result too
+        return f"raised {exc!r}"
 PRIORITIES = (0.25, 0.5, 2, 3)
 
 
@@ -260,6 +315,8 @@ def _edge_commands(workdir: Path) -> list[list[str]]:
         path = workdir / f"{name}.json"
         path.write_text(json.dumps({"scale": {"min": 0, "max": 100}, **doc}), encoding="utf-8")
         commands += _file_commands(path)
+        if name.startswith("overshoot-"):
+            commands += _library_commands(str(path))
     weak = str(FIXTURES / "weak_element.json")
     return [*commands, ["compare", "--input", weak, "--threshold", "-1e5"],
             ["compare", "--input", weak, "--threshold=-1e5"]]
@@ -291,6 +348,10 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     commands = []
     for path in sorted(FIXTURES.glob("*.json")):
         commands += _file_commands(path)
+        if '"hierarchy"' in path.read_text(encoding="utf-8"):
+            commands += _library_commands(str(path))
+    for name in FAULTY_TREES:
+        commands += _library_commands(name)
     commands += _error_commands(workdir)
     commands += _edge_commands(workdir)
     if fixtures_only:
@@ -300,6 +361,8 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
         for seed in SEEDS:
             prepared = workloads.materialize(name, seed, str(workdir / f"{name}-{seed}"))
             commands += _file_commands(Path(prepared.path))
+            if name in LIBRARY_WORKLOADS and seed == SEEDS[0]:
+                commands += _library_commands(prepared.path)
             for command in prepared.commands:
                 argv = list(command.argv)
                 if command.out_path is not None:
@@ -334,8 +397,8 @@ def _surface(package) -> list[list[str]]:
 
 
 def _worker(commands_file: str, src: str) -> None:
-    """Run every command in-process, then record the library surface; write
-    the outcomes as JSON to stdout."""
+    """Run every command and library call in-process, then record the
+    library surface; write the outcomes as JSON to stdout."""
     import aggeval.cli
 
     package = Path(aggeval.cli.__file__).resolve().parent
@@ -343,6 +406,9 @@ def _worker(commands_file: str, src: str) -> None:
         sys.exit(f"aggeval imported from {package}, not from {src}")
     results = []
     for argv in json.loads(Path(commands_file).read_text(encoding="utf-8")):
+        if argv[:1] == [LIBRARY]:
+            results.append([0, _library_call(*argv[1:]), "", None])
+            continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -33,7 +33,6 @@ from .description import (
     DescriptionError,
     SystemDescription,
     _Compiled,
-    _element_columns,
     _stored_hierarchy,
     load_description,
 )
@@ -135,43 +134,40 @@ def _record_out(fields: list[tuple[str, str | float | None]], fmt: str) -> None:
             _line_out(f"{name} {'n/a' if v is None else _g(v)}" for name, v in numbers)
 
 
-def _critical_wem(desc: SystemDescription, root: _Sub) -> float:
+def _critical_wem(root: _Sub) -> float:
     """Weakest value of a flat wem-then run's critical subset: the members
     of the highest-priority group, else the elements holding the top
     explicit priority, else every element."""
     if root.plan:
         return min(root.values[k] for k in max(root.plan, key=lambda group: group[1])[0])
-    priorities = _element_columns(desc).priorities
-    top = max((p for p in priorities if p is not None), default=None)
-    return min(v for v, p in zip(root.values, priorities) if p == top)
+    top = max((p for p in root.priorities if p is not None), default=None)
+    return min(v for v, p in zip(root.values, root.priorities) if p == top)
 
 
 def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> None:
     """One method over the flat element vector, or all of them side by side.
     Each aggregate printed is clamped to the scale, as the roll-up's are;
     sigmas and adequacy are taken before clamping."""
-    root = _compile_flat(desc)[0]
-    clamp = desc.scale.clamp
+    root, scale = _compile_flat(desc)[0], desc.scale
     if method is None:
         # sigma_12 is at most 1, so a threshold of 1 builds no warning.
-        row = _comparison(root.id, *_metrics(root.values, root.weights, root.plan), (), 1.0)
-        fields = [("wem", row.wem), ("wlam", clamp(row.wlam)),
-                  ("nam", None if row.nam is None else clamp(row.nam)),
+        row = _comparison(root.id, *_metrics(root.values, root.weights, root.plan), (), 1.0, scale)
+        fields = [("wem", row.wem), ("wlam", row.wlam), ("nam", row.nam),
                   ("sigma_12", row.sigma_12), ("sigma_13", row.sigma_13)]
         if row.hybrid is not None:
             # JSON lists hybrid last, text and CSV right after nam.
-            fields.insert(len(fields) if fmt == "json" else 3, ("hybrid", clamp(row.hybrid)))
+            fields.insert(len(fields) if fmt == "json" else 3, ("hybrid", row.hybrid))
     elif method is Method.HYBRID_GROUPED and not desc.groups:
         raise EvaluationError("the hybrid method needs a groups section in the description")
     elif method is Method.WEM_THEN:
-        critical_wem = _critical_wem(desc, root)
+        critical_wem = _critical_wem(root)
         aggregate = _wlam(root.values, root.weights)
         fields = [("method", method.value), ("critical_wem", critical_wem),
-                  ("aggregate", clamp(aggregate)),
+                  ("aggregate", scale.clamp(aggregate)),
                   ("adequacy", _signed_gap(aggregate, critical_wem))]
     else:
         fields = [("method", method.value),
-                  ("value", clamp(_operate(root._replace(kernel=method), root.values)))]
+                  ("value", scale.clamp(_operate(root._replace(kernel=method), root.values)))]
     _record_out(fields, fmt)
 
 
@@ -179,7 +175,7 @@ def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> lis
     """The roll-up of a tree or a parsed section as CSV rows, or as the
     indented text tree with one line per node plus one per warning; a
     single preorder walk over the compiled entries."""
-    subs, root_id, root_value = _entries(root)
+    subs, root_id, root_value = _entries(root, scale)
     rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
     # Every node is the root or some entry's child, so one check over those
@@ -220,14 +216,14 @@ def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> lis
 
 
 # load_description has validated and compiled the description, so the
-# commands below call the roll-up past the public functions' second
-# validation pass, without building the node tree; argument checks still
+# commands below roll up its stored entries past the public functions'
+# checked lowering, without building the node tree; argument checks still
 # run.  A flat description compiles to hierarchy_root's synthetic root.
 
 
 def _compiled(desc: SystemDescription) -> list[_Sub]:
     hierarchy = _stored_hierarchy(desc)
-    return _compile_flat(desc) if hierarchy is None else _entries(hierarchy)[0]
+    return _compile_flat(desc) if hierarchy is None else _entries(hierarchy, desc.scale)[0]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -236,7 +232,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.method is not None or hierarchy is None:
         _evaluate_flat(desc, args.method and Method(args.method), args.format)
     elif args.format == "json":
-        print(json.dumps(_aggregate(desc.hierarchy, desc.scale).to_dict(), indent=2))
+        report = _aggregate(_entries(hierarchy, desc.scale), desc.scale)
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         _line_out(_tree_lines(hierarchy, desc.scale, args.format == "csv"))
     return EXIT_OK

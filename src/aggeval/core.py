@@ -121,7 +121,7 @@ class Scale:
         return self.min <= value <= self.max
 
     def clamp(self, value: float) -> float:
-        return min(max(value, self.min), self.max)
+        return value if self.min <= value <= self.max else min(max(value, self.min), self.max)
 
 
 PERCENT = Scale(0.0, 100.0)

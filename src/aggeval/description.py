@@ -65,8 +65,8 @@ class _Columns(NamedTuple):
 
 
 class _Compiled(list):
-    """A parsed ``hierarchy`` section: its subsystems as ``hierarchy._compile``
-    lists them, then an entry with no id whose one child is the root; read,
+    """A parsed ``hierarchy`` section: the frame compiler ``hierarchy._compile``'s
+    entries, ending with one with no id whose one child is the root; read,
     never written."""
 
 
@@ -550,28 +550,30 @@ def _parse_hierarchy(
     entry is good and the scale is valid, what ``validate_hierarchy``
     finds on the tree.
     """
-    from .hierarchy import _sub  # hierarchy imports this module
+    from .hierarchy import _compile  # hierarchy imports this module
 
     _, evaluations, priorities = columns
     used: dict[str, tuple] = {}
     scratch = _Collector()
-    # Frames: (children iterator, the subsystem's location, its id, priority,
-    # config and children, its number in preorder, and the ids, values and
-    # priorities of the children read so far, with the number of each
-    # subsystem child by position).  The root is the one child of a top
-    # frame with no id.
-    frames = [(enumerate([raw]), None, (None, None, None, [raw]), 0, ([], [], [], {}))]
+    # Frames: (children iterator, the subsystem's location, priority and
+    # children, its number in preorder, and the frame ``hierarchy._compile``
+    # reads: its id and config, then the ids, values and priorities of the
+    # children read so far, with the number of each subsystem child by
+    # position).  The root is the one child of a top frame with no id.
+    frames = [(enumerate([raw]), None, None, [raw], 0, (None, None, [], [], [], {}))]
     stack = frames[:]
     while stack:
         frame = stack[-1]
-        entries, location, (node_id, priority, config, children), number, kids = frame
-        kid_ids, kid_values, kid_priorities, below = kids
+        entries, location, priority, children, number, compiler_frame = frame
+        node_id, _, kid_ids, kid_values, kid_priorities, below = compiler_frame
         for index, child in entries:
             if type(child) is not str:
                 here = (location, index)
                 sub = _subsystem(child, here, positions, diag, scratch)
                 if sub is not None:
-                    frames.append((enumerate(sub[3]), here, sub, len(frames), ([], [], [], {})))
+                    sub_id, sub_priority, sub_config, sub_children = sub
+                    frames.append((enumerate(sub_children), here, sub_priority, sub_children,
+                                   len(frames), (sub_id, sub_config, [], [], [], {})))
                     stack.append(frames[-1])
                     break
                 continue
@@ -583,7 +585,7 @@ def _parse_hierarchy(
                 # children, so its index is recovered there; no per-leaf
                 # location is allocated on the common path.
                 first = used[child]
-                first_path = _hierarchy_path((first[1], first[2][3].index(child)))
+                first_path = _hierarchy_path((first[1], first[3].index(child)))
                 diag.add(
                     _hierarchy_path((location, index)),
                     f"element {child!r} already used at {first_path}",
@@ -596,7 +598,7 @@ def _parse_hierarchy(
         else:
             stack.pop()
             if node_id is not None and len(kid_ids) == len(children):
-                parent_ids, parent_values, parent_priorities, parent_below = stack[-1][4]
+                _, _, parent_ids, parent_values, parent_priorities, parent_below = stack[-1][5]
                 parent_below[len(parent_ids)] = number
                 parent_ids.append(node_id)
                 parent_values.append(0.0)  # filled in by the roll-up
@@ -604,14 +606,15 @@ def _parse_hierarchy(
     unreferenced = sorted(positions.keys() - used.keys())
     if unreferenced:
         diag.add("hierarchy", "elements never referenced: " + ", ".join(unreferenced))
-    if not frames[0][4][0]:  # an entry is bad: the top frame holds no root
+    compiler_frames = [frame[5] for frame in frames]
+    if not compiler_frames[0][2]:  # an entry is bad: the top frame holds no root
         return None, used
     if scale is not None:
         # validate_hierarchy's walk, over the subsystems in preorder: a
         # parsed leaf passes its checks, and a reused id skips the method.
         violations: list[str] = []
         seen: set[str] = set()
-        for _, _, (node_id, _, config, _), _, (kid_ids, _, kid_priorities, _) in frames[1:]:
+        for node_id, config, kid_ids, _, kid_priorities, _ in compiler_frames[1:]:
             if node_id in seen:
                 violations.append(f"node id {node_id!r} used more than once")
             elif config is not None:
@@ -621,13 +624,7 @@ def _parse_hierarchy(
             diag.add("hierarchy", violation)
     if diag.diagnostics:  # a faulty method config may name no child: it cannot compile
         return None, used
-    # Read backwards, the preorder is _compile's order, with the top frame
-    # last: number q is entry last - q.
-    last, compiled = len(frames) - 1, _Compiled()
-    for _, _, (node_id, _, config, _), _, (kid_ids, values, kid_priorities, below) in frames[::-1]:
-        below = {k: last - q for k, q in below.items()}
-        compiled.append(_sub(node_id, kid_ids, values, below, kid_priorities, config))
-    return compiled, used
+    return _Compiled(_compile(compiler_frames)), used
 
 
 def _parse_network(raw: Any, diag: _Collector) -> Network | None:

@@ -24,7 +24,7 @@ from .core import (
     _wlam,
 )
 from .description import SystemDescription, _built, _Compiled, _element_columns, _synthetic_root_id
-from .network import HierarchyNode, MethodConfig, _Tree, validate_hierarchy
+from .network import HierarchyNode, MethodConfig, _Tree, _hierarchy_walk
 
 __all__ = [
     "AggregationReport",
@@ -178,40 +178,36 @@ def _sub(
                 priorities, given)
 
 
-def _compile(root: HierarchyNode) -> list[_Sub]:
-    """The subsystems of a validated tree in post-order, children right to
-    left, so the root comes last; read backwards, the list is the
-    left-to-right preorder.  Empty for a leaf root."""
-    order = []  # the left-to-right preorder
-    stack = [root] if root.children else []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(child for child in reversed(node.children) if child.children)
-    subs: list[_Sub] = []
-    index: dict[str, int] = {}
-    for node in reversed(order):
-        children = node.children
-        # A subsystem child's value is a placeholder until _roll fills it in.
-        values = [0.0 if child.children else float(child.value) for child in children]
-        below = {k: index[child.id] for k, child in enumerate(children) if child.children}
-        index[node.id] = len(subs)
-        subs.append(
-            _sub(node.id, [child.id for child in children], values, below,
-                 [child.priority for child in children], node.config)
-        )
-    return subs
+def _compile(frames: list[tuple]) -> list[_Sub]:
+    """The frame compiler of the parse and of :func:`_entries`.  Each frame
+    holds a subsystem's id and config, its children's ids, values and
+    priorities, and the preorder number of each subsystem child by
+    position.  Frames come in preorder, entries in post-order, children
+    right to left, so frame q is entry ``last - q``."""
+    last = len(frames) - 1
+    return [_sub(node_id, ids, values, {k: last - q for k, q in below.items()}, priorities, config)
+            for node_id, config, ids, values, priorities, below in reversed(frames)]
 
 
-def _entries(hierarchy: HierarchyNode | _Compiled) -> tuple[list[_Sub], str, float | None]:
-    """The compiled entries of a tree, or of a parsed section with value
-    lists of their own, which a roll-up or sweep may write into; then the
-    root's id and its value, which only a leaf root reads."""
-    if type(hierarchy) is not _Compiled:
-        return _compile(hierarchy), hierarchy.id, hierarchy.value
-    *subs, top = [_Sub(sub.id, sub.ids, sub.values[:], sub.values[:], *sub[4:])
-                  for sub in hierarchy]
-    return subs, top.ids[0], top.values[0]
+def _entries(hierarchy: HierarchyNode | _Compiled,
+             scale: Scale) -> tuple[list[_Sub], str, float | None]:
+    """The compiled entries of a parsed section, with value lists of their
+    own, which a roll-up or sweep may write into, or of a tree, which one
+    walk checks and lowers; then the root's id and value (for a leaf root)."""
+    if type(hierarchy) is _Compiled:
+        *subs, top = [_Sub(sub.id, sub.ids, sub.values[:], sub.values[:], *sub[4:])
+                      for sub in hierarchy]
+        return subs, top.ids[0], top.values[0]
+    violations, subsystems = _hierarchy_walk(hierarchy, scale)
+    if violations:
+        raise HierarchyValidationError(violations)
+    number = {node.id: q for q, node in enumerate(subsystems)}  # ids are unique: no violations
+    frames = [(node.id, node.config, [c.id for c in node.children],
+               [0.0 if c.children else float(c.value) for c in node.children],
+               [c.priority for c in node.children],
+               {k: number[c.id] for k, c in enumerate(node.children) if c.children})
+              for node in subsystems]
+    return _compile(frames), hierarchy.id, hierarchy.value
 
 
 def _compile_flat(desc: SystemDescription) -> list[_Sub]:
@@ -274,6 +270,13 @@ def _metrics(
     )
 
 
+def _clamped(scale: Scale, wlam: float, nam: float | None, hybrid: float | None) -> tuple:
+    """wlam, nam and hybrid clamped to the scale, as :func:`_roll` clamps; None stays."""
+    clamp = scale.clamp
+    return (clamp(wlam), None if nam is None else clamp(nam),
+            None if hybrid is None else clamp(hybrid))
+
+
 def _roll(
     subs: list[_Sub], scale: Scale, skip: AbstractSet[int] = frozenset()
 ) -> list[_Row | None]:
@@ -313,33 +316,15 @@ def _roll(
     return rows
 
 
-def _check_root(root: _Sub) -> None:
-    """Run the root's operator where :func:`_metrics` does not run it.
-
-    The root's value is not reported, but an overflow in its operator ends
-    a full roll-up.  _metrics runs the same kernel on the same values,
-    except nam under child priorities, which only a wem-then root with a
-    nam fallback reaches; only that root runs its operator on its own.
-    """
-    if root.kernel is Method.NAM and root.weights is not None:
-        _nam(root.values)
-
-
-def _check_tree(root: HierarchyNode, scale: Scale) -> None:
-    violations = validate_hierarchy(root, scale)
-    if violations:
-        raise HierarchyValidationError(violations)
-
-
 def _leaf_report(node_id: str, value: float) -> AggregationReport:
     return AggregationReport(node_id, "leaf", value, (node_id,), 0.0, (), ())
 
 
-def _aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
-    """:func:`aggregate` on a tree already validated."""
-    if not root.children:
-        return _leaf_report(root.id, float(root.value))
-    subs = _compile(root)
+def _aggregate(entries: tuple[list[_Sub], str, float | None], scale: Scale) -> AggregationReport:
+    """:func:`aggregate` on the compiled entries of :func:`_entries`."""
+    subs, root_id, root_value = entries
+    if not subs:
+        return _leaf_report(root_id, float(root_value))
     reports: list[AggregationReport] = []
     for sub, (value, _, weakest, adequacy, warnings) in zip(subs, _roll(subs, scale)):
         below = sub.below
@@ -361,8 +346,7 @@ def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
     aggregated values.  Raises :class:`HierarchyValidationError` listing
     every structural violation if the tree is unsound.
     """
-    _check_tree(root, scale)
-    return _aggregate(root, scale)
+    return _aggregate(_entries(root, scale), scale)
 
 
 def _comparison(
@@ -373,8 +357,10 @@ def _comparison(
     hybrid: float | None,
     weakest: tuple[str, ...],
     threshold: float,
+    scale: Scale,
 ) -> MethodComparison:
-    """One table row from metrics already computed."""
+    """One table row from metrics already computed; wlam, nam and hybrid
+    are clamped to the scale after the sigmas are taken from them."""
     sigma_12 = _masking_ratio(wlam, wem)
     sigma_13 = None if nam is None else _masking_ratio(nam, wem)
     warnings: tuple[str, ...] = ()
@@ -383,7 +369,8 @@ def _comparison(
             f"hidden weak element: {', '.join(weakest)} "
             f"(sigma_12 {sigma_12:.6g} > threshold {threshold:g})",
         )
-    return MethodComparison(row_id, wem, wlam, nam, hybrid, sigma_12, sigma_13, weakest, warnings)
+    return MethodComparison(row_id, wem, *_clamped(scale, wlam, nam, hybrid),
+                            sigma_12, sigma_13, weakest, warnings)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -412,13 +399,13 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
             value = _nam(values)
         low, weakest = _weakest(sub, rolled)
         rolled.append((scale.clamp(value), low, weakest))
-        block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold)]
+        block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold, scale)]
         for group_id, (positions, _), group_nam in zip(sub.group_ids, sub.plan, group_nams):
             # Group values in member order; weakest leaves in child order.
             group = [values[k] for k in positions]
             block.append(_comparison(
                 f"{sub.id}/{group_id}", min(group), _wlam(group, None), group_nam, None,
-                _weakest(sub, rolled, sorted(positions))[1], threshold,
+                _weakest(sub, rolled, sorted(positions))[1], threshold, scale,
             ))
         blocks.append(block)
     # The list read backwards is the preorder: each subsystem's row, then
@@ -437,8 +424,7 @@ def compare_methods(
     weakest leaves underneath.
     """
     _check_threshold(adequacy_threshold)
-    _check_tree(root, scale)
-    return _compare(_compile(root), scale, adequacy_threshold)
+    return _compare(_entries(root, scale)[0], scale, adequacy_threshold)
 
 
 def _check_grid(scale: Scale, start: float, stop: float, steps: int) -> None:
@@ -511,6 +497,11 @@ def _sweep(
     below = [(sub, slot, _kept_nams(sub, slot) if sub.kernel is Method.HYBRID_GROUPED else None)
              for sub, slot in reversed(above)]
     root_nams = _kept_nams(root, root_slot)
+    # The root's value is not reported, but an overflow in its operator ends
+    # a full roll-up.  _metrics runs the same kernel on the same values,
+    # except nam under child priorities, which only a wem-then root with a
+    # nam fallback reaches; only that root runs its operator on its own.
+    own_nam = root.kernel is Method.NAM and root.weights is not None
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)
@@ -520,8 +511,10 @@ def _sweep(
             value = scale.clamp(_operate(sub, values) if nams is None
                                 else _hybrid(values, sub.plan, nams))
         root.values[root_slot] = value
-        _check_root(root)
+        if own_nam:
+            _nam(root.values)
         wem, wlam, nam, hybrid = _metrics(root.values, root.weights, root.plan, root_nams)
+        wlam, nam, hybrid = _clamped(scale, wlam, nam, hybrid)
         rows.append(_built(SweepRow, {
             "varied": varied, "wem": wem, "wlam": wlam, "nam": nam, "hybrid": hybrid}))
     return rows
@@ -551,6 +544,5 @@ def sweep(
     node = next((node for node in root.walk() if node.id == vary_id), None)
     if root.is_leaf or node is None or not node.is_leaf:
         raise _vary_error(vary_id, not root.is_leaf, node is not None)
-    _check_tree(root, scale)
-    subs = _compile(root)
+    subs = _entries(root, scale)[0]
     return _sweep(subs, scale, _sweep_path(subs, vary_id), start, stop, steps)

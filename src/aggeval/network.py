@@ -219,14 +219,6 @@ class HierarchyNode(_Tree):
         return tuple(n.id for n in self.walk() if n.is_leaf)
 
 
-def _check_config(node: HierarchyNode, out: list[str]) -> None:
-    """:func:`_check_method` on a tree node."""
-    if node.config is not None:
-        children = node.children
-        _check_method(node.id, node.config, [c.id for c in children],
-                      [c.priority for c in children], out)
-
-
 def _check_method(node_id: str, config: MethodConfig, child_ids: list[str],
                   priorities: list[float | None], out: list[str]) -> None:
     """Check a subsystem's method config against its children's ids and
@@ -303,7 +295,13 @@ def _check_partition(
 
 def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
     """Check tree shape, leaf ranges, and method-config coherence."""
+    return _hierarchy_walk(root, scale)[0]
+
+
+def _hierarchy_walk(root: HierarchyNode, scale: Scale) -> tuple[list[str], list[HierarchyNode]]:
+    """:func:`validate_hierarchy`'s violations, and the subsystems in preorder."""
     violations: list[str] = []
+    subsystems: list[HierarchyNode] = []
     seen_ids: set[str] = set()
     isfinite = math.isfinite
     low, high = scale.min, scale.max
@@ -315,6 +313,7 @@ def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
         # violations in its subtree.
         if children:
             stack += children[::-1]
+            subsystems.append(node)
         node_id = node.id
         if node_id in seen_ids:
             violations.append(f"node id {node_id!r} used more than once")
@@ -338,5 +337,7 @@ def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
         else:
             if node.value is not None:
                 violations.append(f"subsystem {node_id!r} cannot carry a leaf value")
-            _check_config(node, violations)
-    return violations
+            if node.config is not None:
+                _check_method(node_id, node.config, [c.id for c in children],
+                              [c.priority for c in children], violations)
+    return violations, subsystems

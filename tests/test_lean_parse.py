@@ -6,13 +6,17 @@ reporting checks.  These tests pin that pass to a recursive reference
 parse, the one it replaced: the same tree on valid documents, and the same
 diagnostics on documents with one or two faults in the hierarchy.  The
 pass also runs ``validate_hierarchy``'s checks and compiles the section;
-the reference parse followed by ``validate_hierarchy`` and ``_compile``
-is the oracle for both.
+the reference parse followed by ``validate_hierarchy`` and the tree
+compiler it replaced is the oracle for both.  The library checks and
+compiles a constructed tree in one walk; the two walks it replaced are
+kept here as the oracle for that walk.
 """
 
 import copy
 import dataclasses
 import json
+import math
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aggeval.description
+import aggeval.hierarchy
 from aggeval import (
     DescriptionError,
     Group,
@@ -27,6 +32,7 @@ from aggeval import (
     Method,
     MethodConfig,
     PERCENT,
+    Scale,
     parse_description,
     serialize_description,
     validate_hierarchy,
@@ -44,13 +50,15 @@ from aggeval.description import (
     _parse_hierarchy,
     _parse_method,
 )
-from aggeval.hierarchy import _compile, _entries
+from aggeval.hierarchy import HierarchyValidationError, _entries, _sub
+from aggeval.network import _check_method
 from test_description import documents
 from test_reference_oracle import workloads
 from test_tree_passes import (
     HIERARCHY_FIXTURES,
     SHALLOW_TREES,
     chain,
+    random_invalid_tree,
     tree_documents,
     within_the_stack,
 )
@@ -108,7 +116,7 @@ def reference_parse(raw, positions, columns, scale, diag):
     """``_parse_hierarchy``'s signature over the pipeline it replaced: the
     reference parse, the elements never referenced, then
     ``validate_hierarchy`` on the whole tree.  The tree is returned as it
-    is, so the commands compile it with ``_compile``."""
+    is, so the commands check and compile it in the library's one walk."""
     _, evaluations, priorities = columns
     elements = {i: Element(i, evaluations[k], priorities[k]) for i, k in positions.items()}
     used = {}
@@ -351,21 +359,105 @@ def decoded_outcome(document):
         return within_the_stack(outcome, "decoded above")
 
 
+# --- The two walks the library ran on a tree before one walk did both. ---
+
+
+def two_walk_validate(root, scale):
+    """``validate_hierarchy`` as it was: an explicit-stack preorder walk."""
+    violations = []
+    seen_ids = set()
+    isfinite = math.isfinite
+    low, high = scale.min, scale.max
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children = node.children
+        if children:
+            stack += children[::-1]
+        node_id = node.id
+        if node_id in seen_ids:
+            violations.append(f"node id {node_id!r} used more than once")
+            continue
+        seen_ids.add(node_id)
+        priority = node.priority
+        if priority is not None and not (isfinite(priority) and priority > 0):
+            violations.append(f"node {node_id!r}: priority must be positive, got {priority!r}")
+        if not children:
+            value = node.value
+            if value is None:
+                violations.append(f"leaf {node_id!r} has no evaluation value")
+            elif not (isfinite(value) and low <= value <= high):
+                violations.append(f"leaf {node_id!r}: value {value!r} is outside [{low}, {high}]")
+            if node.config is not None:
+                violations.append(f"leaf {node_id!r} cannot carry a method config")
+        else:
+            if node.value is not None:
+                violations.append(f"subsystem {node_id!r} cannot carry a leaf value")
+            if node.config is not None:
+                _check_method(node.id, node.config, [c.id for c in children],
+                              [c.priority for c in children], violations)
+    return violations
+
+
+def two_walk_compile(root):
+    """The subsystems of a validated tree as the tree compiler listed them,
+    from a second walk: post-order, children right to left."""
+    order = []
+    stack = [root] if root.children else []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(child for child in reversed(node.children) if child.children)
+    subs, index = [], {}
+    for node in reversed(order):
+        children = node.children
+        values = [0.0 if child.children else float(child.value) for child in children]
+        below = {k: index[child.id] for k, child in enumerate(children) if child.children}
+        index[node.id] = len(subs)
+        subs.append(_sub(node.id, [child.id for child in children], values, below,
+                         [child.priority for child in children], node.config))
+    return subs
+
+
+def assert_one_walk(tree, scale=PERCENT):
+    """``validate_hierarchy`` and the library's checked lowering give the
+    two walks' violations, raised, or their entries, every field equal."""
+    expected = two_walk_validate(tree, scale)
+    assert validate_hierarchy(tree, scale) == expected
+    if expected:
+        with pytest.raises(HierarchyValidationError) as raised:
+            _entries(tree, scale)
+        assert raised.value.violations == tuple(expected)
+        return
+    subs, root_id, root_value = _entries(tree, scale)
+    assert subs == two_walk_compile(tree)  # ``below`` included
+    assert root_id == tree.id
+    if not subs:
+        assert root_value == tree.value
+
+
+def document_tree(document):
+    """A document's hierarchy as a constructed tree, faults and all."""
+    elements = {e["id"]: Element(e["id"], e["evaluation"], e.get("priority"))
+                for e in document["elements"]}
+    return reference_node(document["hierarchy"], "hierarchy", elements, {}, _Collector())
+
+
 # --- Faults only the tree validation finds: the pass against the old pipeline. ---
 
 
 def assert_old_pipeline(document):
     """The parse gives the outcome of the pipeline it replaced, with the
     same diagnostics in the same order; an accepted document stores, before
-    its tree is first read, ``_compile``'s entries for that tree."""
+    its tree is first read, ``two_walk_compile``'s entries for that tree."""
     text = json.dumps(document)
     with mock.patch.object(aggeval.description, "_parse_hierarchy", reference_parse):
         reference = outcome(text)
     parsed = outcome(text)
     if isinstance(parsed, SystemDescription):
-        subs, root_id, root_value = _entries(vars(parsed)["hierarchy"])
+        subs, root_id, root_value = _entries(vars(parsed)["hierarchy"], parsed.scale)
         tree = parsed.hierarchy
-        compiled = _compile(tree)
+        compiled = two_walk_compile(tree)
         assert len(subs) == len(compiled)
         for entry, expected in zip(subs, compiled):
             assert entry == expected  # every field, ``below`` included
@@ -458,8 +550,8 @@ VALID_SHALLOW_TREES = [tree for tree in SHALLOW_TREES if not validate_hierarchy(
 
 class TestPassGivesTheOldPipelinesOutcome:
     """The pass checks what ``validate_hierarchy`` checked and compiles what
-    ``_compile`` compiled; the reference parse followed by those two is
-    the oracle."""
+    ``two_walk_compile`` compiled; the reference parse followed by those
+    two is the oracle."""
 
     @settings(deadline=None, max_examples=400)
     @given(validation_faulty_documents())
@@ -518,6 +610,48 @@ class TestPassGivesTheOldPipelinesOutcome:
     @pytest.mark.parametrize("name", ["tree-rollup", "tree-sweep"])
     def test_seed_1_benchmark_trees(self, name, tmp_path):
         assert_old_pipeline(workloads.materialize(name, 1, str(tmp_path)).doc)
+
+
+class TestOneWalkGivesTheTwoWalksOutcome:
+    """One walk checks a constructed tree and lowers it into the frames the
+    parse compiles; the two walks it replaced are the oracle."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(tree_documents(), validation_faulty_documents()))
+    def test_random_trees_with_zero_to_three_faults(self, document):
+        assert_one_walk(document_tree(document))
+
+    def test_seeded_trees_with_faults_at_every_node_kind(self):
+        scale = Scale(5.0, 50.0)
+        for seed in range(200):
+            assert_one_walk(random_invalid_tree(random.Random(seed), scale), scale)
+
+    @pytest.mark.parametrize(
+        "tree", [*SHALLOW_TREES, chain(300)],
+        ids=[*(f"shallow{k}" for k in range(len(SHALLOW_TREES))), "chain300"],
+    )
+    def test_constructed_trees(self, tree):
+        assert_one_walk(tree)
+
+    def test_a_3000_level_chain(self):
+        within_the_stack(assert_one_walk, chain(3000))
+        bad = chain(3000)
+        within_the_stack(assert_one_walk, HierarchyNode("n0", 1.0, None, bad.children, bad.config))
+
+    def test_the_library_walks_a_tree_once(self, monkeypatch):
+        walks = []
+        original = aggeval.hierarchy._hierarchy_walk
+
+        def counting(root, scale):
+            walks.append(root.id)
+            return original(root, scale)
+
+        monkeypatch.setattr(aggeval.hierarchy, "_hierarchy_walk", counting)
+        tree = SHALLOW_TREES[3]
+        aggeval.hierarchy.aggregate(tree, PERCENT)
+        aggeval.hierarchy.compare_methods(tree, PERCENT)
+        aggeval.hierarchy.sweep(tree, PERCENT, "a", 0.0, 100.0, 3)
+        assert walks == ["root"] * 3
 
 
 # --- Objects built without the frozen __init__. ---

@@ -1,9 +1,14 @@
 """Tree passes: the CLI render, validation, sweeps and the node dunders.
 
 Tree ``evaluate`` prints text and CSV straight from the roll-up rows, and
-``validate_hierarchy`` walks with an explicit stack.  Both are pinned here
-against test-local copies of the report-based render and the
-generator-based validation they replaced.
+``validate_hierarchy`` is the violations of the library's one explicit-stack
+walk, which also lists the subsystems that ``aggregate``, ``compare_methods``
+and ``sweep`` compile.  Both are pinned here against test-local copies of
+the report-based render and the generator-based validation they replaced;
+the validation oracle runs ``_check_method`` on each configured subsystem.
+Library results stay inside the scale: the sweep oracle clamps its
+expected wlam, nam and hybrid as the library does, and a property checks
+every aggregate field on near-maximum vectors.
 """
 
 import contextlib
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import aggeval.hierarchy
 from aggeval import (
@@ -32,7 +37,7 @@ from aggeval import (
 )
 from aggeval.cli import _tree_lines, main
 from aggeval.description import load_description
-from aggeval.network import _check_config
+from aggeval.network import _check_method
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 HIERARCHY_FIXTURES = sorted(
@@ -273,7 +278,10 @@ def walk_validate_hierarchy(root, scale):
         else:
             if node.value is not None:
                 violations.append(f"subsystem {node.id!r} cannot carry a leaf value")
-            _check_config(node, violations)
+            if node.config is not None:
+                children = node.children
+                _check_method(node.id, node.config, [c.id for c in children],
+                              [c.priority for c in children], violations)
     return violations
 
 
@@ -724,7 +732,9 @@ class TestSweepMatchesFullReroll:
             for varied in (0.0, 25.0, 50.0, 75.0, 100.0):
                 report = aggregate(with_value(root, element["id"], varied), scale)
                 values = [child.value for child in report.children]
-                expected.append(hierarchy.SweepRow(varied, *hierarchy._metrics(values, weights, plan)))
+                wem, *means = hierarchy._metrics(values, weights, plan)
+                clamped = [None if mean is None else scale.clamp(mean) for mean in means]
+                expected.append(hierarchy.SweepRow(varied, wem, *clamped))
             assert rows == expected
 
 
@@ -920,3 +930,58 @@ class TestKeptGroupNams:
         # The nine other groups once before the grid, then per point e000's
         # group and the root's nam column over all 400 elements.
         assert calls == [40] * 9 + [400, 40] * 51
+
+
+# --- Library results stay inside the scale. ---
+
+OVERSHOOT_NAM = [99.9999999999999, 100.0, 99.99999999999999, 100.0, 100.0]
+NEAR_MAXIMUM = st.sampled_from(
+    [100.0, 99.99999999999999, 99.99999999999997, 99.9999999999999]
+) | st.floats(99.9999999999, 100.0)
+
+
+@st.composite
+def near_maximum_trees(draw):
+    """A subsystem over near-maximum leaves under nam, weighted wlam or
+    hybrid, as the root or as the first child of a root with the same
+    method; ``e0`` is its first leaf."""
+    values = draw(st.lists(NEAR_MAXIMUM, min_size=2, max_size=8))
+    method = draw(st.sampled_from([Method.NAM, Method.WLAM, Method.HYBRID_GROUPED]))
+    ids = [f"e{k}" for k in range(len(values))]
+    priorities = [None] * len(values)
+    config = MethodConfig(method)
+    if method is Method.WLAM:
+        priorities = draw(st.lists(st.sampled_from([0.3, 1.0, 3.3]) | st.floats(0.1, 10),
+                                   min_size=len(values), max_size=len(values)))
+    elif method is Method.HYBRID_GROUPED:
+        order = draw(st.permutations(ids))
+        count = draw(st.integers(1, len(ids)))
+        config = MethodConfig(method, groups=tuple(
+            Group(f"g{k}", tuple(order[k::count]), draw(st.sampled_from([0.3, 1.0, 3.3])))
+            for k in range(count)))
+    node = sub("s", map(leaf, ids, values, priorities), config)
+    if draw(st.booleans()):
+        if method is Method.HYBRID_GROUPED:
+            config = MethodConfig(method, groups=(Group("g", ("s",)), Group("h", ("top",))))
+        node = sub("root", [node, leaf("top", 100.0)], config)
+    return node
+
+
+def inside(values, scale=PERCENT):
+    return all(value is None or scale.min <= value <= scale.max for value in values)
+
+
+class TestLibraryResultsStayInTheScale:
+    def test_the_overshooting_vector_overshoots_unclamped(self):
+        assert aggeval.core._nam(OVERSHOOT_NAM) == 100.00000000000003
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_maximum_trees())
+    @example(sub("s", map(leaf, ["e0", "e1", "e2", "e3", "e4"], OVERSHOOT_NAM),
+                 MethodConfig(Method.NAM)))
+    def test_every_aggregate_field(self, tree):
+        for row in aggeval.compare_methods(tree, PERCENT):
+            assert inside([row.wem, row.wlam, row.nam, row.hybrid]), row
+        for row in aggeval.sweep(tree, PERCENT, "e0", 99.9999999999999, 100.0, 3):
+            assert inside([row.wem, row.wlam, row.nam, row.hybrid]), row
+        assert inside([report.value for report in aggregate(tree, PERCENT).walk()])
