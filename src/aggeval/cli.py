@@ -181,17 +181,16 @@ def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> lis
     # Every node is the root or some entry's child, so one check over those
     # ids tells whether any id cell needs quoting; most trees need none.
     quote = csv and _needs_quotes(root_id + "".join(["".join(sub.ids) for sub in subs]))
-    # A leaf is pushed as (pad, id, value), a subsystem as (pad, None, index).
-    stack = [("", None, len(subs) - 1) if subs else ("", root_id, float(root_value))]
+    # A run of leaves is pushed as (pad, ids, values), a subsystem as
+    # (pad, None, index); a run's lines are made in one comprehension.
+    stack = [("", None, len(subs) - 1) if subs else ("", [root_id], [float(root_value)])]
     while stack:
-        pad, node_id, item = stack.pop()
-        if node_id is not None:
-            if csv:
-                if quote:
-                    node_id = _csv_cell(node_id)
-                lines.append(f"{node_id},leaf,{item:.6f},{0:.6f},{node_id}")
-            else:
-                lines.append(f"{pad}{node_id} = {item:.6g}")
+        pad, ids, item = stack.pop()
+        if ids is not None:
+            if quote:
+                ids = [_csv_cell(i) for i in ids]
+            lines += ([f"{i},leaf,{v:.6f},{0:.6f},{i}" for i, v in zip(ids, item)] if csv
+                      else [f"{pad}{i} = {v:.6g}" for i, v in zip(ids, item)])
             continue
         sub = subs[item]
         value, _, weakest, adequacy, warnings = rows[item]
@@ -205,11 +204,15 @@ def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> lis
                 f"{pad}{sub.id} [{sub.label}] = {value:.6g} "
                 f"(adequacy {adequacy:.6g}; weakest {', '.join(weakest)})"
             )
-            lines.extend(f"{pad}  warning: {warning}" for warning in warnings)
+            if warnings:
+                lines += [f"{pad}  warning: {warning}" for warning in warnings]
         pad += "  "
         below = sub.below
+        if not below:  # leaves only: one run
+            stack.append((pad, sub.ids, sub.values))
+            continue
         stack.extend(
-            (pad, None, below[k]) if k in below else (pad, sub.ids[k], sub.values[k])
+            (pad, None, below[k]) if k in below else (pad, [sub.ids[k]], [sub.values[k]])
             for k in reversed(range(len(sub.ids)))
         )
     return lines if csv else _one_line(lines)
@@ -243,9 +246,9 @@ def _table(rows: list[list[str]]) -> list[str]:
     """Left-aligned columns; cells are made one-line before their widths
     are measured."""
     columns = [_one_line(list(column)) for column in zip(*rows)]
-    widths = [max(map(len, column)) for column in columns]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in zip(*columns)]
+    # Cells are arguments, never part of the template, so braces in ids are safe.
+    line = "  ".join([f"{{:<{max(map(len, column))}}}" for column in columns])
+    return [line.format(*row).rstrip() for row in zip(*columns)]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -256,19 +259,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _emit_comparison(rows: list[MethodComparison]) -> int:
     cells = [["node", "wem", "wlam", "nam", "hybrid", "sigma_12", "sigma_13", "warnings"]]
-    for row in rows:
-        cells.append(
-            [
-                row.node_id,
-                _g(row.wem),
-                _g(row.wlam),
-                "-" if row.nam is None else _g(row.nam),
-                "-" if row.hybrid is None else _g(row.hybrid),
-                _g(row.sigma_12),
-                "-" if row.sigma_13 is None else _g(row.sigma_13),
-                "; ".join(row.warnings) if row.warnings else "-",
-            ]
-        )
+    cells += [[row.node_id, f"{row.wem:.6g}", f"{row.wlam:.6g}",
+               "-" if row.nam is None else f"{row.nam:.6g}",
+               "-" if row.hybrid is None else f"{row.hybrid:.6g}", f"{row.sigma_12:.6g}",
+               "-" if row.sigma_13 is None else f"{row.sigma_13:.6g}",
+               "; ".join(row.warnings) if row.warnings else "-"] for row in rows]
     _line_out(_table(cells))
     return EXIT_WARNING if any(row.warnings for row in rows) else EXIT_OK
 

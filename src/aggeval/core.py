@@ -83,6 +83,11 @@ class Method(str, Enum):
     WEM_THEN = "wem-then"
 
 
+# The members as module globals: a per-node identity test reads one global
+# instead of looking the member up on the class.
+_WEM, _WLAM, _NAM, _HYBRID, _WEM_THEN = Method
+
+
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 

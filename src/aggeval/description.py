@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _METHODS = {m.value: m for m in Method}
+# The config of a method object whose only key is "method"; frozen, so shared.
+_PLAIN_METHODS = {name: MethodConfig(m) for name, m in _METHODS.items()}
 _METHOD_NAMES = ", ".join(_METHODS)
 
 _FLOAT_MAX = sys.float_info.max
@@ -428,6 +430,10 @@ def _parse_group_list(
 
 
 def _parse_method(raw: Any, path: str, diag: _Collector) -> MethodConfig | None:
+    if type(raw) is dict and len(raw) == 1:
+        name = raw.get("method")
+        if type(name) is str and name in _PLAIN_METHODS:
+            return _PLAIN_METHODS[name]
     if not _check_object(raw, _METHOD_KEYS, ("method",), path, diag):
         return None
     name = raw["method"]

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple, Sequence
 
 from .core import (
+    _HYBRID,
+    _NAM,
+    _WEM,
+    _WEM_THEN,
+    _WLAM,
     EvaluationError,
     Method,
     Scale,
@@ -149,7 +154,8 @@ class _Sub(NamedTuple):
     config: MethodConfig | None
 
 
-_WLAM = MethodConfig(Method.WLAM)  # a subsystem without a method object
+_NO_CONFIG = MethodConfig(_WLAM)  # a subsystem without a method object
+_LABELS = {m: m.value for m in Method}  # a dict read, not the enum's value property
 
 
 def _sub(
@@ -164,18 +170,18 @@ def _sub(
     weights = None
     if priorities.count(None) < len(priorities):
         weights = [1.0 if priority is None else priority for priority in priorities]
-    given, config = config, config or _WLAM
+    given, config = config, config or _NO_CONFIG
     method = kernel = config.method
-    plan, critical = [], None
-    if config.groups or config.critical_ids:
+    groups, plan, group_ids, critical = config.groups, [], [], None
+    if groups or config.critical_ids:
         position = dict(zip(ids, range(len(ids))))
-        plan = [([position[m] for m in g.members], g.priority) for g in config.groups]
+        plan = [([position[m] for m in g.members], g.priority) for g in groups]
+        group_ids = [g.id for g in groups]
         critical = [position[i] for i in config.critical_ids] or None
-    if method is Method.WEM_THEN:
-        kernel = Method.NAM if config.fallback is Method.NAM else Method.WLAM
-    return _Sub(node_id, ids, values, values[:], below, method.value, kernel, weights, plan,
-                [g.id for g in config.groups], critical, config.adequacy_threshold,
-                priorities, given)
+    if method is _WEM_THEN:
+        kernel = _NAM if config.fallback is _NAM else _WLAM
+    return _Sub(node_id, ids, values, values[:], below, _LABELS[method], kernel, weights, plan,
+                group_ids, critical, config.adequacy_threshold, priorities, given)
 
 
 def _compile(frames: list[tuple]) -> list[_Sub]:
@@ -215,7 +221,7 @@ def _compile_flat(desc: SystemDescription) -> list[_Sub]:
     element columns, with the groups as its hybrid plan.  The values are
     a copy, which a sweep may write into."""
     ids, evaluations, priorities = _element_columns(desc)
-    config = MethodConfig(Method.HYBRID_GROUPED, groups=desc.groups) if desc.groups else None
+    config = MethodConfig(_HYBRID, groups=desc.groups) if desc.groups else None
     return [_sub(_synthetic_root_id(ids), ids, evaluations[:], {}, priorities, config)]
 
 
@@ -227,11 +233,11 @@ _Row = tuple[float, float, tuple[str, ...], float, tuple[str, ...]]
 def _operate(sub: _Sub, values: list[float]) -> float:
     """The subsystem's configured operator over its child values, in child order."""
     kernel = sub.kernel
-    if kernel is Method.WEM:
+    if kernel is _WEM:
         return min(values)
-    if kernel is Method.NAM:
+    if kernel is _NAM:
         return _nam(values)
-    if kernel is Method.HYBRID_GROUPED:
+    if kernel is _HYBRID:
         return _hybrid(values, sub.plan)
     return _wlam(values, sub.weights)
 
@@ -248,6 +254,9 @@ def _weakest(
         lows = [lows[k] for k in positions]
     low = min(lows)
     below, weakest = sub.below, []
+    if lows.count(low) == 1:  # a unique minimum, found by C-level scans
+        k = positions[lows.index(low)]
+        return low, rows[below[k]][2] if k in below else (sub.ids[k],)
     for k, value in zip(positions, lows):
         if value == low:
             weakest += rows[below[k]][2] if k in below else (sub.ids[k],)
@@ -369,8 +378,10 @@ def _comparison(
             f"hidden weak element: {', '.join(weakest)} "
             f"(sigma_12 {sigma_12:.6g} > threshold {threshold:g})",
         )
-    return MethodComparison(row_id, wem, *_clamped(scale, wlam, nam, hybrid),
-                            sigma_12, sigma_13, weakest, warnings)
+    wlam, nam, hybrid = _clamped(scale, wlam, nam, hybrid)
+    return _built(MethodComparison, {
+        "node_id": row_id, "wem": wem, "wlam": wlam, "nam": nam, "hybrid": hybrid,
+        "sigma_12": sigma_12, "sigma_13": sigma_13, "weakest_ids": weakest, "warnings": warnings})
 
 
 def _check_threshold(threshold: float) -> None:
@@ -388,19 +399,20 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
     rolled: list[tuple[float, float, tuple[str, ...]]] = []
     blocks: list[list[MethodComparison]] = []
     for sub in subs:
-        values, lows, weights = sub.values, sub.lows, sub.weights
+        values, lows, weights, plan = sub.values, sub.lows, sub.weights, sub.plan
         for k, j in sub.below.items():
             values[k], lows[k] = rolled[j][0], rolled[j][1]
-        group_nams = [_nam([values[k] for k in positions]) for positions, _ in sub.plan]
-        wem, wlam, nam, hybrid = _metrics(values, weights, sub.plan, group_nams)
-        metric = {Method.WEM: wem, Method.NAM: nam, Method.HYBRID_GROUPED: hybrid}
-        value = metric.get(sub.kernel, wlam)
+        group_nams = [_nam([values[k] for k in positions]) for positions, _ in plan] if plan else []
+        wem, wlam, nam, hybrid = _metrics(values, weights, plan, group_nams)
+        kernel = sub.kernel
+        value = (wem if kernel is _WEM else nam if kernel is _NAM
+                 else hybrid if kernel is _HYBRID else wlam)
         if value is None:  # a nam kernel under child priorities: no nam column, but it runs
             value = _nam(values)
         low, weakest = _weakest(sub, rolled)
         rolled.append((scale.clamp(value), low, weakest))
         block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold, scale)]
-        for group_id, (positions, _), group_nam in zip(sub.group_ids, sub.plan, group_nams):
+        for group_id, (positions, _), group_nam in zip(sub.group_ids, plan, group_nams):
             # Group values in member order; weakest leaves in child order.
             group = [values[k] for k in positions]
             block.append(_comparison(
@@ -494,14 +506,14 @@ def _sweep(
     # The path's ancestors under the root, deepest first.  A hybrid one, and
     # the root, keep the nams of their groups that do not hold the slot, so
     # a grid point recomputes only the group that does.
-    below = [(sub, slot, _kept_nams(sub, slot) if sub.kernel is Method.HYBRID_GROUPED else None)
+    below = [(sub, slot, _kept_nams(sub, slot) if sub.kernel is _HYBRID else None)
              for sub, slot in reversed(above)]
     root_nams = _kept_nams(root, root_slot)
     # The root's value is not reported, but an overflow in its operator ends
     # a full roll-up.  _metrics runs the same kernel on the same values,
     # except nam under child priorities, which only a wem-then root with a
     # nam fallback reaches; only that root runs its operator on its own.
-    own_nam = root.kernel is Method.NAM and root.weights is not None
+    own_nam = root.kernel is _NAM and root.weights is not None
     rows: list[SweepRow] = []
     for varied in _grid(start, stop, steps):
         value = float(varied)

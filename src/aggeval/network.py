@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator, TypeVar
 
-from .core import Group, Method, Scale
+from .core import _HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale
 
 __all__ = [
     "Flow",
@@ -223,74 +223,65 @@ def _check_method(node_id: str, config: MethodConfig, child_ids: list[str],
                   priorities: list[float | None], out: list[str]) -> None:
     """Check a subsystem's method config against its children's ids and
     priorities, in child order."""
-    label = f"subsystem {node_id!r}"
-    if config.groups and config.method is not Method.HYBRID_GROUPED:
-        out.append(f"{label}: grouping is only meaningful for the hybrid method")
-    if config.critical_ids and config.method is not Method.WEM_THEN:
-        out.append(f"{label}: critical set is only meaningful for wem-then")
-    if config.fallback is not None:
-        if config.method is not Method.WEM_THEN:
-            out.append(f"{label}: fallback is only meaningful for wem-then")
-        elif config.fallback not in (Method.WLAM, Method.NAM):
-            out.append(
-                f"{label}: fallback must be wlam or nam, got {config.fallback.value!r}"
-            )
-    if config.adequacy_threshold is not None and not (
-        0 <= config.adequacy_threshold <= 1
+    method, groups, critical_ids = config.method, config.groups, config.critical_ids
+    fallback, threshold = config.fallback, config.adequacy_threshold
+    if (method is _WLAM or method is _WEM) and not (
+        groups or critical_ids or fallback is not None or threshold is not None
     ):
-        out.append(
-            f"{label}: adequacy threshold must lie in [0, 1], "
-            f"got {config.adequacy_threshold!r}"
-        )
-    if config.method is Method.HYBRID_GROUPED:
-        if not config.groups:
-            out.append(f"{label}: hybrid method requires a grouping")
+        return  # nothing to check
+    problems: list[str] = []
+    if groups and method is not _HYBRID:
+        problems.append("grouping is only meaningful for the hybrid method")
+    if critical_ids and method is not _WEM_THEN:
+        problems.append("critical set is only meaningful for wem-then")
+    if fallback is not None:
+        if method is not _WEM_THEN:
+            problems.append("fallback is only meaningful for wem-then")
+        elif fallback not in (_WLAM, _NAM):
+            problems.append(f"fallback must be wlam or nam, got {fallback.value!r}")
+    if threshold is not None and not 0 <= threshold <= 1:
+        problems.append(f"adequacy threshold must lie in [0, 1], got {threshold!r}")
+    if method is _HYBRID:
+        if not groups:
+            problems.append("hybrid method requires a grouping")
         else:
-            _check_partition(label, config.groups, child_ids, out)
-    if config.method is Method.WEM_THEN:
-        if not config.critical_ids:
-            out.append(f"{label}: wem-then requires a critical set")
+            _check_partition(groups, child_ids, problems)
+    if method is _WEM_THEN:
+        if not critical_ids:
+            problems.append("wem-then requires a critical set")
         else:
-            unknown = [i for i in config.critical_ids if i not in child_ids]
-            for i in unknown:
-                out.append(f"{label}: critical id {i!r} is not a child")
-    if config.method is Method.NAM:
+            problems += [f"critical id {i!r} is not a child"
+                         for i in critical_ids if i not in child_ids]
+    if method is _NAM:
         weighted = [i for i, p in zip(child_ids, priorities) if p is not None]
         if weighted:
-            out.append(
-                f"{label}: nam cannot use child priorities "
-                f"(set on {', '.join(weighted)})"
-            )
+            problems.append(f"nam cannot use child priorities (set on {', '.join(weighted)})")
+    if problems:
+        label = f"subsystem {node_id!r}"
+        out += [f"{label}: {problem}" for problem in problems]
 
 
-def _check_partition(
-    label: str, groups: tuple[Group, ...], child_ids: list[str], out: list[str]
-) -> None:
+def _check_partition(groups: tuple[Group, ...], child_ids: list[str], out: list[str]) -> None:
     known = set(child_ids)
     assigned: set[str] = set()
     group_ids: set[str] = set()
     for group in groups:
         if group.id in group_ids:
-            out.append(f"{label}: duplicate group id {group.id!r}")
+            out.append(f"duplicate group id {group.id!r}")
         group_ids.add(group.id)
         if not group.members:
-            out.append(f"{label}: group {group.id!r} has no members")
+            out.append(f"group {group.id!r} has no members")
         if not (math.isfinite(group.priority) and group.priority > 0):
-            out.append(
-                f"{label}: group {group.id!r} priority must be positive, "
-                f"got {group.priority!r}"
-            )
+            out.append(f"group {group.id!r} priority must be positive, got {group.priority!r}")
         for member in group.members:
             if member not in known:
-                out.append(
-                    f"{label}: group {group.id!r} references unknown child {member!r}"
-                )
+                out.append(f"group {group.id!r} references unknown child {member!r}")
             elif member in assigned:
-                out.append(f"{label}: child {member!r} grouped more than once")
+                out.append(f"child {member!r} grouped more than once")
             assigned.add(member)
     uncovered = sorted(known - assigned)
     if uncovered:
-        out.append(f"{label}: children not covered by any group: " + ", ".join(uncovered))
+        out.append("children not covered by any group: " + ", ".join(uncovered))
 
 
 def validate_hierarchy(root: HierarchyNode, scale: Scale) -> list[str]:
