@@ -13,7 +13,8 @@ runs the same fixed command mix through ``aggeval.cli.main``:
 * every fixture and generated file with ``evaluate`` in each format, with
   and without each ``--method``;
 * ``compare`` at thresholds 0, 0.5, 1 and 2;
-* ``sweep`` of the first and the last element, to stdout and to ``--out``;
+* ``sweep`` of the first, the middle and the last element, to stdout and
+  to ``--out``;
 * ``sweep`` of ids it cannot vary (the hierarchy's root and its first
   subsystem child, a flat file's synthetic root ``system``, an unknown
   id), with one grid point, and with either bound outside the scale, so
@@ -42,12 +43,15 @@ mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
 ``--fixtures-only`` skips them, but not what follows.  The whole mix of
-a file also runs on six small generated files: flat means that round a few ulps above the
+a file also runs on seven small generated files: flat means that round a few ulps above the
 scale's maximum under nam, under weighted wlam and under hybrid, a
-hierarchy that is a single element, and two flat files of more than 30
+hierarchy that is a single element, two flat files of more than 30
 elements, whose nam takes the log path: one with a 0 and values at 1e-6
 and 1e6, and one in three groups with one priority of 1e308, whose
-weighted mean takes its scaled fallback; ``compare`` runs with the threshold
+weighted mean takes its scaled fallback, and a grouped flat file with
+``0`` and ``-0`` on both sides of its middle element and ties with the
+smallest value before it, whose middle element is also swept from ``0``
+to ``-0``, so that the printed sign of ``wem`` is pinned; ``compare`` runs with the threshold
 ``-1e5`` after a space and after ``=``.  The mix ends with usage errors (no
 command, an unknown command, a missing ``--input``, a bad ``--method``,
 ``--steps x``) and with paths that cannot be opened, for ``--input`` and
@@ -129,7 +133,7 @@ def _file_commands(path: Path) -> list[list[str]]:
             commands.append(["evaluate", "--input", source, "--format", fmt, *extra])
     for threshold in ("0", "0.5", "1", "2"):
         commands.append(["compare", "--input", source, "--threshold", threshold])
-    for vary in dict.fromkeys((ids[0], ids[-1])):
+    for vary in dict.fromkeys((ids[0], ids[len(ids) // 2], ids[-1])):
         sweep = ["sweep", "--input", source, "--vary", vary,
                  "--from", str(low), "--to", str(high), "--steps", "11"]
         commands += [sweep, [*sweep, "--out", OUT]]
@@ -303,6 +307,11 @@ EDGE_FILES = {  # each on the scale [0, 100] unless it gives its own
         "elements": _scores([10 + 2.5 * k for k in range(35)], [None] * 7 + [1e308], WIDE_IDS),
         "groups": [{"id": f"g{g}", "members": WIDE_IDS[g::3]} for g in range(3)],
     },
+    "signed-zeros": {
+        "elements": _scores([30, 20, 20, 50, 40, 0.0, -0.0, 20, 60], ids="abcdefghi"),
+        "groups": [{"id": "g1", "members": ["a", "b", "c", "e"]},
+                   {"id": "g2", "members": ["d", "f", "g", "h", "i"], "priority": 2}],
+    },
 }
 
 
@@ -317,6 +326,9 @@ def _edge_commands(workdir: Path) -> list[list[str]]:
         commands += _file_commands(path)
         if name.startswith("overshoot-"):
             commands += _library_commands(str(path))
+        if name == "signed-zeros":
+            commands.append(["sweep", "--input", str(path), "--vary", "e",
+                             "--from", "0", "--to", "-0", "--steps", "3"])
     weak = str(FIXTURES / "weak_element.json")
     return [*commands, ["compare", "--input", weak, "--threshold", "-1e5"],
             ["compare", "--input", weak, "--threshold=-1e5"]]

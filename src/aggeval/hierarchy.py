@@ -10,11 +10,18 @@ value moves across a grid.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import AbstractSet, NamedTuple, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import AbstractSet, Callable, NamedTuple, Sequence
 
 from .core import (
     _HYBRID,
+    _LOG_DOMAIN_SIZE,
+    _LOG_DOMAIN_TINY,
+    _LOG_DOMAIN_VALUE,
     _NAM,
     _WEM,
     _WEM_THEN,
@@ -26,6 +33,7 @@ from .core import (
     _masking_ratio,
     _nam,
     _signed_gap,
+    _weighted_mean,
     _wlam,
 )
 from .description import SystemDescription, _built, _Compiled, _element_columns, _synthetic_root_id
@@ -154,6 +162,7 @@ class _Sub(NamedTuple):
     config: MethodConfig | None
 
 
+_NONE = (math.inf,)  # the smallest of no values, for a sweep's kept extremes
 _NO_CONFIG = MethodConfig(_WLAM)  # a subsystem without a method object
 _LABELS = {m: m.value for m in Method}  # a dict read, not the enum's value property
 
@@ -490,6 +499,77 @@ def _kept_nams(sub: _Sub, slot: int) -> list[float | None]:
             for positions, _ in sub.plan]
 
 
+def _kept_sum(terms: list[float]) -> list[float]:
+    """Floats whose exact sum is that of ``terms`` (Shewchuk's partials, found
+    with fsum alone): fsum over them and one more term rounds as over the
+    terms and that one.  Raises OverflowError where fsum over the terms does."""
+    parts = [math.fsum(terms)] if terms else []  # fsum's own rounding, the sign of 0 included
+    while len(terms) > 1 and parts[-1] < math.inf and (
+            rest := math.fsum(terms + [-p for p in parts])):
+        parts.append(rest)
+    return parts
+
+
+def _kept_point(sub: _Sub, slot: int, root: bool) -> Callable[[float], float | tuple]:
+    """A sweep's grid point at one ancestor: called with x once x is at
+    ``slot``, it returns ``_metrics`` at the root and ``_operate`` below it,
+    bit for bit, from the other children's smallest value before and after
+    the slot (``min``'s first-minimum rule then picks the same zero), their
+    largest, and exact parts of only the sums its metrics read.  A point
+    raises OverflowError where fsum over kept parts overflows; where a kept
+    sum overflows before the grid, every point runs the full kernels.  The
+    hybrid point reads the values and ignores its argument."""
+    values, weights, plan, n = sub.values, sub.weights, sub.plan, len(sub.values)
+    kernel = None if root else sub.kernel
+    try:
+        others = values[:slot] + values[slot + 1:]
+        before, after = min(values[:slot] or _NONE), min(values[slot + 1:] or _NONE)
+        high = max(others or [-math.inf])
+        if kernel is None or kernel is _WLAM:
+            weight, total = (1.0, n) if weights is None else (weights[slot], math.fsum(weights))
+            parts = _kept_sum(others if weights is None else
+                              [w * v for w, v in zip(weights[:slot] + weights[slot + 1:], others)])
+
+            def wlam(x: float) -> float:
+                if min(before, x, after) == max(x, high):
+                    return values[0]
+                mean = math.fsum((*parts, weight * x)) / total  # inf if a product overflows
+                return mean if mean < math.inf else _wlam(values, weights)
+        if weights is None and kernel is None or kernel is _NAM:
+            sums, order = _kept_sum(others), sorted(others) if n <= _LOG_DOMAIN_SIZE else []
+            logs = _kept_sum(list(map(math.log, others))) if min(others or _NONE) > 0 else []
+            prefix = list(accumulate(order, float.__mul__, initial=1.0))
+
+            def nam(x: float) -> float:
+                low, top = min(before, x, after), max(x, high)
+                if low == top or low == 0.0:
+                    return values[0] if low == top else 0.0
+                mean = math.fsum((*sums, x)) / n
+                if n > _LOG_DOMAIN_SIZE or top > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
+                    return math.exp(math.fsum((*logs, math.log(x))) - (n - 1) * math.log(mean))
+                k = bisect_left(order, x)  # equal values multiply alike
+                return math.prod(order[k:], start=prefix[k] * x) / mean ** (n - 1)
+        if plan and kernel is None or kernel is _HYBRID:
+            nams, priorities = _kept_nams(sub, slot), [priority for _, priority in plan]
+            group = nams.index(None)
+            members, weight_g, total_g = plan[group][0], priorities[group], math.fsum(priorities)
+            gather = itemgetter(*members) if len(members) > 1 else lambda v: (v[members[0]],)
+            parts_g = _kept_sum([p * m for p, m in zip(priorities, nams) if m is not None])
+
+            def hybrid(_: object) -> float:
+                nams[group] = _nam(gather(values))
+                mean = math.fsum((*parts_g, weight_g * nams[group])) / total_g
+                return mean if mean < math.inf else _weighted_mean(nams, priorities)
+    except OverflowError:  # a kept sum or group nam: the full kernels raise or scale instead
+        return lambda x: _metrics(values, weights, plan) if root else _operate(sub, values)
+    if root:
+        return lambda x: (min(before, x, after), wlam(x), None if weights is not None else nam(x),
+                          _hybrid(values, plan, None, hybrid) if plan else None)
+    if kernel is _WEM:
+        return lambda x: min(before, x, after)
+    return wlam if kernel is _WLAM else nam if kernel is _NAM else hybrid
+
+
 def _sweep(
     subs: list[_Sub],
     scale: Scale,
@@ -503,29 +583,35 @@ def _sweep(
     # evaluates the path at the leaf's stored value, so neither does this.
     _roll(subs, scale, {j for j, _ in path})
     (root, root_slot), *above = [(subs[j], slot) for j, slot in path]
-    # The path's ancestors under the root, deepest first.  A hybrid one, and
-    # the root, keep the nams of their groups that do not hold the slot, so
-    # a grid point recomputes only the group that does.
-    below = [(sub, slot, _kept_nams(sub, slot) if sub.kernel is _HYBRID else None)
+    # The path's ancestors under the root, deepest first, and the root keep
+    # what a grid point reads of their children off the path.  Where a kept
+    # sum overflows, the full kernels raise or scale as a roll-up does.
+    below = [(sub, sub.values, slot, _kept_point(sub, slot, False))
              for sub, slot in reversed(above)]
-    root_nams = _kept_nams(root, root_slot)
+    top = _kept_point(root, root_slot, True)
     # The root's value is not reported, but an overflow in its operator ends
-    # a full roll-up.  _metrics runs the same kernel on the same values,
+    # a full roll-up.  The metrics run the same kernel on the same values,
     # except nam under child priorities, which only a wem-then root with a
     # nam fallback reaches; only that root runs its operator on its own.
     own_nam = root.kernel is _NAM and root.weights is not None
-    rows: list[SweepRow] = []
+    low, high, rows = scale.min, scale.max, []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        for sub, slot, nams in below:
-            values = sub.values
+        for sub, values, slot, point in below:
             values[slot] = value
-            value = scale.clamp(_operate(sub, values) if nams is None
-                                else _hybrid(values, sub.plan, nams))
+            try:
+                value = point(value)
+            except OverflowError:
+                value = _operate(sub, values)
+            if not low <= value <= high:
+                value = scale.clamp(value)
         root.values[root_slot] = value
         if own_nam:
             _nam(root.values)
-        wem, wlam, nam, hybrid = _metrics(root.values, root.weights, root.plan, root_nams)
+        try:
+            wem, wlam, nam, hybrid = top(value)
+        except OverflowError:
+            wem, wlam, nam, hybrid = _metrics(root.values, root.weights, root.plan)
         wlam, nam, hybrid = _clamped(scale, wlam, nam, hybrid)
         rows.append(_built(SweepRow, {
             "varied": varied, "wem": wem, "wlam": wlam, "nam": nam, "hybrid": hybrid}))
@@ -546,10 +632,10 @@ def sweep(
     reports wem, wlam, and (when applicable) nam and hybrid over the
     root's children, bit for bit as a full roll-up of the mutated tree
     would give them.  Subtrees off the varied leaf's path are rolled once.
-    Each grid point recomputes only the leaf's ancestors.  A hybrid
-    ancestor, and the root, keep the nams of their groups without the
-    leaf, so a point recomputes one group nam per such ancestor; the
-    root's wem, wlam and nam still run over all of its children.
+    Each grid point recomputes only the leaf's ancestors, each from what it
+    keeps of its other children: their extremes, exact parts of their sums
+    and, under a grouping, the other groups' nams.  A point so takes O(1)
+    work per ancestor plus one group nam per hybrid ancestor.
     """
     _check_grid(scale, start, stop, steps)
     # The id checks come before validation, on the first node in preorder.

@@ -808,9 +808,10 @@ class TestSweepRecomputesOneGroup:
         calls = counting_nam(monkeypatch)
         rows = aggeval.sweep(self.TREE, PERCENT, "d", 0, 100, 11)
         assert len(rows) == 11
-        # g1 once before the grid, g2 once per point, and the root's nam
-        # over its three children once per point.
-        assert calls == [4] + [2, 3] * 11
+        # g1 once before the grid, then g2 once per point.  The root keeps
+        # what its nam reads of its other children without running nam, so
+        # no nam over the root's three children runs at all.
+        assert calls == [4] + [2] * 11
 
     def test_rows_equal_a_full_reroll(self):
         rows = aggeval.sweep(self.TREE, PERCENT, "d", 0, 100, 11)
@@ -877,12 +878,12 @@ def assert_kept_matches(values, slot, weights, groups, xs):
 
 
 @st.composite
-def kept_cases(draw):
-    n = draw(st.sampled_from([1, 2, 30, 31, 200]))
+def kept_cases(draw, sizes=(1, 2, 30, 31, 200), lows=(0.0, 5e-324)):
+    n = draw(st.sampled_from(sizes))
     slot = draw(st.sampled_from([0, n // 2, n - 1]))
     # One range per case, so that most sums stay in range.
     top = draw(st.sampled_from([100.0, 1e6, 1.7e308]))
-    low = draw(st.sampled_from([0.0, 5e-324]))  # without zeros, nam takes its log path
+    low = draw(st.sampled_from(lows))  # without zeros, nam takes its log path
     kept_values = st.sampled_from([v for v in EDGE_VALUES if low <= v <= top]) | st.floats(low, top)
     values = draw(st.lists(kept_values, min_size=n, max_size=n))
     weights = draw(st.none() | st.lists(KEPT_WEIGHTS, min_size=n, max_size=n))
@@ -928,8 +929,176 @@ class TestKeptGroupNams:
         )
         assert (code, err, len(out.splitlines())) == (0, "", 52)
         # The nine other groups once before the grid, then per point e000's
-        # group and the root's nam column over all 400 elements.
-        assert calls == [40] * 9 + [400, 40] * 51
+        # group.  The root's nam column comes from what the root keeps of
+        # its other 399 elements, which runs no nam, so no nam over all 400
+        # elements runs.
+        assert calls == [40] * 9 + [40] * 51
+
+
+# --- A grid point from each ancestor's kept state equals the full kernels. ---
+
+
+def at_point(point, x, full):
+    """A grid point as ``_sweep`` takes it: from the kept state, or from the
+    full kernel where a kept sum overflows."""
+    try:
+        return point(x)
+    except OverflowError:
+        return full()
+
+
+POINT_CONFIGS = {  # (root, config of the node), for a node over c0, c1, ...
+    "root": (True, None),
+    "root-hybrid": (True, "groups"),
+    "wem": (False, MethodConfig(Method.WEM)),
+    "wlam": (False, None),
+    "nam": (False, MethodConfig(Method.NAM)),
+    "hybrid": (False, "groups"),
+}
+
+
+def assert_points_match(values, slot, weights, groups, xs):
+    """Each x of ``xs`` through the point kept for ``slot`` at the root and
+    below it under each method, against ``_metrics`` and ``_operate`` over
+    the full list, by hex and repr, or the same OverflowError."""
+    hierarchy = aggeval.hierarchy
+    ids = [f"c{k}" for k in range(len(values))]
+    hybrid = MethodConfig(Method.HYBRID_GROUPED, groups=tuple(
+        Group(f"g{k}", tuple(ids[p] for p in positions), priority)
+        for k, (positions, priority) in enumerate(groups)))
+    for root, config in POINT_CONFIGS.values():
+        config = hybrid if config == "groups" else config
+        sub = hierarchy._sub("node", ids, list(values), {}, weights or [None] * len(values), config)
+
+        def full(values):
+            if root:
+                return hierarchy._metrics(values, sub.weights, sub.plan)
+            return hierarchy._operate(sub, values)
+
+        point = hierarchy._kept_point(sub, slot, root)
+        for x in xs:
+            expected = list(values)
+            expected[slot] = x
+            sub.values[slot] = x
+            assert outcome(lambda: at_point(point, x, lambda: full(sub.values))) \
+                == outcome(lambda: full(expected)), (root, config)
+
+
+POINT_SIZES = (1, 2, 3, 20, 30, 31, 200)
+
+
+@st.composite
+def point_cases(draw):
+    """``kept_cases`` at more sizes and on nam's direct-path range too, with
+    the others' smallest value, or zeros of either sign, on both sides of
+    the slot, and x at both zeros and at that smallest value."""
+    values, slot, weights, groups, xs = draw(kept_cases(POINT_SIZES, (0.0, 5e-324, TINY)))
+    neighbours = {0, slot - 1, slot + 1, len(values) - 1} - {slot, -1, len(values)}
+    tie = draw(st.sampled_from(["none", "smallest", "zeros"]))
+    if tie == "smallest" and neighbours:
+        low = min(values[k] for k in neighbours)
+        for k in neighbours:
+            values[k] = low
+        xs.append(low)
+    elif tie == "zeros":
+        first, second = draw(st.permutations([0.0, -0.0]))
+        for k in neighbours:
+            values[k] = first if k < slot else second
+    xs += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2))
+    return values, slot, weights, groups, xs
+
+
+class TestKeptPoints:
+    @settings(deadline=None, max_examples=300)
+    @given(point_cases())
+    @example(([0.0, 50.0, -0.0], 1, None, [([0, 1, 2], 1.0)], [-0.0, 0.0]))
+    @example(([TINY, 2.0, math.nextafter(LARGE, math.inf)], 0, None, [([0, 1], 1.0), ([2], 2.0)],
+              [math.nextafter(TINY, 0.0), TINY, LARGE]))
+    @example(([9e307, 8e307, 50.0], 2, [1.7e308, 1.0, 1.0], [([0, 1, 2], 1.7e308)], [9e307, 1.0]))
+    def test_equal_the_full_kernels_bit_for_bit(self, case):
+        assert_points_match(*case)
+
+    @pytest.mark.parametrize("slot", [0, 15, 30])
+    @pytest.mark.parametrize("weights", [None, [1.7e308] + [1.0] * 30])
+    @pytest.mark.parametrize("values", [
+        [1e308] * 30 + [1.5e308],  # a sum overflows
+        [0.0] + [50.0] * 30,
+        [-0.0, 0.0] * 15 + [0.0],
+        [TINY] * 10 + [LARGE] * 21,
+    ])
+    def test_sums_that_overflow_or_tie(self, values, weights, slot):
+        priorities = [1.7e308, 1.0, 1.0]
+        groups = [(list(range(g, 31, 3)), priority) for g, priority in enumerate(priorities)]
+        assert_points_match(values, slot, weights, groups, [0.0, -0.0, 1e308, 75.0, TINY])
+
+
+def full_reroll_csv(path, vary, start, stop, steps):
+    """The CSV of a sweep, each row from a full roll-up of the changed tree."""
+    hierarchy = aggeval.hierarchy
+    desc = load_description(str(path))
+    root, scale = desc.hierarchy_root(), desc.scale
+    children = root.children
+    weights = None
+    if any(child.priority is not None for child in children):
+        weights = [1.0 if child.priority is None else child.priority for child in children]
+    position = {child.id: k for k, child in enumerate(children)}
+    groups = root.config.groups if root.config else ()
+    plan = [([position[m] for m in group.members], group.priority) for group in groups]
+    rows = []
+    for varied in hierarchy._grid(start, stop, steps):
+        report = aggregate(with_value(root, vary, varied), scale)
+        wem, *means = hierarchy._metrics([child.value for child in report.children], weights, plan)
+        clamped = [None if mean is None else scale.clamp(mean) for mean in means]
+        rows.append(hierarchy.SweepRow(varied, wem, *clamped))
+    return aggeval.cli._sweep_csv(rows)
+
+
+class TestCliSweepMatchesFullReroll:
+    @pytest.mark.parametrize("before, after", [
+        ([0.0, -0.0], [-0.0, 0.0]),
+        ([-0.0, 0.0], [0.0, -0.0]),
+        ([20.0, 30.0], [-0.0, 0.0]),
+        ([20.0, 0.0], [-0.0, 20.0]),
+    ])
+    @pytest.mark.parametrize("grid", [("0", "-0", "3"), ("0", "100", "11")])
+    def test_signed_zero_siblings(self, tmp_path, before, after, grid):
+        values = [*before, 40.0, *after]
+        ids = [f"e{k}" for k in range(len(values))]
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": i, "evaluation": v} for i, v in zip(ids, values)],
+        }), encoding="utf-8")
+        vary = ids[len(before)]
+        start, stop, steps = grid
+        code, out, err = cli("sweep", "--input", str(path), "--vary", vary,
+                             "--from", start, "--to", stop, "--steps", steps)
+        assert (code, err) == (0, "")
+        assert out == full_reroll_csv(path, vary, float(start), float(stop), int(steps))
+        last = out.splitlines()[-1].split(",")
+        x = float(stop)
+        assert last[:2] == [f"{x:g}", f"{min([*before, x, *after]):.6f}"]
+        if stop == "-0":
+            assert last[0] == "-0"
+
+    @pytest.mark.parametrize("n, groups", [(20, 0), (31, 0), (400, 10)])
+    def test_direct_and_log_path_roots(self, tmp_path, n, groups):
+        rng = random.Random(n)
+        ids = [f"e{k:03d}" for k in range(n)]
+        doc = {
+            "scale": {"min": 0, "max": 100},
+            "elements": [{"id": i, "evaluation": round(rng.uniform(1, 100), 3)} for i in ids],
+        }
+        if groups:
+            doc["groups"] = [{"id": f"g{k}", "members": ids[k::groups], "priority": 1 + k % 3}
+                             for k in range(groups)]
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for vary in (ids[0], ids[n // 2], ids[-1]):
+            code, out, err = cli("sweep", "--input", str(path), "--vary", vary,
+                                 "--from", "0", "--to", "100", "--steps", "11")
+            assert (code, err) == (0, "")
+            assert out == full_reroll_csv(path, vary, 0.0, 100.0, 11)
 
 
 # --- Library results stay inside the scale. ---
