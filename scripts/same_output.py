@@ -43,12 +43,15 @@ mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
 ``--fixtures-only`` skips them, but not what follows.  The whole mix of
-a file also runs on seven small generated files: flat means that round a few ulps above the
+a file also runs on nine small generated files: flat means that round a few ulps above the
 scale's maximum under nam, under weighted wlam and under hybrid, a
-hierarchy that is a single element, two flat files of more than 30
+hierarchy that is a single element, four flat files of more than 30
 elements, whose nam takes the log path: one with a 0 and values at 1e-6
-and 1e6, and one in three groups with one priority of 1e308, whose
-weighted mean takes its scaled fallback, and a grouped flat file with
+and 1e6, one in three groups with one priority of 1e308, whose
+weighted mean takes its scaled fallback, and two in three groups with an
+element named ``system``, a group on nam's direct path whose tied
+minimum is listed against child order and one on its log path, the
+second with a 0 in its third group; and a grouped flat file with
 ``0`` and ``-0`` on both sides of its middle element and ties with the
 smallest value before it, whose middle element is also swept from ``0``
 to ``-0``, so that the printed sign of ``wem`` is pinned; ``compare`` runs with the threshold
@@ -289,6 +292,22 @@ def _scores(values: list[float], priorities: list[float | None] | None = None,
     return elements
 
 
+def _grouped_log_path(zero: bool) -> dict:
+    """60 elements, one named ``system``, whose nam takes the log path: a
+    group of 10 on nam's direct path, listed against child order, whose
+    smallest value two members share; one of 35 on the log path; and one
+    of 15, which holds a 0 when ``zero`` is set."""
+    ids = ["system", *(f"v{k:02d}" for k in range(1, 60))]
+    values = [round(20 + (37 * k) % 71 + k / 8, 3) for k in range(60)]
+    values[52] = values[57] = 5.0
+    if zero:
+        values[20] = 0
+    return {"elements": _scores(values, ids=ids),
+            "groups": [{"id": "tied", "members": ids[:-11:-1]},
+                       {"id": "wide", "members": ids[:20] + ids[35:50], "priority": 2},
+                       {"id": "rest", "members": ids[20:35], "priority": 0.5}]}
+
+
 OVERSHOOT = [100, 99.99999999999999, 100]
 WIDE_IDS = [f"w{k:02d}" for k in range(35)]
 EDGE_FILES = {  # each on the scale [0, 100] unless it gives its own
@@ -307,6 +326,8 @@ EDGE_FILES = {  # each on the scale [0, 100] unless it gives its own
         "elements": _scores([10 + 2.5 * k for k in range(35)], [None] * 7 + [1e308], WIDE_IDS),
         "groups": [{"id": f"g{g}", "members": WIDE_IDS[g::3]} for g in range(3)],
     },
+    "grouped-log-path": _grouped_log_path(zero=False),
+    "grouped-log-path-zero": _grouped_log_path(zero=True),
     "signed-zeros": {
         "elements": _scores([30, 20, 20, 50, 40, 0.0, -0.0, 20, 60], ids="abcdefghi"),
         "groups": [{"id": "g1", "members": ["a", "b", "c", "e"]},

@@ -16,6 +16,7 @@ be opened, output that cannot be written or encoded, or stdout closed early,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -381,7 +382,13 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        code = globals()[f"_cmd_{args.command}"](args)
+        enabled = gc.isenabled()
+        gc.disable()  # a command makes no cyclic garbage
+        try:
+            code = globals()[f"_cmd_{args.command}"](args)
+        finally:
+            if enabled:
+                gc.enable()
         sys.stdout.flush()
         return code
     except SystemExit as exc:

@@ -360,11 +360,14 @@ def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> floa
     return _wlam(evals.values, [rho[i] for i in evals.ids])
 
 
-def _nam(values: Sequence[float]) -> float:
-    """:func:`nam` over a nonempty sequence of nonnegative finite floats."""
+def _nam(values: Sequence[float], low: float | None = None, high: float | None = None,
+         total: float | None = None, logs: Iterable[float] | None = None) -> float:
+    """:func:`nam` over a nonempty sequence of nonnegative finite floats, with
+    their min and max, fsum and logs where the caller has them."""
     n = len(values)
-    low, high = min(values), max(values)
-    if n == 1 or low == high:
+    if low is None:
+        low, high = min(values), max(values)
+    if low == high:
         # Equal values aggregate to themselves; the closed formula would
         # only blur that equality with rounding.
         return values[0]
@@ -372,11 +375,12 @@ def _nam(values: Sequence[float]) -> float:
         # A vanishing factor wipes out the product regardless of the mean;
         # deciding this up front also keeps the log path total.
         return 0.0
-    mean = math.fsum(values) / n
+    mean = (math.fsum(values) if total is None else total) / n
     if n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
         # fsum is exactly rounded, so the log sum needs no fixed order; the
         # tiny bound keeps mean ** (n-1) from underflowing on the direct path.
-        return math.exp(math.fsum(map(math.log, values)) - (n - 1) * math.log(mean))
+        logs = map(math.log, values) if logs is None else logs
+        return math.exp(math.fsum(logs) - (n - 1) * math.log(mean))
     # A fixed multiplication order keeps the product permutation-stable.
     return math.prod(sorted(values)) / mean ** (n - 1)
 

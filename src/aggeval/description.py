@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable, NamedTuple
+from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
 from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
 from .network import Flow, HierarchyNode, MethodConfig, Network, _check_method, validate_network
@@ -64,6 +64,7 @@ class _Columns(NamedTuple):
     ids: list[str]
     evaluations: list[float]
     priorities: list[float | None]
+    positions: dict[str, int] | None = None  # each id's position, where the parse kept it
 
 
 class _Compiled(list):
@@ -122,19 +123,19 @@ class SystemDescription:
 
     scale: Scale
     elements: tuple[Element, ...] = _Parsed(  # type: ignore[assignment]
-        _Columns, lambda columns: tuple(map(Element, *columns)))
+        _Columns, lambda columns: tuple(map(Element, *columns[:3])))
     groups: tuple[Group, ...] | None = None
     hierarchy: HierarchyNode | None = _Parsed(  # type: ignore[assignment]
         _Compiled, _node_tree, None)
     network: Network | None = None
 
     def evaluation_vector(self) -> EvaluationVector:
-        ids, evaluations, _ = _element_columns(self)
+        ids, evaluations, _, _ = _element_columns(self)
         return EvaluationVector(tuple(zip(ids, evaluations)), self.scale)
 
     def priority_vector(self) -> PriorityVector:
         """Element priorities, defaulting to 1 where the file sets none."""
-        ids, _, priorities = _element_columns(self)
+        ids, _, priorities, _ = _element_columns(self)
         return PriorityVector(tuple(zip(ids, [1.0 if p is None else p for p in priorities])))
 
     def hierarchy_root(self) -> HierarchyNode:
@@ -146,7 +147,7 @@ class SystemDescription:
         """
         if self.hierarchy is not None:
             return self.hierarchy
-        ids, evaluations, priorities = _element_columns(self)
+        ids, evaluations, priorities, _ = _element_columns(self)
         leaves = tuple(map(HierarchyNode, ids, evaluations, priorities))
         root_id = _synthetic_root_id(ids)
         config = None
@@ -169,10 +170,10 @@ def _stored_hierarchy(desc: SystemDescription) -> HierarchyNode | _Compiled | No
     return vars(desc)["hierarchy"]
 
 
-def _synthetic_root_id(element_ids: list[str]) -> str:
+def _synthetic_root_id(element_ids: Collection[str]) -> str:
     """Id of a flat description's root: ``system``, with ``+`` appended while taken."""
     root_id = "system"
-    if root_id in element_ids:  # a scan: the set is built only for a taken name
+    if root_id in element_ids:  # a set is built only for a taken name
         taken = set(element_ids)
         while root_id in taken:
             root_id += "+"
@@ -355,7 +356,7 @@ def _parse_elements(
         positions[element_id] = len(evaluations)
         evaluations.append(evaluation)
         priorities.append(priority)
-    return positions, _Columns(list(positions), evaluations, priorities)
+    return positions, _Columns(list(positions), evaluations, priorities, positions)
 
 
 def _parse_group_list(
@@ -558,7 +559,7 @@ def _parse_hierarchy(
     """
     from .hierarchy import _compile  # hierarchy imports this module
 
-    _, evaluations, priorities = columns
+    _, evaluations, priorities, _ = columns
     used: dict[str, tuple] = {}
     scratch = _Collector()
     # Frames: (children iterator, the subsystem's location, priority and
@@ -727,6 +728,7 @@ def _parse(text: str, source: str) -> SystemDescription:
     hierarchy: _Compiled | None = None
     if "hierarchy" in doc:
         hierarchy, _ = _parse_hierarchy(doc["hierarchy"], positions, columns, scale, diag)
+        columns = columns._replace(positions=None)  # only a flat description plans from them
 
     network: Network | None = None
     if "network" in doc:
@@ -799,7 +801,7 @@ def serialize_description(desc: SystemDescription) -> str:
         "scale": {"min": desc.scale.min, "max": desc.scale.max},
         "elements": [],
     }
-    for element_id, evaluation, priority in zip(*_element_columns(desc)):
+    for element_id, evaluation, priority in zip(*_element_columns(desc)[:3]):
         entry: dict[str, Any] = {"id": element_id, "evaluation": evaluation}
         if priority is not None:
             entry["priority"] = priority

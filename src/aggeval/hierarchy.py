@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import AbstractSet, Callable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     _HYBRID,
@@ -174,6 +174,7 @@ def _sub(
     below: dict[int, int],
     priorities: list[float | None],
     config: MethodConfig | None,
+    position: dict[str, int] | None = None,
 ) -> _Sub:
     """A compiled entry; weights are None when no child sets a priority."""
     weights = None
@@ -183,8 +184,8 @@ def _sub(
     method = kernel = config.method
     groups, plan, group_ids, critical = config.groups, [], [], None
     if groups or config.critical_ids:
-        position = dict(zip(ids, range(len(ids))))
-        plan = [([position[m] for m in g.members], g.priority) for g in groups]
+        position = position or dict(zip(ids, range(len(ids))))
+        plan = [(list(map(position.__getitem__, g.members)), g.priority) for g in groups]
         group_ids = [g.id for g in groups]
         critical = [position[i] for i in config.critical_ids] or None
     if method is _WEM_THEN:
@@ -227,11 +228,13 @@ def _entries(hierarchy: HierarchyNode | _Compiled,
 
 def _compile_flat(desc: SystemDescription) -> list[_Sub]:
     """A flat description as one entry: the synthetic root over the
-    element columns, with the groups as its hybrid plan.  The values are
-    a copy, which a sweep may write into."""
-    ids, evaluations, priorities = _element_columns(desc)
+    element columns, with the groups as its hybrid plan, planned from the
+    parse's positions by id where it kept them.  The values are a copy,
+    which a sweep may write into."""
+    ids, evaluations, priorities, position = _element_columns(desc)
     config = MethodConfig(_HYBRID, groups=desc.groups) if desc.groups else None
-    return [_sub(_synthetic_root_id(ids), ids, evaluations[:], {}, priorities, config)]
+    return [_sub(_synthetic_root_id(position or ids), ids, evaluations[:], {}, priorities, config,
+                 position)]
 
 
 # One subsystem's roll-up: value, smallest leaf value below, weakest leaf
@@ -272,20 +275,37 @@ def _weakest(
     return low, tuple(weakest)
 
 
+def _summary(values: list[float], weights: list[float] | None,
+             logs: Iterable[float] | None = None) -> tuple:
+    """The min, max, exact sum and logs of ``values``, each taken once: the sum
+    where wlam and nam read it (distinct values, no weights) and the logs where
+    nam does (its log path, no zero), else None; a group gathers ``logs``."""
+    low, high = min(values), max(values)
+    if low == high or weights is not None:
+        return low, high, None, None
+    n = len(values)
+    if low > 0.0 and (n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY):
+        return low, high, math.fsum(values), list(map(math.log, values) if logs is None else logs)
+    return low, high, math.fsum(values), None
+
+
 def _metrics(
     values: list[float],
     weights: list[float] | None,
     plan: list[tuple[list[int], float]],
     nams: list[float | None] | None = None,
+    summary: tuple | None = None,
 ) -> tuple[float, float, float | None, float | None]:
     """wem, wlam, nam (None under child priorities), hybrid (None without
-    groups, and from the group nams in ``nams`` where they are known)."""
-    return (
-        min(values),
-        _wlam(values, weights),
-        None if weights is not None else _nam(values),
-        _hybrid(values, plan, nams) if plan else None,
-    )
+    groups, and from the group nams in ``nams`` where they are known), all
+    from one :func:`_summary` of ``values``, which a caller may pass."""
+    low, high, total, logs = summary or _summary(values, weights)
+    wlam = (values[0] if low == high else  # as _wlam: equal values are their mean
+            _weighted_mean(values, weights) if total is None else total / len(values))
+    if plan and nams is None and logs is not None:  # group nams gather their logs from these
+        nams = [_nam([values[k] for k in p], logs=map(logs.__getitem__, p)) for p, _ in plan]
+    return (low, wlam, None if weights is not None else _nam(values, low, high, total, logs),
+            _hybrid(values, plan, nams) if plan else None)
 
 
 def _clamped(scale: Scale, wlam: float, nam: float | None, hybrid: float | None) -> tuple:
@@ -411,8 +431,13 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
         values, lows, weights, plan = sub.values, sub.lows, sub.weights, sub.plan
         for k, j in sub.below.items():
             values[k], lows[k] = rolled[j][0], rolled[j][1]
-        group_nams = [_nam([values[k] for k in positions]) for positions, _ in plan] if plan else []
-        wem, wlam, nam, hybrid = _metrics(values, weights, plan, group_nams)
+        summary = _summary(values, weights)
+        logs, groups = summary[3], []
+        for positions, _ in plan:  # a group's nam gathers its logs from the subsystem's
+            group = [values[k] for k in positions]
+            logs_g = logs and map(logs.__getitem__, positions)
+            groups.append(_metrics(group, None, [], None, _summary(group, None, logs_g)))
+        wem, wlam, nam, hybrid = _metrics(values, weights, plan, [g[2] for g in groups], summary)
         kernel = sub.kernel
         value = (wem if kernel is _WEM else nam if kernel is _NAM
                  else hybrid if kernel is _HYBRID else wlam)
@@ -421,13 +446,12 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
         low, weakest = _weakest(sub, rolled)
         rolled.append((scale.clamp(value), low, weakest))
         block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold, scale)]
-        for group_id, (positions, _), group_nam in zip(sub.group_ids, plan, group_nams):
-            # Group values in member order; weakest leaves in child order.
-            group = [values[k] for k in positions]
-            block.append(_comparison(
-                f"{sub.id}/{group_id}", min(group), _wlam(group, None), group_nam, None,
-                _weakest(sub, rolled, sorted(positions))[1], threshold, scale,
-            ))
+        for group_id, (positions, _), metrics in zip(sub.group_ids, plan, groups):
+            # Weakest leaves in child order, which only a tied minimum needs.
+            weakest = _weakest(sub, rolled, positions)[1]
+            if len(weakest) > 1:
+                weakest = _weakest(sub, rolled, sorted(positions))[1]
+            block.append(_comparison(f"{sub.id}/{group_id}", *metrics, weakest, threshold, scale))
         blocks.append(block)
     # The list read backwards is the preorder: each subsystem's row, then
     # one per group.

@@ -117,7 +117,7 @@ def reference_parse(raw, positions, columns, scale, diag):
     reference parse, the elements never referenced, then
     ``validate_hierarchy`` on the whole tree.  The tree is returned as it
     is, so the commands check and compile it in the library's one walk."""
-    _, evaluations, priorities = columns
+    _, evaluations, priorities, _ = columns
     elements = {i: Element(i, evaluations[k], priorities[k]) for i, k in positions.items()}
     used = {}
     tree = reference_node(raw, "hierarchy", elements, used, diag)

@@ -742,9 +742,9 @@ def counting_nam(monkeypatch):
     """Sizes of every nam run, through the hierarchy's name or inside core."""
     calls = []
     for module in (aggeval.core, aggeval.hierarchy):
-        def wrapper(values, _original=module._nam):
+        def wrapper(values, *rest, _original=module._nam, **named):
             calls.append(len(values))
-            return _original(values)
+            return _original(values, *rest, **named)
 
         monkeypatch.setattr(module, "_nam", wrapper)
     return calls
