@@ -43,8 +43,8 @@ mix of a file runs on each, so the flat summary's ``nam`` without a
 value, weighted ``wlam`` and wem-then's top-priority critical set are
 covered.
 ``--fixtures-only`` skips them, but not what follows.  The whole mix of
-a file also runs on nine small generated files: flat means that round a few ulps above the
-scale's maximum under nam, under weighted wlam and under hybrid, a
+a file also runs on eleven small generated files: flat means that round
+a few ulps above the scale's maximum under nam, under weighted wlam and under hybrid, a
 hierarchy that is a single element, four flat files of more than 30
 elements, whose nam takes the log path: one with a 0 and values at 1e-6
 and 1e6, one in three groups with one priority of 1e308, whose
@@ -54,12 +54,16 @@ minimum is listed against child order and one on its log path, the
 second with a 0 in its third group; and a grouped flat file with
 ``0`` and ``-0`` on both sides of its middle element and ties with the
 smallest value before it, whose middle element is also swept from ``0``
-to ``-0``, so that the printed sign of ``wem`` is pinned; ``compare`` runs with the threshold
-``-1e5`` after a space and after ``=``.  The mix ends with usage errors (no
-command, an unknown command, a missing ``--input``, a bad ``--method``,
-``--steps x``) and with paths that cannot be opened, for ``--input`` and
-for ``--out``: a file name under a file, a name too long for the file
-system and a symbolic link to itself.
+to ``-0``, so that the printed sign of ``wem`` is pinned; and two hierarchies
+with a subsystem under the sweep's overflow rule and the root above it, one
+by its values on the scale [0, 1.5e307] and one by leaf priorities of 1e305
+and 1e307, whose root's weighted mean takes its scaled fallback.
+``compare`` runs with the threshold ``-1e5`` after a space and after
+``=``.  The mix ends with usage errors (no command, an unknown command,
+a missing ``--input``, a bad ``--method``, ``--steps x``) and with paths
+that cannot be opened, for ``--input`` and for ``--out``: a file name
+under a file, a name too long for the file system and a symbolic link to
+itself.
 
 A library mix runs next to the commands, as ``--library`` entries: the
 ``repr`` of ``aggregate``, ``compare_methods``, a ``sweep`` of the first
@@ -332,6 +336,25 @@ EDGE_FILES = {  # each on the scale [0, 100] unless it gives its own
         "elements": _scores([30, 20, 20, 50, 40, 0.0, -0.0, 20, 60], ids="abcdefghi"),
         "groups": [{"id": "g1", "members": ["a", "b", "c", "e"]},
                    {"id": "g2", "members": ["d", "f", "g", "h", "i"], "priority": 2}],
+    },
+    "limit-tree": {  # the nam subsystem below the sweep's overflow rule, the root above it
+        "scale": {"min": 0, "max": 1.5e307},
+        "elements": _scores([1.5e307, 1.2e307, 9e306, 6e306, 3e306, 1.5e307, 1e307],
+                            ids="abcdefg"),
+        "hierarchy": {
+            "id": "root",
+            "method": {"method": "hybrid", "groups": [
+                {"id": "g1", "members": ["inner", "c", "d"]},
+                {"id": "g2", "members": ["e", "f", "g"], "priority": 2}]},
+            "children": [{"id": "inner", "method": {"method": "nam"}, "children": ["a", "b"]},
+                         "c", "d", "e", "f", "g"],
+        },
+    },
+    "limit-weighted": {  # likewise by the leaf priorities, with the root's scaled fallback
+        "scale": {"min": 0, "max": 100},
+        "elements": _scores([100, 50, 25, 12.5], [1e305, 2, 1e307], "abcd"),
+        "hierarchy": {"id": "root",
+                      "children": [{"id": "inner", "children": ["a", "b"]}, "c", "d"]},
     },
 }
 

@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ABS_TOL",
@@ -400,14 +400,9 @@ def _hybrid(
     values: Sequence[float],
     groups: Sequence[tuple[Sequence[int], float]],
     nams: Sequence[float | None] | None = None,
-    kept: Callable[[Sequence[float]], float] | None = None,
 ) -> float:
     """:func:`hybrid_grouped` over ``values``, one ``(positions, priority)`` per
-    group; ``nams`` holds each group's nam where it is already known.  A
-    sweep passes what it keeps of the groups as ``kept``, which computes
-    the same value from ``values`` alone."""
-    if kept is not None:
-        return kept(values)
+    group; ``nams`` holds each group's nam where it is already known."""
     return _weighted_mean(
         [_nam([values[k] for k in positions]) if nam is None else nam
          for (positions, _), nam in zip(groups, nams or [None] * len(groups))],

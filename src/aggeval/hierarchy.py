@@ -11,9 +11,7 @@ value moves across a grid.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
@@ -36,7 +34,8 @@ from .core import (
     _weighted_mean,
     _wlam,
 )
-from .description import SystemDescription, _built, _Compiled, _element_columns, _synthetic_root_id
+from .description import (_FLOAT_MAX, SystemDescription, _built, _Compiled, _element_columns,
+                          _synthetic_root_id)
 from .network import HierarchyNode, MethodConfig, _Tree, _hierarchy_walk
 
 __all__ = [
@@ -526,69 +525,69 @@ def _kept_nams(sub: _Sub, slot: int) -> list[float | None]:
 def _kept_sum(terms: list[float]) -> list[float]:
     """Floats whose exact sum is that of ``terms`` (Shewchuk's partials, found
     with fsum alone): fsum over them and one more term rounds as over the
-    terms and that one.  Raises OverflowError where fsum over the terms does."""
+    terms and that one."""
     parts = [math.fsum(terms)] if terms else []  # fsum's own rounding, the sign of 0 included
-    while len(terms) > 1 and parts[-1] < math.inf and (
-            rest := math.fsum(terms + [-p for p in parts])):
+    while len(terms) > 1 and (rest := math.fsum(terms + [-p for p in parts])):
         parts.append(rest)
     return parts
 
 
-def _kept_point(sub: _Sub, slot: int, root: bool) -> Callable[[float], float | tuple]:
-    """A sweep's grid point at one ancestor: called with x once x is at
-    ``slot``, it returns ``_metrics`` at the root and ``_operate`` below it,
-    bit for bit, from the other children's smallest value before and after
-    the slot (``min``'s first-minimum rule then picks the same zero), their
-    largest, and exact parts of only the sums its metrics read.  A point
-    raises OverflowError where fsum over kept parts overflows; where a kept
-    sum overflows before the grid, every point runs the full kernels.  The
-    hybrid point reads the values and ignores its argument."""
+def _kept_point(sub: _Sub, slot: int, root: bool,
+                largest: float) -> Callable[[float], float | tuple]:
+    """A sweep's grid point at one ancestor whose child values lie in [0,
+    ``largest``]: called with x once x is at ``slot``, it returns ``_metrics``
+    at the root and ``_operate`` below it, bit for bit.  Each sum a point
+    forms has at most n nonnegative terms of at most ``max(largest, 1) * W``,
+    W the largest of 1, the weights and the group priorities (a group nam
+    lies within its group up to rounding).  Where n times that is below half
+    the float max, so that not even ``_kept_sum``, which also subtracts,
+    overflows, a point reads the other children's smallest value before and
+    after the slot (``min``'s first-minimum rule then picks the same zero),
+    their largest, and exact parts of only the sums its metrics read;
+    elsewhere it runs the full kernels, which raise or scale as a roll-up
+    does.  The hybrid point ignores its argument."""
     values, weights, plan, n = sub.values, sub.weights, sub.plan, len(sub.values)
-    kernel = None if root else sub.kernel
-    try:
-        others = values[:slot] + values[slot + 1:]
-        before, after = min(values[:slot] or _NONE), min(values[slot + 1:] or _NONE)
-        high = max(others or [-math.inf])
-        if kernel is None or kernel is _WLAM:
-            weight, total = (1.0, n) if weights is None else (weights[slot], math.fsum(weights))
-            parts = _kept_sum(others if weights is None else
-                              [w * v for w, v in zip(weights[:slot] + weights[slot + 1:], others)])
-
-            def wlam(x: float) -> float:
-                if min(before, x, after) == max(x, high):
-                    return values[0]
-                mean = math.fsum((*parts, weight * x)) / total  # inf if a product overflows
-                return mean if mean < math.inf else _wlam(values, weights)
-        if weights is None and kernel is None or kernel is _NAM:
-            sums, order = _kept_sum(others), sorted(others) if n <= _LOG_DOMAIN_SIZE else []
-            logs = _kept_sum(list(map(math.log, others))) if min(others or _NONE) > 0 else []
-            prefix = list(accumulate(order, float.__mul__, initial=1.0))
-
-            def nam(x: float) -> float:
-                low, top = min(before, x, after), max(x, high)
-                if low == top or low == 0.0:
-                    return values[0] if low == top else 0.0
-                mean = math.fsum((*sums, x)) / n
-                if n > _LOG_DOMAIN_SIZE or top > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
-                    return math.exp(math.fsum((*logs, math.log(x))) - (n - 1) * math.log(mean))
-                k = bisect_left(order, x)  # equal values multiply alike
-                return math.prod(order[k:], start=prefix[k] * x) / mean ** (n - 1)
-        if plan and kernel is None or kernel is _HYBRID:
-            nams, priorities = _kept_nams(sub, slot), [priority for _, priority in plan]
-            group = nams.index(None)
-            members, weight_g, total_g = plan[group][0], priorities[group], math.fsum(priorities)
-            gather = itemgetter(*members) if len(members) > 1 else lambda v: (v[members[0]],)
-            parts_g = _kept_sum([p * m for p, m in zip(priorities, nams) if m is not None])
-
-            def hybrid(_: object) -> float:
-                nams[group] = _nam(gather(values))
-                mean = math.fsum((*parts_g, weight_g * nams[group])) / total_g
-                return mean if mean < math.inf else _weighted_mean(nams, priorities)
-    except OverflowError:  # a kept sum or group nam: the full kernels raise or scale instead
+    bound = max([1.0, *(weights or ()), *(plan and [priority for _, priority in plan])])
+    if n * max(largest, 1.0) * bound >= _FLOAT_MAX / 2:
         return lambda x: _metrics(values, weights, plan) if root else _operate(sub, values)
+    kernel = None if root else sub.kernel
+    others = values[:slot] + values[slot + 1:]
+    before, after = min(values[:slot] or _NONE), min(values[slot + 1:] or _NONE)
+    high = max(others or [-math.inf])
+    if kernel is None or kernel is _WLAM:
+        weight, total = (1.0, n) if weights is None else (weights[slot], math.fsum(weights))
+        parts = _kept_sum(others if weights is None else
+                          [w * v for w, v in zip(weights[:slot] + weights[slot + 1:], others)])
+
+        def wlam(x: float) -> float:
+            if min(before, x, after) == max(x, high):
+                return values[0]
+            return math.fsum((*parts, weight * x)) / total
+    if weights is None and kernel is None or kernel is _NAM:
+        sums = _kept_sum(others)
+        logs = _kept_sum(list(map(math.log, others))) if min(others or _NONE) > 0 else []
+
+        def nam(x: float) -> float:
+            low, top = min(before, x, after), max(x, high)
+            if low == top or low == 0.0:
+                return values[0] if low == top else 0.0
+            mean = math.fsum((*sums, x)) / n
+            if n > _LOG_DOMAIN_SIZE or top > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
+                return math.exp(math.fsum((*logs, math.log(x))) - (n - 1) * math.log(mean))
+            return math.prod(sorted(values)) / mean ** (n - 1)
+    if plan and kernel is None or kernel is _HYBRID:
+        nams, priorities = _kept_nams(sub, slot), [priority for _, priority in plan]
+        group = nams.index(None)
+        members, weight_g, total_g = plan[group][0], priorities[group], math.fsum(priorities)
+        gather = itemgetter(*members) if len(members) > 1 else lambda v: (v[members[0]],)
+        parts_g = _kept_sum([p * m for p, m in zip(priorities, nams) if m is not None])
+
+        def hybrid(_: object) -> float:
+            nams[group] = _nam(gather(values))
+            return math.fsum((*parts_g, weight_g * nams[group])) / total_g
     if root:
         return lambda x: (min(before, x, after), wlam(x), None if weights is not None else nam(x),
-                          _hybrid(values, plan, None, hybrid) if plan else None)
+                          hybrid(x) if plan else None)
     if kernel is _WEM:
         return lambda x: min(before, x, after)
     return wlam if kernel is _WLAM else nam if kernel is _NAM else hybrid
@@ -607,35 +606,28 @@ def _sweep(
     # evaluates the path at the leaf's stored value, so neither does this.
     _roll(subs, scale, {j for j, _ in path})
     (root, root_slot), *above = [(subs[j], slot) for j, slot in path]
-    # The path's ancestors under the root, deepest first, and the root keep
-    # what a grid point reads of their children off the path.  Where a kept
-    # sum overflows, the full kernels raise or scale as a roll-up does.
-    below = [(sub, sub.values, slot, _kept_point(sub, slot, False))
+    # The path's ancestors under the root, deepest first, and the root keep what
+    # a grid point reads of their children off the path, where nothing overflows.
+    low, high, rows = scale.min, scale.max, []
+    below = [(sub.values, slot, _kept_point(sub, slot, False, high))
              for sub, slot in reversed(above)]
-    top = _kept_point(root, root_slot, True)
+    top = _kept_point(root, root_slot, True, high)
     # The root's value is not reported, but an overflow in its operator ends
     # a full roll-up.  The metrics run the same kernel on the same values,
     # except nam under child priorities, which only a wem-then root with a
     # nam fallback reaches; only that root runs its operator on its own.
     own_nam = root.kernel is _NAM and root.weights is not None
-    low, high, rows = scale.min, scale.max, []
     for varied in _grid(start, stop, steps):
         value = float(varied)
-        for sub, values, slot, point in below:
+        for values, slot, point in below:
             values[slot] = value
-            try:
-                value = point(value)
-            except OverflowError:
-                value = _operate(sub, values)
+            value = point(value)
             if not low <= value <= high:
                 value = scale.clamp(value)
         root.values[root_slot] = value
         if own_nam:
             _nam(root.values)
-        try:
-            wem, wlam, nam, hybrid = top(value)
-        except OverflowError:
-            wem, wlam, nam, hybrid = _metrics(root.values, root.weights, root.plan)
+        wem, wlam, nam, hybrid = top(value)
         wlam, nam, hybrid = _clamped(scale, wlam, nam, hybrid)
         rows.append(_built(SweepRow, {
             "varied": varied, "wem": wem, "wlam": wlam, "nam": nam, "hybrid": hybrid}))

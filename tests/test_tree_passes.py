@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import random
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -660,14 +661,16 @@ class TestSweepRootOperator:
     def test_51_steps_make_51_root_hybrid_calls(self, monkeypatch, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(hybrid_root_doc()), encoding="utf-8")
-        calls = counting(monkeypatch, "_hybrid")
+        calls = counting_nam(monkeypatch)
         code, out, err = cli(
             "sweep", "--input", str(path), "--vary", "e0",
             "--from", "0", "--to", "100", "--steps", "51",
         )
         assert (code, err) == (0, "")
-        assert len(out.splitlines()) == 52
-        assert calls == [4] * 51
+        # y's roll-up and the kept nam of g2 (y, e5) before the grid, then the
+        # root hybrid's nam of the varied group g1 (x, e4) at every point.
+        assert calls == [2, 2] + [2] * 51
+        assert out == full_reroll_csv(path, "e0", 0.0, 100.0, 51)
 
     def test_wem_then_nam_root_under_priorities_still_runs_nam(self, monkeypatch):
         tree = sub(
@@ -975,7 +978,7 @@ def assert_points_match(values, slot, weights, groups, xs):
                 return hierarchy._metrics(values, sub.weights, sub.plan)
             return hierarchy._operate(sub, values)
 
-        point = hierarchy._kept_point(sub, slot, root)
+        point = hierarchy._kept_point(sub, slot, root, max([*values, *xs]))
         for x in xs:
             expected = list(values)
             expected[slot] = x
@@ -1030,6 +1033,13 @@ class TestKeptPoints:
         priorities = [1.7e308, 1.0, 1.0]
         groups = [(list(range(g, 31, 3)), priority) for g, priority in enumerate(priorities)]
         assert_points_match(values, slot, weights, groups, [0.0, -0.0, 1e308, 75.0, TINY])
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, -0.0, 0.0]])
+    def test_zeros_under_priorities_whose_total_overflows(self, values):
+        # A bound on the values alone would keep state here, and fsum over the
+        # two priorities would raise before the grid.
+        groups = [([0], 1.7e308), (list(range(1, len(values))), 1.7e308)]
+        assert_points_match(values, 0, None, groups, [0.0, -0.0])
 
 
 def full_reroll_csv(path, vary, start, stop, steps):
@@ -1099,6 +1109,211 @@ class TestCliSweepMatchesFullReroll:
                                  "--from", "0", "--to", "100", "--steps", "11")
             assert (code, err) == (0, "")
             assert out == full_reroll_csv(path, vary, 0.0, 100.0, 11)
+
+
+# --- A sweep keeps state only where nothing a grid point forms can overflow. ---
+
+
+HALF_MAX = sys.float_info.max / 2
+
+
+def keeps_state(n, largest, factor):
+    """The sweep's overflow rule, multiplied in the same order: an ancestor
+    of n children with values in [0, largest], whose largest weight or group
+    priority is ``factor``, keeps state for its grid points."""
+    return n * max(largest, 1.0) * max(1.0, factor) < HALF_MAX
+
+
+def straddle(holds, guess):
+    """The adjacent floats f < g with ``holds(f)`` and not ``holds(g)``, for
+    a ``holds`` that is true up to some float and false beyond it."""
+    while not holds(guess):
+        guess = math.nextafter(guess, 0.0)
+    while holds(up := math.nextafter(guess, math.inf)):
+        guess = up
+    return guess, up
+
+
+def counted(call, runs):
+    def wrapper(*args):
+        runs.append(call.__name__)
+        return call(*args)
+
+    return wrapper
+
+
+def assert_rule_points(monkeypatch, values, slot, weights, groups, xs, largest):
+    """Each x of ``xs`` through the point kept for ``slot`` with children in
+    [0, ``largest``], at the root and below it under each method, against
+    ``_metrics`` and ``_operate`` over the full list, by hex and repr, or the
+    same OverflowError, with nothing caught between; returns per method
+    whether its points ran without the full kernels."""
+    hierarchy = aggeval.hierarchy
+    ids = [f"c{k}" for k in range(len(values))]
+    hybrid = MethodConfig(Method.HYBRID_GROUPED, groups=tuple(
+        Group(f"g{k}", tuple(ids[p] for p in positions), priority)
+        for k, (positions, priority) in enumerate(groups)))
+    kept = []
+    for root, config in POINT_CONFIGS.values():
+        config = hybrid if config == "groups" else config
+        sub = hierarchy._sub("node", ids, list(values), {}, weights or [None] * len(values), config)
+        runs, got = [], []
+        with monkeypatch.context() as patch:
+            for name in ("_metrics", "_operate"):
+                patch.setattr(hierarchy, name, counted(getattr(hierarchy, name), runs))
+            point = hierarchy._kept_point(sub, slot, root, largest)
+            for x in xs:
+                sub.values[slot] = x
+                got.append(outcome(lambda: point(x)))
+        kept.append(not runs)
+        for x, result in zip(xs, got):
+            full = list(values)
+            full[slot] = x
+            expected = outcome(lambda: hierarchy._metrics(full, sub.weights, sub.plan) if root
+                               else hierarchy._operate(sub, full))
+            assert result == expected, (root, config, x)
+    return kept
+
+
+LIMIT_KINDS = ("values", "weights", "priorities")
+
+
+def limit_case(kind, n, largest, below):
+    """The factor one ulp on either side of the rule's limit for ``kind``:
+    the largest value itself, the largest weight, or the largest group
+    priority (with ``largest`` the largest value); returns the factor and the
+    largest value."""
+    if kind == "values":
+        f, g = straddle(lambda v: keeps_state(n, v, 1.0), HALF_MAX / n)
+        return (f, f) if below else (g, g)
+    f, g = straddle(lambda w: keeps_state(n, largest, w), HALF_MAX / n / max(largest, 1.0))
+    return (f if below else g), largest
+
+
+@st.composite
+def limit_cases(draw):
+    """Vectors one ulp below or above the rule's limit, by their largest
+    value, weight or group priority, with the others drawn beneath it."""
+    n = draw(st.sampled_from((1, 2, 3, 30, 31, 200)))
+    slot = draw(st.sampled_from([0, n // 2, n - 1]))
+    kind, below = draw(st.sampled_from(LIMIT_KINDS)), draw(st.booleans())
+    factor, largest = limit_case(kind, n, draw(st.sampled_from([0.5, 1.0, 100.0, 1e6])), below)
+    fractions = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+    values = [largest * f for f in draw(st.lists(fractions, min_size=n, max_size=n))]
+    values[draw(st.integers(0, n - 1))] = largest
+    # Weights and priorities stay within 1, or within the factor that one of
+    # them takes: the weights within a priority's, which only groups read.
+    def spread(cap):
+        return st.floats(1e-300, cap) | st.just(cap)
+
+    weights = draw(st.none() | st.lists(spread(factor if kind == "weights" else 1.0),
+                                        min_size=n, max_size=n))
+    count = min(n, draw(st.sampled_from([1, 2, 3, 8])))
+    order = draw(st.permutations(range(n)))
+    cap = 1.0 if kind == "values" else factor
+    groups = [(order[k::count], draw(spread(cap))) for k in range(count)]
+    if kind == "weights":
+        weights = weights or [1.0] * n
+        weights[draw(st.integers(0, n - 1))] = factor
+    elif kind == "priorities":
+        k = draw(st.integers(0, count - 1))
+        groups[k] = (groups[k][0], factor)
+    xs = [largest * f for f in draw(st.lists(fractions, min_size=1, max_size=3))]
+    return (values, slot, weights, groups, xs + [largest], largest), kind, below
+
+
+def kept_at(kind, below):
+    """Per method of ``POINT_CONFIGS``, whether its points keep state: below
+    the limit all do, above it only those that do not read the group
+    priorities that put them there."""
+    return [below or kind == "priorities" and config != "groups"
+            for _, config in POINT_CONFIGS.values()]
+
+
+class TestOverflowRule:
+    @settings(deadline=None, max_examples=150)
+    @given(limit_cases())
+    def test_one_ulp_either_side_of_the_limit(self, case):
+        point, kind, below = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert assert_rule_points(monkeypatch, *point) == kept_at(kind, below)
+
+    @pytest.mark.parametrize("below", [True, False])
+    @pytest.mark.parametrize("kind", LIMIT_KINDS)
+    @pytest.mark.parametrize("slot", [0, 2])
+    def test_fixed_vectors_at_the_limit(self, monkeypatch, kind, below, slot):
+        factor, largest = limit_case(kind, 3, 100.0, below)
+        values = [largest, largest / 4, 0.0 if kind == "priorities" else largest / 8]
+        weights = [factor, 1.0, 2.0] if kind == "weights" else None
+        groups = [([0, 2], factor if kind == "priorities" else 1.0), ([1], 0.5)]
+        xs = [0.0, -0.0, largest / 2, largest]
+        kept = assert_rule_points(monkeypatch, values, slot, weights, groups, xs, largest)
+        assert kept == kept_at(kind, below)
+
+    @pytest.mark.parametrize("largest, kept", [
+        (math.nextafter(sys.float_info.max / 4, 0.0), True),
+        (sys.float_info.max / 4, False),
+    ])
+    def test_two_values_keep_state_below_a_quarter_of_the_float_max(self, monkeypatch,
+                                                                     largest, kept):
+        groups = [([0, 1], 1.0)]
+        xs = [0.0, largest / 2, largest]
+        points = assert_rule_points(monkeypatch, [largest, largest / 3], 1, None, groups, xs, largest)
+        assert points == [kept] * len(POINT_CONFIGS)
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, -0.0, 0.0], [50.0, 50.0]])
+    def test_priorities_whose_total_overflows(self, monkeypatch, values):
+        # Each value small, but fsum over the two priorities overflows: a
+        # bound on the values alone would build kept state and raise there.
+        groups = [([0], 1.7e308), (list(range(1, len(values))), 1.7e308)]
+        kept = assert_rule_points(monkeypatch, values, 0, None, groups, [0.0, 50.0], 50.0)
+        assert kept == kept_at("priorities", False)
+
+    @settings(deadline=None, max_examples=150)
+    @given(point_cases())
+    def test_kept_points_raise_nothing_the_full_kernels_do_not(self, case):
+        values, slot, weights, groups, xs = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_rule_points(monkeypatch, values, slot, weights, groups, xs,
+                               max([*values, *xs]))
+
+
+def limit_document(kind, below, tree):
+    """A description whose varied ancestor sits one ulp below or above the
+    rule's limit: a flat root over a, b and c, or a subsystem over a and b
+    under a root over it, c and d, which is then above the limit."""
+    n = 2 if tree else 3
+    factor, largest = limit_case(kind, n, 100.0, below)
+    ids = ["a", "b", "c", "d"] if tree else ["a", "b", "c"]
+    elements = [{"id": i, "evaluation": largest / 2 ** k} for k, i in enumerate(ids)]
+    if kind == "weights":
+        elements[0]["priority"], elements[1]["priority"] = factor, 2
+    groups = [{"id": "g1", "members": ["a"], "priority": factor},
+              {"id": "g2", "members": ["b"] if tree else ["b", "c"]}]
+    doc = {"scale": {"min": 0, "max": largest}, "elements": elements}
+    if not tree:
+        return {**doc, "groups": groups} if kind == "priorities" else doc
+    method = {"values": {"method": "nam"}, "weights": {"method": "wlam"},
+              "priorities": {"method": "hybrid", "groups": groups}}[kind]
+    return {**doc, "hierarchy": {"id": "root", "children": [
+        {"id": "inner", "method": method, "children": ["a", "b"]}, "c", "d"]}}
+
+
+class TestCliSweepsAtTheLimit:
+    @pytest.mark.parametrize("tree", [False, True])
+    @pytest.mark.parametrize("below", [True, False])
+    @pytest.mark.parametrize("kind", LIMIT_KINDS)
+    def test_equal_a_full_reroll(self, tmp_path, kind, below, tree):
+        doc = limit_document(kind, below, tree)
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        top = doc["scale"]["max"]
+        for vary in ("a", "b"):
+            # Five points, so that no grid point's span times its index overflows.
+            code, out, err = cli("sweep", "--input", str(path), "--vary", vary,
+                                 "--from", "0", "--to", repr(top), "--steps", "5")
+            assert (code, err) == (0, "")
+            assert out == full_reroll_csv(path, vary, 0.0, top, 5)
 
 
 # --- Library results stay inside the scale. ---
