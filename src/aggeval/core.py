@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from reprlib import recursive_repr
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -97,8 +98,28 @@ def _leq(a: float, b: float) -> bool:
     return a <= b or _close(a, b)
 
 
-@dataclass(frozen=True)
-class Scale:
+class _Record:
+    """``==``, ``hash`` and ``repr`` from the fields of a frozen dataclass declared
+    ``repr=False, eq=False``, as the generated methods give them."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        pairs = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class Scale(_Record):
     """Admissible evaluation interval ``[min, max]``.
 
     The scale must be nonnegative: the operators rely on values (and hence
@@ -132,8 +153,8 @@ class Scale:
 PERCENT = Scale(0.0, 100.0)
 
 
-@dataclass(frozen=True)
-class EvaluationVector:
+@dataclass(frozen=True, repr=False, eq=False)
+class EvaluationVector(_Record):
     """Per-element evaluations ``(id, value)`` on a shared scale.
 
     Element ids must be unique, the vector nonempty, and every value must
@@ -204,8 +225,8 @@ class EvaluationVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class PriorityVector:
+@dataclass(frozen=True, repr=False, eq=False)
+class PriorityVector(_Record):
     """Per-element weights ``rho > 0`` keyed by element id."""
 
     weights: tuple[tuple[str, float], ...]
@@ -235,8 +256,8 @@ class PriorityVector:
         return tuple(i for i, _ in self.weights)
 
 
-@dataclass(frozen=True)
-class Group:
+@dataclass(frozen=True, repr=False, eq=False)
+class Group(_Record):
     """Named set of element ids sharing one group priority."""
 
     id: str
@@ -244,8 +265,8 @@ class Group:
     priority: float = 1.0
 
 
-@dataclass(frozen=True)
-class GroupedSystem:
+@dataclass(frozen=True, repr=False, eq=False)
+class GroupedSystem(_Record):
     """Evaluation vector partitioned into priority groups.
 
     The groups must partition the element ids exactly: every element in
@@ -460,8 +481,8 @@ def adequacy_wem_nam(evals: EvaluationVector) -> float:
     return _masking_ratio(nam(evals), wem(evals))
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+@dataclass(frozen=True, repr=False, eq=False)
+class AdequacyReport(_Record):
     """All aggregates plus both masking measures for one vector."""
 
     wem: float
@@ -493,8 +514,8 @@ def adequacy_report(
     )
 
 
-@dataclass(frozen=True)
-class CriticalGroupResult:
+@dataclass(frozen=True, repr=False, eq=False)
+class CriticalGroupResult(_Record):
     """Outcome of the two-stage evaluation around a critical subset."""
 
     critical_wem: float
@@ -543,8 +564,8 @@ def wem_then_aggregate(
     )
 
 
-@dataclass(frozen=True)
-class ProductBoundCheck:
+@dataclass(frozen=True, repr=False, eq=False)
+class ProductBoundCheck(_Record):
     """Product of a vector against the product of its uniform redistribution."""
 
     given_product: float
@@ -578,8 +599,8 @@ def check_product_bound(values: Sequence[float]) -> ProductBoundCheck:
     )
 
 
-@dataclass(frozen=True)
-class OrderingCheck:
+@dataclass(frozen=True, repr=False, eq=False)
+class OrderingCheck(_Record):
     """Result of the ``wem <= nam <= wlam`` comparison under unit weights."""
 
     chain: tuple[float, float, float]
@@ -605,8 +626,8 @@ def check_ordering(evals: EvaluationVector) -> OrderingCheck:
     )
 
 
-@dataclass(frozen=True)
-class HybridBoundsCheck:
+@dataclass(frozen=True, repr=False, eq=False)
+class HybridBoundsCheck(_Record):
     """Bounds on the grouped aggregate against wem and an expanded wlam."""
 
     wem: float

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
-from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale
+from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale, _Record
 from .network import Flow, HierarchyNode, MethodConfig, Network, _check_method, validate_network
 
 __all__ = [
@@ -49,8 +49,8 @@ class DescriptionError(ValueError):
         super().__init__("\n".join(self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Element:
+@dataclass(frozen=True, repr=False, eq=False)
+class Element(_Record):
     """One evaluated component: id, evaluation, optional priority."""
 
     id: str
@@ -113,8 +113,8 @@ class _Parsed:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
-class SystemDescription:
+@dataclass(frozen=True, repr=False, eq=False)
+class SystemDescription(_Record):
     """Parsed and validated system description.
 
     A parse keeps the elements as columns and the hierarchy compiled;

@@ -27,6 +27,7 @@ from .core import (
     EvaluationError,
     Method,
     Scale,
+    _Record,
     _hybrid,
     _masking_ratio,
     _nam,
@@ -100,8 +101,8 @@ class AggregationReport(_Tree):
         return top[0]
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+@dataclass(frozen=True, repr=False, eq=False)
+class MethodComparison(_Record):
     """One table row: every applicable operator at one subsystem node.
 
     ``nam`` and ``sigma_13`` are ``None`` when the children carry
@@ -120,8 +121,8 @@ class MethodComparison:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+@dataclass(frozen=True, repr=False, eq=False)
+class SweepRow(_Record):
     """Root-level metrics at one grid value of the varied leaf."""
 
     varied: float
@@ -483,10 +484,13 @@ def _check_grid(scale: Scale, start: float, stop: float, steps: int) -> None:
 
 
 def _grid(start: float, stop: float, steps: int) -> list[float]:
-    """``steps`` uniform points from ``start`` to ``stop``, both ends exact."""
-    span = stop - start
+    """``steps`` uniform points from ``start`` to ``stop``, both ends exact; where
+    ``span * index`` overflows, ``start + span * (index / last)`` held in bounds."""
+    span, last, (low, high) = stop - start, steps - 1, sorted((start, stop))
     return [
-        stop if index == steps - 1 else start + span * index / (steps - 1)
+        stop if index == last
+        else point if abs(point := start + span * index / last) < math.inf
+        else min(max(start + span * (index / last), low), high)
         for index in range(steps)
     ]
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator, TypeVar
 
-from .core import _HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale
+from .core import _HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale, _Record
 
 __all__ = [
     "Flow",
@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Flow:
+@dataclass(frozen=True, repr=False, eq=False)
+class Flow(_Record):
     """A movement of ``volume`` units along the node sequence ``route``.
 
     Volume defaults to 1 so that counting flows and summing volumes agree.
@@ -46,8 +46,8 @@ class Flow:
             yield (a, b)
 
 
-@dataclass(frozen=True)
-class Network:
+@dataclass(frozen=True, repr=False, eq=False)
+class Network(_Record):
     """Directed graph with optional flows.
 
     Edges are unweighted ordered pairs.  Undirected links are modelled as
@@ -107,8 +107,8 @@ def validate_network(net: Network) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class MethodConfig:
+@dataclass(frozen=True, repr=False, eq=False)
+class MethodConfig(_Record):
     """Aggregation settings for one subsystem node.
 
     ``groups`` is required by ``Method.HYBRID_GROUPED`` and must partition

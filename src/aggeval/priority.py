@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EvaluationError, Group, PriorityVector
+from .core import EvaluationError, Group, PriorityVector, _Record
 from .network import Network
 
 __all__ = [
@@ -50,8 +50,8 @@ class Normalization(str, Enum):
     MAX_TO_ONE = "max-to-one"
 
 
-@dataclass(frozen=True)
-class PriorityStrategy:
+@dataclass(frozen=True, repr=False, eq=False)
+class PriorityStrategy(_Record):
     """How to score nodes: primary basis, tie-break chain, normalization.
 
     Ties left after the chain are broken by node id, so rankings are
@@ -200,8 +200,8 @@ def _max_scaled(scores: dict[str, float]) -> dict[str, float]:
     return {n: v / top for n, v in scores.items()}
 
 
-@dataclass(frozen=True)
-class RankedNode:
+@dataclass(frozen=True, repr=False, eq=False)
+class RankedNode(_Record):
     """One row of a priority ranking."""
 
     node: str

@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -771,6 +772,23 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown element id 'ghost'" in err
+
+    def test_a_span_whose_grid_products_overflow_stays_finite(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {
+            "scale": {"min": 0, "max": 3e307},
+            "elements": [{"id": "a", "evaluation": 1e307}, {"id": "b", "evaluation": 2e307},
+                         {"id": "c", "evaluation": 5e306}],
+        })
+        code, out, err = run(capsys, "sweep", "--input", path, "--vary", "a",
+                             "--from", "0", "--to", "3e307", "--steps", "11")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        varied = [float(row[0]) for row in rows]
+        assert [row[0] for row in rows] == ["0", "3e+306", "6e+306", "9e+306", "1.2e+307",
+                                            "1.5e+307", "1.8e+307", "2.1e+307", "2.4e+307",
+                                            "2.7e+307", "3e+307"]
+        assert varied == sorted(varied)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 METHOD_CHOICES = [None, "wem", "wlam", "nam", "hybrid", "wem-then"]

@@ -1,8 +1,10 @@
 """Tests for bottom-up aggregation, method comparison, and sweeps."""
 
+import math
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aggeval import (
     EvaluationError,
@@ -22,6 +24,7 @@ from aggeval import (
     wem,
     wlam,
 )
+from aggeval.hierarchy import _grid
 
 NAM_WEAK = 20.408163265306122  # 10 * 100 * 100 / 70 ** 2
 
@@ -453,3 +456,41 @@ class TestPublicEntriesValidate:
     def test_sweep_checks_its_arguments_first(self, vary, start, stop, steps, message):
         with pytest.raises(EvaluationError, match=message):
             sweep(self.invalid_tree(), PERCENT, vary, start, stop, steps)
+
+
+def grid_before_overflow_fallback(start, stop, steps):
+    """The grid's formula at every point, including those where ``span * index``
+    overflows to inf."""
+    span = stop - start
+    return [stop if index == steps - 1 else start + span * index / (steps - 1)
+            for index in range(steps)]
+
+
+class TestGrid:
+    """``hierarchy._grid`` gives finite points in order, both ends exact, and
+    changes no point that its formula gives finite."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.floats(0, sys.float_info.max), st.floats(0, sys.float_info.max),
+           st.integers(2, 300))
+    @example(0.0, 3e307, 11)
+    @example(0.0, sys.float_info.max, 2)
+    @example(0.0, sys.float_info.max, 3)
+    @example(sys.float_info.max, 0.0, 51)
+    @example(1e-300, sys.float_info.max, 300)
+    def test_points_are_finite_in_order_and_keep_their_bits(self, start, stop, steps):
+        points = _grid(start, stop, steps)
+        assert len(points) == steps
+        assert (points[0], points[-1]) == (start, stop)
+        low, high = sorted((start, stop))
+        assert all(low <= point <= high for point in points)
+        ordered = points if start <= stop else points[::-1]
+        assert ordered == sorted(ordered)
+        for point, formula in zip(points, grid_before_overflow_fallback(start, stop, steps)):
+            if math.isfinite(formula):
+                assert point.hex() == formula.hex()
+
+    def test_the_fallback_serves_only_points_whose_product_overflows(self):
+        formula = grid_before_overflow_fallback(0.0, 3e307, 11)
+        assert [x == math.inf for x in formula] == [False] * 6 + [True] * 4 + [False]
+        assert _grid(0.0, 3e307, 11)[6:10] == [3e307 * (k / 10) for k in range(6, 10)]

@@ -64,3 +64,20 @@ def test_demo_prints_the_worked_example_and_the_sweep(monkeypatch, capsys):
         ["90.0", "90.00", "96.67", "96.31"],
         ["100.0", "100.00", "100.00", "100.00"],
     ]
+
+
+def test_cold_start_reports_one_pair_of_equal_sources():
+    src = str(SCRIPTS.parent / "src")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cold_start.py"), src, src, "--pairs", "1"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "tree-sweep, seed 1, 1 pairs, order alternating"
+    assert [line.split()[:2] for line in lines[1:3]] == [["first", "median"], ["second", "median"]]
+    assert lines[3].startswith("second/first ratio median ")
+    assert lines[4] in ("second lower in 0 of 1 pairs", "second lower in 1 of 1 pairs")
+    assert lines[5] == "call digests agree: yes"
