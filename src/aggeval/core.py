@@ -100,7 +100,8 @@ def _leq(a: float, b: float) -> bool:
 
 class _Record:
     """``==``, ``hash`` and ``repr`` from the fields of a frozen dataclass declared
-    ``repr=False, eq=False``, as the generated methods give them."""
+    ``repr=False, eq=False``: ``repr`` as generated, ``==`` over the tuples of field
+    values, so a NaN object equals itself (Python 3.13's generated ``==`` differs)."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))

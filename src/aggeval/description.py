@@ -69,8 +69,8 @@ class _Columns(NamedTuple):
 
 class _Compiled(list):
     """A parsed ``hierarchy`` section: the frame compiler ``hierarchy._compile``'s
-    entries, ending with one with no id whose one child is the root; read,
-    never written."""
+    entries, ending with one with no id whose one child is the root.  Commands
+    read them in place: no pass writes an entry or its value list."""
 
 
 def _node_tree(parsed: _Compiled) -> HierarchyNode:

@@ -133,13 +133,13 @@ class SweepRow(_Record):
 
 
 class _Sub(NamedTuple):
-    """One subsystem of a compiled tree or flat description.
+    """One subsystem of a compiled tree or flat description; no pass writes it.
 
-    ``values`` and ``lows`` hold each child's value and the smallest leaf
-    value below it, in child order: a leaf's own value from the start, a
-    subsystem child's once :func:`_roll` has rolled the entry at
+    ``values`` holds each child's value in child order: a leaf's own, and a
+    0.0 placeholder for a subsystem child, whose value and smallest leaf
+    value :func:`_taken` reads from the row of the entry at
     ``below[position]``.  The method is resolved once: ``kernel`` is the
-    operator run over ``values`` (a wem-then node's fallback), ``plan``
+    operator run over the child values (a wem-then node's fallback), ``plan``
     gives each group's child positions in member order and its priority,
     and ``critical`` the positions a wem-then node measures adequacy
     against.  ``priorities`` and ``config`` are the children's priorities
@@ -149,7 +149,6 @@ class _Sub(NamedTuple):
     id: str
     ids: list[str]
     values: list[float]
-    lows: list[float]
     below: dict[int, int]
     label: str
     kernel: Method
@@ -190,7 +189,7 @@ def _sub(
         critical = [position[i] for i in config.critical_ids] or None
     if method is _WEM_THEN:
         kernel = _NAM if config.fallback is _NAM else _WLAM
-    return _Sub(node_id, ids, values, values[:], below, _LABELS[method], kernel, weights, plan,
+    return _Sub(node_id, ids, values, below, _LABELS[method], kernel, weights, plan,
                 group_ids, critical, config.adequacy_threshold, priorities, given)
 
 
@@ -207,13 +206,11 @@ def _compile(frames: list[tuple]) -> list[_Sub]:
 
 def _entries(hierarchy: HierarchyNode | _Compiled,
              scale: Scale) -> tuple[list[_Sub], str, float | None]:
-    """The compiled entries of a parsed section, with value lists of their
-    own, which a roll-up or sweep may write into, or of a tree, which one
-    walk checks and lowers; then the root's id and value (for a leaf root)."""
+    """The compiled entries of a parsed section, as stored, or of a tree, which one walk
+    checks and lowers; then the root's id and value (for a leaf root)."""
     if type(hierarchy) is _Compiled:
-        *subs, top = [_Sub(sub.id, sub.ids, sub.values[:], sub.values[:], *sub[4:])
-                      for sub in hierarchy]
-        return subs, top.ids[0], top.values[0]
+        top = hierarchy[-1]
+        return hierarchy[:-1], top.ids[0], top.values[0]
     violations, subsystems = _hierarchy_walk(hierarchy, scale)
     if violations:
         raise HierarchyValidationError(violations)
@@ -229,11 +226,10 @@ def _entries(hierarchy: HierarchyNode | _Compiled,
 def _compile_flat(desc: SystemDescription) -> list[_Sub]:
     """A flat description as one entry: the synthetic root over the
     element columns, with the groups as its hybrid plan, planned from the
-    parse's positions by id where it kept them.  The values are a copy,
-    which a sweep may write into."""
+    parse's positions by id where it kept them; the values are the parse's."""
     ids, evaluations, priorities, position = _element_columns(desc)
     config = MethodConfig(_HYBRID, groups=desc.groups) if desc.groups else None
-    return [_sub(_synthetic_root_id(position or ids), ids, evaluations[:], {}, priorities, config,
+    return [_sub(_synthetic_root_id(position or ids), ids, evaluations, {}, priorities, config,
                  position)]
 
 
@@ -254,12 +250,24 @@ def _operate(sub: _Sub, values: list[float]) -> float:
     return _wlam(values, sub.weights)
 
 
-def _weakest(
-    sub: _Sub, rows: list[_Row | None], positions: Sequence[int] | None = None
-) -> tuple[float, tuple[str, ...]]:
-    """Smallest leaf value below the children at ``positions`` (default:
-    all) and the leaves attaining it, in the order of ``positions``."""
-    lows = sub.lows
+def _taken(sub: _Sub, rows: list[_Row | None]) -> tuple[list[float], list[float]]:
+    """The child values of ``sub`` and the smallest leaf value below each: its own value
+    list as both when no child is a subsystem, else fresh lists holding each subsystem
+    child's value and low from its row (a child without a row keeps its 0.0)."""
+    if not sub.below:
+        return sub.values, sub.values
+    values, lows = sub.values[:], sub.values[:]
+    for k, j in sub.below.items():
+        row = rows[j]
+        if row is not None:
+            values[k], lows[k] = row[0], row[1]
+    return values, lows
+
+
+def _weakest(sub: _Sub, lows: list[float], rows: list[_Row | None],
+             positions: Sequence[int] | None = None) -> tuple[float, tuple[str, ...]]:
+    """Smallest of the child ``lows`` at ``positions`` (default: all) and
+    the leaves attaining it, in the order of ``positions``."""
     if positions is None:
         positions = range(len(lows))
     else:
@@ -320,21 +328,17 @@ def _roll(
 ) -> list[_Row | None]:
     """Roll up a compiled list in order; returns one row per entry.
 
-    Each entry first takes its subsystem children's values and lows from
-    their rows.  An entry in ``skip`` then gets no row and runs no
-    operator, and its parent does not take its value.  Rolls without
-    recursion, so depth is bounded by memory only.
+    An entry in ``skip`` gets no row and runs no operator, and its parent
+    does not take its value; any other takes its subsystem children's
+    values and lows from their rows.  Rolls without recursion, so depth is
+    bounded by memory only.
     """
     rows: list[_Row | None] = []
     for index, sub in enumerate(subs):
-        values, lows = sub.values, sub.lows
-        for k, j in sub.below.items():
-            row = rows[j]
-            if row is not None:
-                values[k], lows[k] = row[0], row[1]
         if index in skip:
             rows.append(None)
             continue
+        values, lows = _taken(sub, rows)
         value = _operate(sub, values)
         critical = sub.critical
         floor = min(values) if critical is None else min([values[k] for k in critical])
@@ -342,7 +346,7 @@ def _roll(
         # Rounding in the means can overshoot the scale by a few ulps; reported
         # values stay inside the declared interval.
         value = scale.clamp(value)
-        low, weakest = _weakest(sub, rows)
+        low, weakest = _weakest(sub, lows, rows)
         warnings: tuple[str, ...] = ()
         threshold = sub.threshold
         if threshold is not None and adequacy > threshold:
@@ -428,9 +432,7 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
     rolled: list[tuple[float, float, tuple[str, ...]]] = []
     blocks: list[list[MethodComparison]] = []
     for sub in subs:
-        values, lows, weights, plan = sub.values, sub.lows, sub.weights, sub.plan
-        for k, j in sub.below.items():
-            values[k], lows[k] = rolled[j][0], rolled[j][1]
+        (values, lows), weights, plan = _taken(sub, rolled), sub.weights, sub.plan
         summary = _summary(values, weights)
         logs, groups = summary[3], []
         for positions, _ in plan:  # a group's nam gathers its logs from the subsystem's
@@ -443,14 +445,14 @@ def _compare(subs: list[_Sub], scale: Scale, threshold: float) -> list[MethodCom
                  else hybrid if kernel is _HYBRID else wlam)
         if value is None:  # a nam kernel under child priorities: no nam column, but it runs
             value = _nam(values)
-        low, weakest = _weakest(sub, rolled)
+        low, weakest = _weakest(sub, lows, rolled)
         rolled.append((scale.clamp(value), low, weakest))
         block = [_comparison(sub.id, wem, wlam, nam, hybrid, weakest, threshold, scale)]
         for group_id, (positions, _), metrics in zip(sub.group_ids, plan, groups):
             # Weakest leaves in child order, which only a tied minimum needs.
-            weakest = _weakest(sub, rolled, positions)[1]
+            weakest = _weakest(sub, lows, rolled, positions)[1]
             if len(weakest) > 1:
-                weakest = _weakest(sub, rolled, sorted(positions))[1]
+                weakest = _weakest(sub, lows, rolled, sorted(positions))[1]
             block.append(_comparison(f"{sub.id}/{group_id}", *metrics, weakest, threshold, scale))
         blocks.append(block)
     # The list read backwards is the preorder: each subsystem's row, then
@@ -608,8 +610,10 @@ def _sweep(
     """:func:`sweep` on a compiled list along a path from :func:`_sweep_path`."""
     # Only the subtrees off the path are rolled: a full re-roll never
     # evaluates the path at the leaf's stored value, so neither does this.
-    _roll(subs, scale, {j for j, _ in path})
-    (root, root_slot), *above = [(subs[j], slot) for j, slot in path]
+    # Each path entry takes a value list of its own, which the points write.
+    rolled = _roll(subs, scale, {j for j, _ in path})
+    (root, root_slot), *above = [(subs[j]._replace(values=_taken(subs[j], rolled)[0][:]), slot)
+                                 for j, slot in path]
     # The path's ancestors under the root, deepest first, and the root keep what
     # a grid point reads of their children off the path, where nothing overflows.
     low, high, rows = scale.min, scale.max, []

@@ -135,14 +135,15 @@ class MethodConfig(_Record):
 _T = TypeVar("_T", bound="_Tree")
 
 
-class _Tree:
+class _Tree(_Record):
     """Preorder ``walk``, ``repr``, ``==`` and ``hash`` of a dataclass tree,
     without recursion.
 
     For a frozen dataclass declared with ``repr=False, eq=False`` whose
-    ``children`` field holds nodes of its own class.  ``repr`` and ``==``
-    give what the generated methods give, and equal trees hash equal, at
-    any depth.
+    ``children`` field holds nodes of its own class.  ``repr`` gives what
+    the generated method gives, at any depth.  ``==`` and ``hash`` are
+    :class:`_Record`'s, over a tuple that determines the tree: each node's
+    class, fields but ``children``, and child count, in preorder.
     """
 
     def walk(self: _T) -> Iterator[_T]:
@@ -153,23 +154,13 @@ class _Tree:
             yield node
             stack.extend(reversed(node.children))
 
-    def _preorder(self) -> list[tuple]:
-        """Class, fields but ``children``, and child count of each node, in
-        preorder; the list determines the tree."""
-        return [
+    def _values(self) -> tuple:
+        return tuple([
             (node.__class__,
              tuple(getattr(node, f.name) for f in fields(node) if f.name != "children"),
              len(node.children))
             for node in self.walk()
-        ]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._preorder()))
+        ])
 
     def __repr__(self) -> str:
         parts: list[str] = []

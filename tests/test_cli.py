@@ -949,7 +949,7 @@ class TestNoHierarchyNodeObjects:
 
 
 class TestStoredEntriesAreNeverWritten:
-    """The commands roll up, compare and sweep copies of the value lists:
+    """The commands roll up, compare and sweep the stored entries in place:
     after each, twice over, the loaded description gives what a fresh load
     gives, down to ``aggregate`` on its tree."""
 

@@ -254,8 +254,8 @@ class TestFlatCommandsBuildNoTree:
 
 
 class TestFlatSweepLeavesTheDescription:
-    """A flat sweep writes into its compiled copy of the values, never into
-    the parsed description's element columns."""
+    """A flat sweep writes neither into its compiled entry nor into the
+    parsed description's element columns."""
 
     @pytest.mark.parametrize("name", ["two_group.json", "weak_element.json"])
     def test_sweep_then_compile_again(self, fixture_path, name):
@@ -264,7 +264,7 @@ class TestFlatSweepLeavesTheDescription:
         subs = cli._compiled(desc)
         first = copy.deepcopy(subs)
         cli._sweep(subs, desc.scale, cli._sweep_path(subs, subs[0].ids[0]), 0.25, 0.5, 2)
-        assert subs[0].values[0] == 0.5  # the sweep wrote into its own list
+        assert subs == first
         values = [e["evaluation"] for e in json.loads(Path(path).read_text())["elements"]]
         assert [e.evaluation for e in desc.elements] == values
         assert cli._compiled(desc) == first

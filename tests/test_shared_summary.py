@@ -110,12 +110,12 @@ def separate_rows(values, weights, plan, threshold):
     """``_compare``'s rows for a flat subsystem, one kernel per metric."""
     sub = flat_sub(values, weights, plan)
     rows = [_comparison(sub.id, *separate(values, sub.weights, sub.plan),
-                        _weakest(sub, [])[1], threshold, WIDEST)]
+                        _weakest(sub, sub.values, [])[1], threshold, WIDEST)]
     for group_id, (positions, _) in zip(sub.group_ids, sub.plan):
         group = [values[k] for k in positions]
         rows.append(_comparison(
             f"{sub.id}/{group_id}", min(group), _wlam(group, None), _nam(group), None,
-            _weakest(sub, [], sorted(positions))[1], threshold, WIDEST))
+            _weakest(sub, sub.values, [], sorted(positions))[1], threshold, WIDEST))
     return rows
 
 

@@ -28,9 +28,8 @@ METHOD_NAMES = [m.value for m in Method]
 # --- _weakest -------------------------------------------------------------
 
 
-def loop_weakest(sub, rows, positions=None):
+def loop_weakest(sub, lows, rows, positions=None):
     """The Python loop ``_weakest`` ran for every minimum."""
-    lows = sub.lows
     if positions is None:
         positions = range(len(lows))
     else:
@@ -60,23 +59,23 @@ def weakest_cases(draw):
     ]
     below = {k: j for j, k in enumerate(subsystem_slots)}
     ids = [f"c{k}" for k in range(n)]
-    sub = _sub("node", ids, [50.0] * n, below, [None] * n, None)._replace(lows=lows)
+    sub = _sub("node", ids, [50.0] * n, below, [None] * n, None)
     positions = draw(st.one_of(
         st.none(),
         # A group row passes its member positions sorted; any order is allowed.
         st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n).map(sorted),
         st.permutations(range(n)).flatmap(lambda p: st.integers(1, n).map(lambda m: p[:m])),
     ))
-    return sub, rows, positions
+    return sub, lows, rows, positions
 
 
 class TestWeakestUniqueMinimum:
     @settings(max_examples=400, deadline=None)
     @given(weakest_cases())
     def test_equals_the_loop(self, case):
-        sub, rows, positions = case
-        low, ids = _weakest(sub, rows, positions)
-        expected_low, expected_ids = loop_weakest(sub, rows, positions)
+        sub, lows, rows, positions = case
+        low, ids = _weakest(sub, lows, rows, positions)
+        expected_low, expected_ids = loop_weakest(sub, lows, rows, positions)
         assert (repr(low), ids) == (repr(expected_low), expected_ids)
         assert type(ids) is tuple
 
@@ -89,7 +88,7 @@ class TestWeakestUniqueMinimum:
     def test_pinned_cases(self, lows, expected):
         sub = _sub("node", ["c0", "c1", "c2"], [50.0] * 3, {2: 0}, [None] * 3, None)
         rows = [(0.0, 0.0, ("p", "q"))]
-        assert _weakest(sub._replace(lows=lows), rows)[1] == expected
+        assert _weakest(sub, lows, rows)[1] == expected
 
 
 # --- _table ---------------------------------------------------------------
