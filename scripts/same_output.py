@@ -72,6 +72,12 @@ exception each raises.  They run on ``hierarchy_root()`` of each hierarchy
 fixture, of the seed-1 tree-rollup and tree-sweep files and of the three
 overshoot files, and on two hand-built faulty trees: a reused id over a
 subtree with a bad method, and a bad leaf under a bad hybrid partition.
+``adequacy_report`` (without and with ``priority_vector()``) and
+``check_ordering`` run on ``evaluation_vector()`` of every fixture, of the
+eleven small generated files, of seed-1 flat-grouped and of its two
+priority copies; where the file has groups, ``check_hybrid_bounds`` and
+``hybrid_grouped`` run on its grouped system too.  That makes 1495 calls,
+and 1496 entries with the library surface.
 
 Every call whose exit code, stdout, stderr or written file differs between
 the sides is printed.  One more entry compares the library surface: the
@@ -232,11 +238,23 @@ FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults}
 LIBRARY = "--library"
 LIBRARY_CALLS = ("aggregate", "compare_methods", "sweep", "validate_hierarchy")
 LIBRARY_WORKLOADS = ("tree-rollup", "tree-sweep")
+VECTOR_CALLS = ("adequacy_report", "adequacy_report-priorities", "check_ordering")
+GROUP_CALLS = ("check_hybrid_bounds", "hybrid_grouped")
 
 
 def _library_commands(source: str) -> list[list[str]]:
     """The library mix on one description file or hand-built tree."""
     return [[LIBRARY, call, source] for call in LIBRARY_CALLS]
+
+
+def _vector_commands(path: Path) -> list[list[str]]:
+    """The library's checks on one file's evaluation vector, and on its
+    grouped system where the file has a ``groups`` section."""
+    try:
+        grouped = bool(json.loads(path.read_text(encoding="utf-8")).get("groups"))
+    except ValueError:
+        grouped = False
+    return [[LIBRARY, call, str(path)] for call in VECTOR_CALLS + GROUP_CALLS * grouped]
 
 
 def _faulty_tree(aggeval, name: str):
@@ -259,18 +277,27 @@ def _library_call(call: str, source: str) -> str:
     import aggeval
     from aggeval.description import load_description
 
-    if source in FAULTY_TREES:
-        tree, scale = _faulty_tree(aggeval, source), aggeval.PERCENT
-    else:
-        desc = load_description(source)
-        tree, scale = desc.hierarchy_root(), desc.scale
+    def grouped():
+        return aggeval.GroupedSystem(desc.groups, desc.evaluation_vector())
+
     calls = {
         "aggregate": lambda: aggeval.aggregate(tree, scale),
         "compare_methods": lambda: aggeval.compare_methods(tree, scale),
         "sweep": lambda: aggeval.sweep(tree, scale, tree.leaf_ids()[0], scale.min, scale.max, 11),
         "validate_hierarchy": lambda: aggeval.validate_hierarchy(tree, scale),
+        "adequacy_report": lambda: aggeval.adequacy_report(desc.evaluation_vector()),
+        "adequacy_report-priorities": lambda: aggeval.adequacy_report(
+            desc.evaluation_vector(), desc.priority_vector()),
+        "check_ordering": lambda: aggeval.check_ordering(desc.evaluation_vector()),
+        "check_hybrid_bounds": lambda: aggeval.check_hybrid_bounds(grouped()),
+        "hybrid_grouped": lambda: aggeval.hybrid_grouped(grouped()),
     }
-    try:
+    try:  # a fixture the vector calls read may not load
+        if source in FAULTY_TREES:
+            tree, scale = _faulty_tree(aggeval, source), aggeval.PERCENT
+        else:
+            desc = load_description(source)
+            tree, scale = desc.hierarchy_root(), desc.scale
         return repr(calls[call]())
     except Exception as exc:  # an error is a result too
         return f"raised {exc!r}"
@@ -367,7 +394,7 @@ def _edge_commands(workdir: Path) -> list[list[str]]:
     for name, doc in EDGE_FILES.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps({"scale": {"min": 0, "max": 100}, **doc}), encoding="utf-8")
-        commands += _file_commands(path)
+        commands += _file_commands(path) + _vector_commands(path)
         if name.startswith("overshoot-"):
             commands += _library_commands(str(path))
         if name == "signed-zeros":
@@ -403,7 +430,7 @@ def _perfbench(name: str):
 def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
     commands = []
     for path in sorted(FIXTURES.glob("*.json")):
-        commands += _file_commands(path)
+        commands += _file_commands(path) + _vector_commands(path)
         if '"hierarchy"' in path.read_text(encoding="utf-8"):
             commands += _library_commands(str(path))
     for name in FAULTY_TREES:
@@ -431,10 +458,11 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
                     commands += [["evaluate", "--input", str(path)],
                                  ["compare", "--input", str(path)]]
             if name == "flat-grouped" and seed == SEEDS[0]:
+                commands += _vector_commands(Path(prepared.path))
                 for label, doc in _priority_copies(prepared.doc).items():
                     path = workdir / f"{name}-{seed}-{label}.json"
                     path.write_text(json.dumps(doc), encoding="utf-8")
-                    commands += _file_commands(path)
+                    commands += _file_commands(path) + _vector_commands(path)
     return commands
 
 

@@ -27,6 +27,7 @@ from .core import (
     Method,
     PriorityVector,
     Scale,
+    _metrics,
     _signed_gap,
     _wlam,
 )
@@ -47,7 +48,6 @@ from .hierarchy import (
     _compile_flat,
     _comparison,
     _entries,
-    _metrics,
     _operate,
     _roll,
     _Sub,

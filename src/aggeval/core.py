@@ -382,6 +382,11 @@ def wlam(evals: EvaluationVector, weights: PriorityVector | None = None) -> floa
     return _wlam(evals.values, [rho[i] for i in evals.ids])
 
 
+def _log_path(n: int, low: float, high: float) -> bool:
+    """Whether nam over ``n`` distinct nonzero values in [low, high] takes the log path."""
+    return n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY
+
+
 def _nam(values: Sequence[float], low: float | None = None, high: float | None = None,
          total: float | None = None, logs: Iterable[float] | None = None) -> float:
     """:func:`nam` over a nonempty sequence of nonnegative finite floats, with
@@ -398,7 +403,7 @@ def _nam(values: Sequence[float], low: float | None = None, high: float | None =
         # deciding this up front also keeps the log path total.
         return 0.0
     mean = (math.fsum(values) if total is None else total) / n
-    if n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
+    if _log_path(n, low, high):
         # fsum is exactly rounded, so the log sum needs no fixed order; the
         # tiny bound keeps mean ** (n-1) from underflowing on the direct path.
         logs = map(math.log, values) if logs is None else logs
@@ -432,6 +437,44 @@ def _hybrid(
     )
 
 
+def _summary(values: Sequence[float], weights: Sequence[float] | None,
+             logs: Iterable[float] | None = None) -> tuple:
+    """The min, max, exact sum and logs of ``values``, each taken once: the sum
+    where wlam and nam read it (distinct values, no weights) and the logs where
+    nam does (its log path, no zero), else None; a group gathers ``logs``."""
+    low, high = min(values), max(values)
+    if low == high or weights is not None:
+        return low, high, None, None
+    if low > 0.0 and _log_path(len(values), low, high):
+        return low, high, math.fsum(values), list(map(math.log, values) if logs is None else logs)
+    return low, high, math.fsum(values), None
+
+
+def _metrics(
+    values: Sequence[float],
+    weights: Sequence[float] | None,
+    plan: Sequence[tuple[Sequence[int], float]],
+    nams: list[float | None] | None = None,
+    summary: tuple | None = None,
+) -> tuple[float, float, float | None, float | None]:
+    """wem, wlam, nam (None under weights), hybrid (None without groups, and
+    from the group nams in ``nams`` where they are known), all from one
+    :func:`_summary` of ``values``, which a caller may pass."""
+    low, high, total, logs = summary or _summary(values, weights)
+    wlam = (values[0] if low == high else  # as _wlam: equal values are their mean
+            _weighted_mean(values, weights) if total is None else total / len(values))
+    if plan and nams is None and logs is not None:  # group nams gather their logs from these
+        nams = [_nam([values[k] for k in p], logs=map(logs.__getitem__, p)) for p, _ in plan]
+    return (low, wlam, None if weights is not None else _nam(values, low, high, total, logs),
+            _hybrid(values, plan, nams) if plan else None)
+
+
+def _plan(system: GroupedSystem) -> list[tuple[list[int], float]]:
+    """Each group's element positions in member order, with its priority as given."""
+    position = {element_id: k for k, element_id in enumerate(system.evals.ids)}
+    return [([position[m] for m in g.members], g.priority) for g in system.groups]
+
+
 def hybrid_grouped(system: GroupedSystem) -> float:
     """Grouped aggregation: nonlinear inside groups, linear across them.
 
@@ -440,11 +483,7 @@ def hybrid_grouped(system: GroupedSystem) -> float:
     group this reduces to :func:`nam`, and with singleton groups to
     :func:`wlam` under the group priorities.
     """
-    position = {element_id: k for k, element_id in enumerate(system.evals.ids)}
-    return _hybrid(
-        system.evals.values,
-        [([position[m] for m in g.members], g.priority) for g in system.groups],
-    )
+    return _hybrid(system.evals.values, _plan(system))
 
 
 def _signed_gap(aggregate: float, weakest: float) -> float:
@@ -502,16 +541,18 @@ def adequacy_report(
     ``sigma_12`` compares the weakest element against the linear
     aggregate, ``sigma_13`` against the nonlinear one.
     """
-    low = wem(evals)
-    linear = wlam(evals, weights)
-    nonlinear = nam(evals)
+    values = evals.values
+    if weights is None:
+        low, linear, nonlinear, _ = _metrics(values, None, [])
+    else:  # nam on its own: a zero gives 0.0 where _summary's plain sum would overflow
+        low, linear, nonlinear = min(values), wlam(evals, weights), _nam(values)
     return AdequacyReport(
         wem=low,
         wlam=linear,
         nam=nonlinear,
         sigma_12=_masking_ratio(linear, low),
         sigma_13=_masking_ratio(nonlinear, low),
-        weakest=weakest_ids(evals),
+        weakest=tuple(i for i, v in evals.entries if v == low),
     )
 
 
@@ -549,13 +590,14 @@ def wem_then_aggregate(
             "critical set references unknown ids: " + ", ".join(sorted(unknown))
         )
     critical_wem = min(by_id[i] for i in critical)
-    if method is Method.WLAM:
-        aggregate = wlam(evals, weights)
-    elif method is Method.NAM:
-        aggregate = nam(evals)
+    if method == _WLAM:  # a member, or a member's value as a str enum compares equal
+        method, aggregate = _WLAM, wlam(evals, weights)
+    elif method == _NAM:
+        method, aggregate = _NAM, nam(evals)
     else:
+        name = method.value if isinstance(method, Method) else method
         raise EvaluationError(
-            f"critical-first evaluation aggregates with wlam or nam, got {method.value!r}"
+            f"critical-first evaluation aggregates with wlam or nam, got {name!r}"
         )
     return CriticalGroupResult(
         critical_wem=critical_wem,
@@ -618,9 +660,7 @@ def check_ordering(evals: EvaluationVector) -> OrderingCheck:
     Callers therefore get a verdict, not a guarantee.  Both comparisons use
     the shared tolerance.
     """
-    low = wem(evals)
-    nonlinear = nam(evals)
-    linear = wlam(evals)
+    low, linear, nonlinear, _ = _metrics(evals.values, None, [])
     return OrderingCheck(
         chain=(low, nonlinear, linear),
         holds=_leq(low, nonlinear) and _leq(nonlinear, linear),
@@ -649,16 +689,8 @@ def check_hybrid_bounds(system: GroupedSystem) -> HybridBoundsCheck:
     guaranteed only when all groups have the same cardinality.  Callers get
     both verdicts separately instead of one conflated flag.
     """
-    low = wem(system.evals)
-    mixed = hybrid_grouped(system)
-    expanded = PriorityVector(
-        tuple(
-            (member, group.priority)
-            for group in system.groups
-            for member in group.members
-        )
-    )
-    linear = wlam(system.evals, expanded)
+    evals, rho = system.evals, {m: float(g.priority) for g in system.groups for m in g.members}
+    low, linear, _, mixed = _metrics(evals.values, [rho[i] for i in evals.ids], _plan(system))
     return HybridBoundsCheck(
         wem=low,
         hybrid=mixed,

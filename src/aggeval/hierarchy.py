@@ -13,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, NamedTuple, Sequence
 
 from .core import (
     _HYBRID,
-    _LOG_DOMAIN_SIZE,
-    _LOG_DOMAIN_TINY,
-    _LOG_DOMAIN_VALUE,
     _NAM,
     _WEM,
     _WEM_THEN,
@@ -29,10 +26,12 @@ from .core import (
     Scale,
     _Record,
     _hybrid,
+    _log_path,
     _masking_ratio,
+    _metrics,
     _nam,
     _signed_gap,
-    _weighted_mean,
+    _summary,
     _wlam,
 )
 from .description import (_FLOAT_MAX, SystemDescription, _built, _Compiled, _element_columns,
@@ -281,39 +280,6 @@ def _weakest(sub: _Sub, lows: list[float], rows: list[_Row | None],
         if value == low:
             weakest += rows[below[k]][2] if k in below else (sub.ids[k],)
     return low, tuple(weakest)
-
-
-def _summary(values: list[float], weights: list[float] | None,
-             logs: Iterable[float] | None = None) -> tuple:
-    """The min, max, exact sum and logs of ``values``, each taken once: the sum
-    where wlam and nam read it (distinct values, no weights) and the logs where
-    nam does (its log path, no zero), else None; a group gathers ``logs``."""
-    low, high = min(values), max(values)
-    if low == high or weights is not None:
-        return low, high, None, None
-    n = len(values)
-    if low > 0.0 and (n > _LOG_DOMAIN_SIZE or high > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY):
-        return low, high, math.fsum(values), list(map(math.log, values) if logs is None else logs)
-    return low, high, math.fsum(values), None
-
-
-def _metrics(
-    values: list[float],
-    weights: list[float] | None,
-    plan: list[tuple[list[int], float]],
-    nams: list[float | None] | None = None,
-    summary: tuple | None = None,
-) -> tuple[float, float, float | None, float | None]:
-    """wem, wlam, nam (None under child priorities), hybrid (None without
-    groups, and from the group nams in ``nams`` where they are known), all
-    from one :func:`_summary` of ``values``, which a caller may pass."""
-    low, high, total, logs = summary or _summary(values, weights)
-    wlam = (values[0] if low == high else  # as _wlam: equal values are their mean
-            _weighted_mean(values, weights) if total is None else total / len(values))
-    if plan and nams is None and logs is not None:  # group nams gather their logs from these
-        nams = [_nam([values[k] for k in p], logs=map(logs.__getitem__, p)) for p, _ in plan]
-    return (low, wlam, None if weights is not None else _nam(values, low, high, total, logs),
-            _hybrid(values, plan, nams) if plan else None)
 
 
 def _clamped(scale: Scale, wlam: float, nam: float | None, hybrid: float | None) -> tuple:
@@ -578,7 +544,7 @@ def _kept_point(sub: _Sub, slot: int, root: bool,
             if low == top or low == 0.0:
                 return values[0] if low == top else 0.0
             mean = math.fsum((*sums, x)) / n
-            if n > _LOG_DOMAIN_SIZE or top > _LOG_DOMAIN_VALUE or low < _LOG_DOMAIN_TINY:
+            if _log_path(n, low, top):
                 return math.exp(math.fsum((*logs, math.log(x))) - (n - 1) * math.log(mean))
             return math.prod(sorted(values)) / mean ** (n - 1)
     if plan and kernel is None or kernel is _HYBRID:
@@ -589,8 +555,7 @@ def _kept_point(sub: _Sub, slot: int, root: bool,
         parts_g = _kept_sum([p * m for p, m in zip(priorities, nams) if m is not None])
 
         def hybrid(_: object) -> float:
-            nams[group] = _nam(gather(values))
-            return math.fsum((*parts_g, weight_g * nams[group])) / total_g
+            return math.fsum((*parts_g, weight_g * _nam(gather(values)))) / total_g
     if root:
         return lambda x: (min(before, x, after), wlam(x), None if weights is not None else nam(x),
                           hybrid(x) if plan else None)

@@ -322,6 +322,24 @@ class TestWemThenAggregate:
         with pytest.raises(EvaluationError, match="wlam or nam"):
             wem_then_aggregate(WEAK, ("s1",), Method.WEM)
 
+    @pytest.mark.parametrize("given, member", [
+        ("wlam", Method.WLAM), ("nam", Method.NAM), (Method.WLAM, Method.WLAM),
+    ])
+    def test_method_given_by_value_is_stored_as_the_member(self, given, member):
+        result = wem_then_aggregate(WEAK, ["s1"], given)
+        assert result == wem_then_aggregate(WEAK, ["s1"], member)
+        assert result.method is member
+
+    @pytest.mark.parametrize("given, named", [
+        (Method.WEM, "'wem'"), ("wem", "'wem'"), ("median", "'median'"),
+        ("WLAM", "'WLAM'"), (Method.HYBRID_GROUPED, "'hybrid'"), (None, "None"), (2, "2"),
+    ])
+    def test_other_methods_are_named_as_given(self, given, named):
+        message = f"critical-first evaluation aggregates with wlam or nam, got {named}"
+        with pytest.raises(EvaluationError) as caught:
+            wem_then_aggregate(WEAK, ["s1"], given)
+        assert str(caught.value) == message
+
 
 class TestProductBound:
     def test_uniform_vector_attains_the_bound(self):
