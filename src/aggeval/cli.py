@@ -318,6 +318,14 @@ def _cmd_priorities(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aggeval",
@@ -327,6 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help)
+        # Every string float() reads is a value: argparse's own pattern misses -1e5 and -inf.
+        sub._negative_number_matcher = argparse.Namespace(match=_is_float)
         sub.add_argument("--input", required=True, help="description file")
         return sub
 

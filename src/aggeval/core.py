@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
+from inspect import Parameter, Signature
 from reprlib import recursive_repr
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "ABS_TOL",
@@ -98,10 +99,54 @@ def _leq(a: float, b: float) -> bool:
     return a <= b or _close(a, b)
 
 
+class _InitSignature:
+    """A record class's ``inspect.signature``, the generated ``__init__``'s, built on read."""
+
+    def __get__(self, obj: object, cls: type) -> Signature:
+        return Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                                    default=Parameter.empty if f.default is MISSING else f.default)
+                          for f in fields(cls)], return_annotation=None)
+
+
 class _Record:
-    """``==``, ``hash`` and ``repr`` from the fields of a frozen dataclass declared
-    ``repr=False, eq=False``: ``repr`` as generated, ``==`` over the tuples of field
-    values, so a NaN object equals itself (Python 3.13's generated ``==`` differs)."""
+    """The methods of a frozen dataclass declared ``init=False, repr=False, eq=False``.
+    The guards never read the instance dict, which would cost every attribute read its
+    fast path; ``==`` compares the tuples of field values, so a NaN object equals itself
+    (Python 3.13's generated ``==`` differs)."""
+
+    __signature__ = _InitSignature()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        """Bind and fail as the generated ``__init__``, then run ``__post_init__``."""
+        known, given = self.__dataclass_fields__, len(args)  # a record has no pseudo-fields
+        if kwargs or given != len(known):  # not simply every field by position
+            names, call = list(known), f"{type(self).__qualname__}.__init__()"
+            for name in kwargs:  # checked first, in call order, as the interpreter does
+                if name not in names[given:]:
+                    got = "multiple values for" if name in names else "an unexpected keyword"
+                    raise TypeError(f"{call} got {got} argument {name!r}")
+            if given > len(names):
+                least = 1 + sum(f.default is MISSING for f in known.values())
+                takes = least if least > len(names) else f"from {least} to {len(names) + 1}"
+                raise TypeError(f"{call} takes {takes} positional arguments "
+                                f"but {given + 1} were given")
+            missing = [repr(n) for n in names[given:]
+                       if n not in kwargs and known[n].default is MISSING]
+            if missing:  # 'a', 'a' and 'b', or 'a', 'b', and 'c'
+                n = len(missing)
+                raise TypeError(f"{call} missing {n} required positional argument"
+                                f"{'s' * (n > 1)}: {', '.join(missing[:-1])}{',' * (n > 2)}"
+                                f"{' and ' * (n > 1)}{missing[-1]}")
+        for k, (name, f) in enumerate(known.items()):
+            object.__setattr__(self, name, args[k] if k < given else kwargs.get(name, f.default))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -119,7 +164,15 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(pairs)})"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+def _built(cls: type, values: dict[str, Any]) -> Any:
+    """``cls(**values)`` for a record, without its ``__init__``: only for ``values`` that list
+    every field in order, each of the exact type ``__post_init__`` would coerce it to."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", values)
+    return obj
+
+
+@dataclass(init=False, repr=False, eq=False)
 class Scale(_Record):
     """Admissible evaluation interval ``[min, max]``.
 
@@ -154,7 +207,7 @@ class Scale(_Record):
 PERCENT = Scale(0.0, 100.0)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class EvaluationVector(_Record):
     """Per-element evaluations ``(id, value)`` on a shared scale.
 
@@ -226,7 +279,7 @@ class EvaluationVector(_Record):
         return iter(self.entries)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class PriorityVector(_Record):
     """Per-element weights ``rho > 0`` keyed by element id."""
 
@@ -257,7 +310,7 @@ class PriorityVector(_Record):
         return tuple(i for i, _ in self.weights)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Group(_Record):
     """Named set of element ids sharing one group priority."""
 
@@ -266,7 +319,7 @@ class Group(_Record):
     priority: float = 1.0
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class GroupedSystem(_Record):
     """Evaluation vector partitioned into priority groups.
 
@@ -292,11 +345,13 @@ class GroupedSystem(_Record):
             group_ids.add(group.id)
             if not group.members:
                 problems.append(f"group {group.id!r} has no members")
-            if not (math.isfinite(group.priority) and group.priority > 0):
-                problems.append(
-                    f"group {group.id!r} priority must be positive, "
-                    f"got {group.priority!r}"
-                )
+            try:  # the float the kernels read: a fraction can be positive and still round to 0
+                weight = math.fsum((group.priority,))
+            except OverflowError:
+                weight = math.inf
+            if not 0 < weight < math.inf:
+                problems.append(f"group {group.id!r} priority must be positive, "
+                                f"got {group.priority!r}")
             for member in group.members:
                 if member not in known:
                     problems.append(
@@ -521,7 +576,7 @@ def adequacy_wem_nam(evals: EvaluationVector) -> float:
     return _masking_ratio(nam(evals), wem(evals))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class AdequacyReport(_Record):
     """All aggregates plus both masking measures for one vector."""
 
@@ -556,7 +611,7 @@ def adequacy_report(
     )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class CriticalGroupResult(_Record):
     """Outcome of the two-stage evaluation around a critical subset."""
 
@@ -607,7 +662,7 @@ def wem_then_aggregate(
     )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class ProductBoundCheck(_Record):
     """Product of a vector against the product of its uniform redistribution."""
 
@@ -642,7 +697,7 @@ def check_product_bound(values: Sequence[float]) -> ProductBoundCheck:
     )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class OrderingCheck(_Record):
     """Result of the ``wem <= nam <= wlam`` comparison under unit weights."""
 
@@ -667,7 +722,7 @@ def check_ordering(evals: EvaluationVector) -> OrderingCheck:
     )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class HybridBoundsCheck(_Record):
     """Bounds on the grouped aggregate against wem and an expanded wlam."""
 

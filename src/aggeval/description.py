@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
-from .core import EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale, _Record
+from .core import (EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale, _built,
+                   _Record)
 from .network import Flow, HierarchyNode, MethodConfig, Network, _check_method, validate_network
 
 __all__ = [
@@ -49,7 +50,7 @@ class DescriptionError(ValueError):
         super().__init__("\n".join(self.diagnostics))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Element(_Record):
     """One evaluated component: id, evaluation, optional priority."""
 
@@ -113,7 +114,7 @@ class _Parsed:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class SystemDescription(_Record):
     """Parsed and validated system description.
 
@@ -178,17 +179,6 @@ def _synthetic_root_id(element_ids: Collection[str]) -> str:
         while root_id in taken:
             root_id += "+"
     return root_id
-
-
-def _built(cls: type, fields: dict[str, Any]) -> Any:
-    """``cls(**fields)`` for a frozen dataclass, without its ``__init__``.
-
-    Only for values that already have the exact types ``__post_init__``
-    would coerce to; ``fields`` lists every field in declaration order.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
 
 
 class _Collector:
@@ -422,7 +412,8 @@ def _parse_group_list(
             diag.add(f"{path}[{index}].id", f"duplicate group id {group_id!r}")
             continue
         seen_ids.add(group_id)
-        groups.append(Group(id=group_id, members=tuple(members), priority=float(priority)))
+        groups.append(_built(Group, {"id": group_id, "members": tuple(members),
+                                     "priority": float(priority)}))
     # assigned is a subset of the pool, so equal sizes mean every element is covered.
     if member_pool is not None and len(assigned) != len(member_pool):
         uncovered = sorted(member_pool - assigned)
@@ -669,7 +660,7 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
         if volume is None:
             ok = False
             continue
-        flows.append(Flow(route=route, volume=volume))
+        flows.append(_built(Flow, {"route": tuple(route), "volume": volume}))
     if not ok:
         return None
     network = Network(nodes=nodes_raw, edges=edges_raw, flows=flows)

@@ -59,7 +59,7 @@ class HierarchyValidationError(ValueError):
         )
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class AggregationReport(_Tree):
     """Aggregation outcome for one node, with its subtree's reports.
 
@@ -100,7 +100,7 @@ class AggregationReport(_Tree):
         return top[0]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class MethodComparison(_Record):
     """One table row: every applicable operator at one subsystem node.
 
@@ -120,7 +120,7 @@ class MethodComparison(_Record):
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class SweepRow(_Record):
     """Root-level metrics at one grid value of the varied leaf."""
 

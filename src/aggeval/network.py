@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Flow(_Record):
     """A movement of ``volume`` units along the node sequence ``route``.
 
@@ -46,7 +46,7 @@ class Flow(_Record):
             yield (a, b)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class Network(_Record):
     """Directed graph with optional flows.
 
@@ -107,7 +107,7 @@ def validate_network(net: Network) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class MethodConfig(_Record):
     """Aggregation settings for one subsystem node.
 
@@ -139,9 +139,9 @@ class _Tree(_Record):
     """Preorder ``walk``, ``repr``, ``==`` and ``hash`` of a dataclass tree,
     without recursion.
 
-    For a frozen dataclass declared with ``repr=False, eq=False`` whose
-    ``children`` field holds nodes of its own class.  ``repr`` gives what
-    the generated method gives, at any depth.  ``==`` and ``hash`` are
+    For a record (see :class:`_Record`) whose ``children`` field holds
+    nodes of its own class.  ``repr`` gives what the generated method
+    gives, at any depth.  ``==`` and ``hash`` are
     :class:`_Record`'s, over a tuple that determines the tree: each node's
     class, fields but ``children``, and child count, in preorder.
     """
@@ -183,7 +183,7 @@ class _Tree(_Record):
         return "".join(parts)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class HierarchyNode(_Tree):
     """One node of the evaluation hierarchy.
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EvaluationError, Group, PriorityVector, _Record
+from .core import EvaluationError, Group, PriorityVector, _built, _Record
 from .network import Network
 
 __all__ = [
@@ -50,7 +50,7 @@ class Normalization(str, Enum):
     MAX_TO_ONE = "max-to-one"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class PriorityStrategy(_Record):
     """How to score nodes: primary basis, tie-break chain, normalization.
 
@@ -200,7 +200,7 @@ def _max_scaled(scores: dict[str, float]) -> dict[str, float]:
     return {n: v / top for n, v in scores.items()}
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class RankedNode(_Record):
     """One row of a priority ranking."""
 
@@ -235,9 +235,8 @@ def rank_nodes(net: Network, strategy: PriorityStrategy) -> list[RankedNode]:
             weight = 1.0 if top <= 0 else score / top
         else:
             weight = score
-        ranked.append(
-            RankedNode(node=node, score=score, priority=max(weight, MIN_PRIORITY))
-        )
+        ranked.append(_built(RankedNode, {
+            "node": node, "score": score, "priority": max(weight, MIN_PRIORITY)}))
     return ranked
 
 

@@ -1544,12 +1544,34 @@ class TestFlatValuesStayOnTheScale:
 
 
 class TestNegativeThresholdSpelling:
-    """argparse reads a negative number with an exponent as an option after
-    a space; after ``=`` it reaches the range check."""
+    """A negative number that ``float()`` reads is a value, not an option,
+    after a space as after ``=``: it reaches the range check."""
 
-    def test_after_a_space_is_a_usage_error(self, capsys, fixture_path):
+    def test_after_a_space_is_a_range_error(self, capsys, fixture_path):
+        assert run(capsys, "compare", "--input", fixture_path("weak_element.json"),
+                   "--threshold", "-1e5") == (
+            2, "", "error: adequacy threshold must lie in [0, 1], got -100000.0\n")
+
+    @pytest.mark.parametrize("spelling, shown", [
+        ("-1E+5", "-100000.0"), ("-1e400", "-inf"), ("-inf", "-inf"), ("-Infinity", "-inf"),
+        ("-nan", "nan"), ("-1_000", "-1000.0"), ("-.5", "-0.5"), ("-1", "-1.0"),
+    ])
+    def test_every_float_spelling_is_a_value(self, capsys, fixture_path, spelling, shown):
+        assert run(capsys, "compare", "--input", fixture_path("weak_element.json"),
+                   "--threshold", spelling) == (
+            2, "", f"error: adequacy threshold must lie in [0, 1], got {shown}\n")
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["--from", "-1e3", "--to", "100"], "sweep from value -1000.0 is outside [0.0, 100.0]"),
+        (["--from", "0", "--to", "-inf"], "sweep to value -inf is outside [0.0, 100.0]"),
+    ])
+    def test_sweep_bounds_reach_the_range_check(self, capsys, fixture_path, bounds, message):
+        assert run(capsys, "sweep", "--input", fixture_path("weak_element.json"),
+                   "--vary", "s1", *bounds, "--steps", "3") == (2, "", f"error: {message}\n")
+
+    def test_a_dash_word_is_still_an_option(self, capsys, fixture_path):
         code, out, err = run(capsys, "compare", "--input", fixture_path("weak_element.json"),
-                             "--threshold", "-1e5")
+                             "--threshold", "-x")
         assert (code, out) == (1, "")
         assert err.endswith("aggeval compare: error: argument --threshold: expected one argument\n")
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -119,6 +120,21 @@ class TestGroupedSystemChecks:
         assert str(excinfo.value) == (
             "invalid grouping: duplicate group id 'g'; group 'h' has no members"
         )
+
+    @pytest.mark.parametrize("priority", [Fraction(1, 10**400), Fraction(10**400)])
+    def test_a_priority_that_is_no_positive_finite_float_is_rejected(self, priority):
+        # Positive as given, but the kernels weigh it as 0.0, or cannot convert it.
+        groups = (Group("s1", ("s1",), priority), Group("rest", ("s2", "s3")))
+        with pytest.raises(EvaluationError) as excinfo:
+            GroupedSystem(groups, vec(10, 50, 90))
+        assert str(excinfo.value) == (
+            f"invalid grouping: group 's1' priority must be positive, got {priority!r}")
+
+    def test_a_fraction_that_is_a_positive_float_is_accepted(self):
+        groups = (Group("s1", ("s1",), Fraction(1, 3)), Group("rest", ("s2", "s3")))
+        as_float = (Group("s1", ("s1",), 1 / 3), Group("rest", ("s2", "s3")))
+        system = GroupedSystem(groups, vec(10, 50, 90))
+        assert hybrid_grouped(system) == hybrid_grouped(GroupedSystem(as_float, vec(10, 50, 90)))
 
 
 class TestWem:

@@ -1,10 +1,15 @@
-"""The frozen public records share one ``==``, ``hash`` and ``repr``
-(``core._Record``), which must give what the dataclass-generated methods
-give; and no dataclass of the package brings the per-class methods back."""
+"""The frozen public records share one ``__init__``, one pair of frozen
+guards and one ``==``, ``hash`` and ``repr`` (``core._Record``), which must
+give what the dataclass-generated methods give; and no dataclass of the
+package brings the per-class methods back."""
 
+import copy
 import dataclasses
 import functools
 import importlib
+import inspect
+import json
+import pickle
 import pkgutil
 import struct
 import subprocess
@@ -16,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 import aggeval
 from aggeval import load_description
-from aggeval.core import EvaluationVector, Group, GroupedSystem, Method, Scale, _Record
+from aggeval.core import (EvaluationError, EvaluationVector, Group, GroupedSystem, Method, Scale,
+                          _Record)
 from aggeval.description import Element, SystemDescription, _built
 from aggeval.network import MethodConfig, Network, _Tree
+from aggeval.priority import PriorityBasis
 
 SRC = Path(aggeval.__file__).resolve().parent.parent
 FIXTURES = SRC.parent / "fixtures"
@@ -40,16 +47,21 @@ def package_dataclasses() -> list[type]:
                   key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
 
 
+ALL_RECORDS = [cls for cls in package_dataclasses() if issubclass(cls, _Record)]
 # Trees compare their preorder tuples, not their field tuples; test_tree_passes.TestTreeDunders
 # pins them.
-RECORDS = [cls for cls in package_dataclasses()
-           if issubclass(cls, _Record) and not issubclass(cls, _Tree)]
+RECORDS = [cls for cls in ALL_RECORDS if not issubclass(cls, _Tree)]
 
 
-def twin_of(cls: type) -> type:
-    """A stdlib frozen dataclass with ``cls``'s fields and qualified name."""
-    twin = dataclasses.make_dataclass(
-        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+def twin_of(cls: type, checked: bool = False) -> type:
+    """A stdlib frozen dataclass with ``cls``'s fields, defaults and qualified
+    name; ``checked`` gives it ``cls``'s ``__post_init__`` too."""
+    specs = [(f.name, f.type) if f.default is dataclasses.MISSING
+             else (f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(cls)]
+    post_init = getattr(cls, "__post_init__", None) if checked else None
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
+                                      namespace={"__post_init__": post_init} if post_init else {})
     twin.__qualname__ = cls.__qualname__
     return twin
 
@@ -210,38 +222,148 @@ class TestParsedDescriptions:
 
 
 class TestImportLever:
-    """No dataclass of the package compiles its own ``==``, ``hash`` or
-    ``repr`` at import, unless it is listed with its reason."""
+    """No dataclass of the package compiles its own methods at import,
+    unless it is listed with its reason."""
 
-    def test_every_dataclass_is_frozen_on_a_shared_base(self):
+    def test_every_dataclass_takes_its_methods_from_the_shared_base(self):
         for cls in package_dataclasses():
             name = f"{cls.__module__}.{cls.__qualname__}"
             if name in KEEPS_GENERATED:
                 continue
             params = cls.__dataclass_params__
-            assert params.frozen, name
-            assert not params.eq and not params.repr, name
+            assert not (params.init or params.repr or params.eq or params.frozen), name
             assert issubclass(cls, _Record), name
-            for method in ("__eq__", "__hash__", "__repr__"):
+            # The shared __init__ reads the fields from here: no ClassVar or InitVar entries.
+            assert tuple(cls.__dataclass_fields__.values()) == dataclasses.fields(cls), name
+            for method in ("__init__", "__setattr__", "__delattr__",
+                           "__eq__", "__hash__", "__repr__"):
                 assert method not in vars(cls), (name, method)
 
     def test_the_allowlist_names_dataclasses_that_exist(self):
         names = {f"{cls.__module__}.{cls.__qualname__}" for cls in package_dataclasses()}
         assert set(KEEPS_GENERATED) <= names
 
-    def test_import_compiles_three_methods_per_class(self):
+    def test_import_compiles_only_the_allowlisted_methods(self):
         if not hasattr(dataclasses, "_create_fn"):
             pytest.skip("this Python builds dataclass methods without _create_fn")
         probe = "\n".join([
-            "import dataclasses, sys",
+            "import dataclasses, json, sys",
             f"sys.path.insert(0, {str(SRC)!r})",
             "calls, create = [], dataclasses._create_fn",
-            "dataclasses._create_fn = lambda *args, **kw: calls.append(1) or create(*args, **kw)",
+            "def counting(name, *args, **kwargs):",
+            "    frame = sys._getframe(1)",
+            "    while frame.f_code.co_name != '_process_class':",
+            "        frame = frame.f_back",
+            "    cls = frame.f_locals['cls']",
+            "    calls.append(f'{cls.__module__}.{cls.__qualname__}.{name}')",
+            "    return create(name, *args, **kwargs)",
+            "dataclasses._create_fn = counting",
             "import aggeval.cli",
-            "print(len(calls))",
+            "print(json.dumps(sorted(calls)))",
         ])
         done = subprocess.run([sys.executable, "-I", "-c", probe],
                               capture_output=True, text=True, check=True)
-        # __init__, __setattr__ and __delattr__ for each frozen class, and
-        # FlowVolumes' __init__, __repr__ and __eq__.
-        assert int(done.stdout) == 3 * len(package_dataclasses())
+        assert json.loads(done.stdout) == [
+            "aggeval.priority.FlowVolumes.__eq__", "aggeval.priority.FlowVolumes.__init__",
+            "aggeval.priority.FlowVolumes.__repr__"]
+
+    def test_a_frozen_dataclass_cannot_extend_a_record(self):
+        with pytest.raises(TypeError, match="cannot inherit frozen dataclass from a non-frozen"):
+            dataclasses.make_dataclass("Sub", [("extra", int, 0)], bases=(Scale,), frozen=True)
+
+
+# Valid values for each record's first fields, at least its required ones.
+SAMPLES = {
+    "Scale": (0.0, 5.0),
+    "EvaluationVector": ((("a", 1.0), ("b", 2)),),
+    "PriorityVector": ((("a", 2.0),),),
+    "Group": ("g", ("a",)),
+    "GroupedSystem": ((Group("g", ("a",)),), EvaluationVector((("a", 1.0),))),
+    "AdequacyReport": (1.0, 2.0, 1.5, 0.5, 0.25, ("a",)),
+    "CriticalGroupResult": (1.0, 2.0, 0.5, Method.WLAM),
+    "ProductBoundCheck": (1.0, 2.0, True),
+    "OrderingCheck": ((1.0, 1.5, 2.0), True),
+    "HybridBoundsCheck": (1.0, 1.5, 2.0, True, False),
+    "Element": ("a", 1.0),
+    "SystemDescription": (Scale(0.0, 1.0), (Element("a", 0.5),)),
+    "AggregationReport": ("n", "wem", 1.0, ("a",), 0.0, (), ()),
+    "MethodComparison": ("n", 1.0, 2.0, None, None, 0.5, None, ("a",), ()),
+    "SweepRow": (1.0, 2.0, 1.5, None, None),
+    "Flow": (["a", "b"],),
+    "Network": (["a", "b"], [["a", "b"]]),
+    "MethodConfig": (Method.WEM_THEN, [], ["a"]),
+    "HierarchyNode": ("n",),
+    "PriorityStrategy": (PriorityBasis.DEGREE, [PriorityBasis.FLOW_VOLUME]),
+    "RankedNode": ("n", 1.0, 0.5),
+}
+
+
+def test_every_record_has_a_sample():
+    assert set(SAMPLES) == {cls.__name__ for cls in ALL_RECORDS}
+
+
+def sample(cls: type) -> tuple[tuple, tuple]:
+    """Values for the required fields of ``cls``, and for every field."""
+    known, given = dataclasses.fields(cls), SAMPLES[cls.__name__]
+    need = sum(f.default is dataclasses.MISSING for f in known)
+    return given[:need], (*given, *(f.default for f in known[len(given):]))
+
+
+def error_of(call) -> str:
+    """The type and message of the exception ``call()`` raises."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the message is what is compared
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError("no exception")
+
+
+@pytest.mark.parametrize("cls", ALL_RECORDS, ids=lambda cls: cls.__name__)
+class TestSharedInitAndGuardsMatchGeneratedOnes:
+    """Each record against a stdlib frozen twin with the same fields,
+    defaults and ``__post_init__``."""
+
+    def test_construction(self, cls):
+        twin, (required, every) = twin_of(cls, checked=True), sample(cls)
+        named = {f.name: value for f, value in zip(dataclasses.fields(cls), every)}
+        rest = dict(list(named.items())[1:])
+        for args, kwargs in ((every, {}), ((), named), (every[:1], rest), (required, {})):
+            assert repr(cls(*args, **kwargs)) == repr(twin(*args, **kwargs))
+        assert cls(*every) == cls(**named) == cls(*every[:1], **rest)
+        assert inspect.signature(cls) == inspect.signature(twin)
+        assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+
+    def test_wrong_calls(self, cls):
+        twin, (required, every) = twin_of(cls, checked=True), sample(cls)
+        known = dataclasses.fields(cls)
+        first = known[0].name
+        for args, kwargs in (((), {}), (required[:-1], {}), ((*every, 0), {}),
+                             (required, {"x": 1}), (required, {first: required[0]}),
+                             ((*every, 0), {first: 1}), ((), {"x": 1, first: 1}),
+                             (required[1:], {}), ((), {f.name: 1 for f in known[1:]})):
+            message = error_of(lambda: cls(*args, **kwargs))
+            assert message.startswith(f"TypeError: {cls.__qualname__}.__init__() ")
+            assert message == error_of(lambda: twin(*args, **kwargs)), (args, kwargs)
+
+    def test_frozen_guards(self, cls):
+        twin, (required, _) = twin_of(cls, checked=True), sample(cls)
+        record, twin_record = cls(*required), twin(*required)
+        field = dataclasses.fields(cls)[0].name
+        for name in (field, "new"):
+            for change in (lambda obj: setattr(obj, name, 1), lambda obj: delattr(obj, name)):
+                message = error_of(lambda: change(record))
+                assert message.startswith("FrozenInstanceError: cannot ")
+                assert message == error_of(lambda: change(twin_record))
+        assert repr(record) == repr(cls(*required))
+
+    def test_copies_and_pickles(self, cls):
+        record = cls(*sample(cls)[1])
+        for other in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(other) is cls
+            assert other == record and repr(other) == repr(record)
+
+
+def test_replace_runs_the_post_init_checks():
+    with pytest.raises(EvaluationError, match=r"^scale requires min < max, got \[2.0, 1\]$"):
+        dataclasses.replace(Scale(0, 1), min=2.0)
