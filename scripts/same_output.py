@@ -33,10 +33,17 @@ fault each:
   before and after the subtree that holds it;
 * flat-grouped, in the groups: an unknown member, a member in two
   groups, a non-string member, empty members, a 0 and a ``true``
-  priority, a duplicate group id, and an element in no group.
+  priority, a duplicate group id, and an element in no group;
+
+and ``priorities`` (the workload's own command) on copies of seed-1
+network-priorities with one fault each in the network: a duplicate node, a
+self-loop, an undeclared start and an undeclared end, a duplicate edge, a
+non-pair edge, a list as an edge endpoint, a one-node route, a 0 and a
+``true`` volume, a route over a missing edge, and an unknown flow key.
 
 They run the parser's reporting checks, or for the duplicate subsystem
-id and the bad partition the tree validation, at workload size.  Two
+id and the bad partition the tree validation, and the network checks,
+at workload size.  Two
 more copies of seed-1 flat-grouped give every seventh element a
 priority, some below 1, one with its groups and one without; the whole
 mix of a file runs on each, so the flat summary's ``nam`` without a
@@ -76,8 +83,13 @@ subtree with a bad method, and a bad leaf under a bad hybrid partition.
 ``check_ordering`` run on ``evaluation_vector()`` of every fixture, of the
 eleven small generated files, of seed-1 flat-grouped and of its two
 priority copies; where the file has groups, ``check_hybrid_bounds`` and
-``hybrid_grouped`` run on its grouped system too.  That makes 1495 calls,
-and 1496 entries with the library surface.
+``hybrid_grouped`` run on its grouped system too.  ``rank_nodes`` with each
+CLI strategy, ``derive_priorities`` (combined), ``group_by_priority`` of it
+(tolerance 0.05), ``flow_volume`` and ``validate_network`` run on
+``desc.network`` of each network fixture and of seed-1 network-priorities,
+and on three hand-built networks that fail validation: repeated nodes,
+edges from undeclared nodes, and edges to undeclared nodes.  That makes
+1555 calls, and 1556 entries with the library surface.
 
 Every call whose exit code, stdout, stderr or written file differs between
 the sides is printed.  One more entry compares the library surface: the
@@ -234,9 +246,56 @@ def _group_faults(doc: dict) -> dict[str, dict]:
     return variants
 
 
-FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults}
+NETWORK_FAULTS = (
+    "duplicate-node", "self-loop", "undeclared-start", "undeclared-end", "duplicate-edge",
+    "non-pair-edge", "list-endpoint", "one-node-route", "zero-volume", "true-volume",
+    "missing-edge-route", "unknown-flow-key",
+)
+
+
+def _network_faults(doc: dict) -> dict[str, dict]:
+    """Copies of a network-priorities document, each with one network fault."""
+    variants = {}
+    for fault in NETWORK_FAULTS:
+        variant = json.loads(json.dumps(doc))
+        nodes, edges, flows = (variant["network"][key] for key in ("nodes", "edges", "flows"))
+        if fault == "duplicate-node":
+            nodes.append(nodes[1])
+        elif fault == "self-loop":
+            edges.append([nodes[0], nodes[0]])
+        elif fault == "undeclared-start":
+            edges[0][0] = "no-such-node"
+        elif fault == "undeclared-end":
+            edges[0][1] = "no-such-node"
+        elif fault == "duplicate-edge":
+            edges.append(list(edges[-1]))
+        elif fault == "non-pair-edge":
+            edges[0].append(nodes[2])
+        elif fault == "list-endpoint":
+            edges[0][1] = [edges[0][1]]
+        elif fault == "one-node-route":
+            flows[0]["route"] = flows[0]["route"][:1]
+        elif fault == "zero-volume":
+            flows[0]["volume"] = 0
+        elif fault == "true-volume":
+            flows[0]["volume"] = True
+        elif fault == "missing-edge-route":
+            taken = set(map(tuple, edges))
+            flows[0]["route"] = next([a, b] for a in nodes for b in nodes
+                                     if a != b and (a, b) not in taken)
+        else:
+            flows[0]["weight"] = 1
+        variants[fault] = variant
+    return variants
+
+
+FAULT_COPIES = {"tree-rollup": _hierarchy_faults, "flat-grouped": _group_faults,
+                "network-priorities": _network_faults}
 LIBRARY = "--library"
 LIBRARY_CALLS = ("aggregate", "compare_methods", "sweep", "validate_hierarchy")
+STRATEGIES = ("betweenness", "combined", "degree", "flow")
+NETWORK_CALLS = (*(f"rank_nodes-{name}" for name in STRATEGIES), "derive_priorities",
+                 "group_by_priority", "flow_volume", "validate_network")
 LIBRARY_WORKLOADS = ("tree-rollup", "tree-sweep")
 VECTOR_CALLS = ("adequacy_report", "adequacy_report-priorities", "check_ordering")
 GROUP_CALLS = ("check_hybrid_bounds", "hybrid_grouped")
@@ -257,6 +316,28 @@ def _vector_commands(path: Path) -> list[list[str]]:
     return [[LIBRARY, call, str(path)] for call in VECTOR_CALLS + GROUP_CALLS * grouped]
 
 
+def _network_commands(source: str) -> list[list[str]]:
+    """The library's priority calls on one description's or hand-built network."""
+    return [[LIBRARY, call, source] for call in NETWORK_CALLS]
+
+
+def _faulty_network(aggeval, name: str):
+    """A hand-built network that fails validation, which the priority
+    functions read all the same."""
+    net, flow = aggeval.Network, aggeval.Flow
+    if name == "repeated-nodes":
+        return net(("a", "b", "c", "a", "b"), (("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")),
+                   (flow(("a", "b", "c", "a"), 2.0), flow(("c", "a"), 0.5), flow(("c",), 3.0)))
+    if name == "undeclared-starts":  # betweenness skips these edges, degree fails
+        return net(("a", "b", "c"), (("a", "b"), ("x", "b"), ("b", "c"), ("y", "z")),
+                   (flow(("x", "b", "c"), 1.5), flow(("a", "b"), -1.0)))
+    return net(("a", "b", "c"), (("a", "b"), ("b", "y"), ("x", "c"), ("c", "a")),
+               (flow(("a", "b", "y")), flow(("c", "a", "b"), 4.0)))
+
+
+FAULTY_NETWORKS = ("repeated-nodes", "undeclared-starts", "undeclared-ends")
+
+
 def _faulty_tree(aggeval, name: str):
     """A hand-built tree that fails validation in more than one way."""
     node, config, group = aggeval.HierarchyNode, aggeval.MethodConfig, aggeval.Group
@@ -275,10 +356,14 @@ FAULTY_TREES = ("reused-id-over-bad-method", "bad-leaf-under-bad-hybrid")
 def _library_call(call: str, source: str) -> str:
     """The ``repr`` of one library call, or of the exception it raises."""
     import aggeval
+    from aggeval.cli import _STRATEGIES
     from aggeval.description import load_description
 
     def grouped():
         return aggeval.GroupedSystem(desc.groups, desc.evaluation_vector())
+
+    def ranked(strategy):
+        return lambda: aggeval.rank_nodes(net, _STRATEGIES[strategy])
 
     calls = {
         "aggregate": lambda: aggeval.aggregate(tree, scale),
@@ -291,13 +376,21 @@ def _library_call(call: str, source: str) -> str:
         "check_ordering": lambda: aggeval.check_ordering(desc.evaluation_vector()),
         "check_hybrid_bounds": lambda: aggeval.check_hybrid_bounds(grouped()),
         "hybrid_grouped": lambda: aggeval.hybrid_grouped(grouped()),
+        **{f"rank_nodes-{name}": ranked(name) for name in STRATEGIES},
+        "derive_priorities": lambda: aggeval.derive_priorities(net, _STRATEGIES["combined"]),
+        "group_by_priority": lambda: aggeval.group_by_priority(
+            aggeval.derive_priorities(net, _STRATEGIES["combined"]), 0.05),
+        "flow_volume": lambda: aggeval.flow_volume(net),
+        "validate_network": lambda: aggeval.validate_network(net),
     }
     try:  # a fixture the vector calls read may not load
         if source in FAULTY_TREES:
             tree, scale = _faulty_tree(aggeval, source), aggeval.PERCENT
+        elif source in FAULTY_NETWORKS:
+            net = _faulty_network(aggeval, source)
         else:
             desc = load_description(source)
-            tree, scale = desc.hierarchy_root(), desc.scale
+            tree, scale, net = desc.hierarchy_root(), desc.scale, desc.network
         return repr(calls[call]())
     except Exception as exc:  # an error is a result too
         return f"raised {exc!r}"
@@ -433,8 +526,12 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
         commands += _file_commands(path) + _vector_commands(path)
         if '"hierarchy"' in path.read_text(encoding="utf-8"):
             commands += _library_commands(str(path))
+        if '"network"' in path.read_text(encoding="utf-8"):
+            commands += _network_commands(str(path))
     for name in FAULTY_TREES:
         commands += _library_commands(name)
+    for name in FAULTY_NETWORKS:
+        commands += _network_commands(name)
     commands += _error_commands(workdir)
     commands += _edge_commands(workdir)
     if fixtures_only:
@@ -446,6 +543,8 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
             commands += _file_commands(Path(prepared.path))
             if name in LIBRARY_WORKLOADS and seed == SEEDS[0]:
                 commands += _library_commands(prepared.path)
+            if name == "network-priorities" and seed == SEEDS[0]:
+                commands += _network_commands(prepared.path)
             for command in prepared.commands:
                 argv = list(command.argv)
                 if command.out_path is not None:
@@ -455,8 +554,8 @@ def _command_mix(workdir: Path, fixtures_only: bool) -> list[list[str]]:
                 for fault, doc in FAULT_COPIES[name](prepared.doc).items():
                     path = workdir / f"{name}-{seed}-{fault}.json"
                     path.write_text(json.dumps(doc), encoding="utf-8")
-                    commands += [["evaluate", "--input", str(path)],
-                                 ["compare", "--input", str(path)]]
+                    commands += [[str(path) if arg == prepared.path else arg for arg in c.argv]
+                                 for c in prepared.commands]
             if name == "flat-grouped" and seed == SEEDS[0]:
                 commands += _vector_commands(Path(prepared.path))
                 for label, doc in _priority_copies(prepared.doc).items():

@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .core import (
     EvaluationError,
     Method,
-    PriorityVector,
     Scale,
     _metrics,
     _signed_gap,
@@ -59,8 +58,8 @@ from .priority import (
     PriorityBasis,
     PriorityStrategy,
     _check_tolerance,
-    group_by_priority,
-    rank_nodes,
+    _clusters,
+    _ranking,
 )
 
 __all__ = ["main", "entry"]
@@ -298,23 +297,21 @@ def _emit_sweep(rows: list[SweepRow], out: str | None) -> None:
 
 
 def _cmd_priorities(args: argparse.Namespace) -> int:
-    desc = load_description(args.input)
-    if desc.network is None:
+    net = vars(load_description(args.input))["network"]  # as parsed: lists, not a Network
+    if net is None:
         raise DescriptionError(["description has no network section"])
     if args.group_tolerance is not None:
         _check_tolerance(args.group_tolerance)
-    strategy = _STRATEGIES[args.strategy]
-    ranked = rank_nodes(desc.network, strategy)
+    rows = _ranking(net, _STRATEGIES[args.strategy])
     cells = [["rank", "node", "score", "priority"]]
-    for position, entry in enumerate(ranked, 1):
-        cells.append([str(position), entry.node, _g(entry.score), _g(entry.priority)])
+    cells += [[str(position), node, _g(score), _g(priority)]
+              for position, (node, score, priority) in enumerate(rows, 1)]
     _line_out(_table(cells))
     if args.group_tolerance is not None:
-        priorities = PriorityVector(tuple((r.node, r.priority) for r in ranked))
-        groups = group_by_priority(priorities, args.group_tolerance)
+        clusters = _clusters([(node, priority) for node, _, priority in rows], args.group_tolerance)
         print(f"groups (tolerance {args.group_tolerance:g}):")
-        _line_out(_one_line([f"{group.id}: priority {_g(group.priority)}, "
-                             f"members {', '.join(group.members)}" for group in groups]))
+        _line_out(_one_line([f"g{k}: priority {_g(mean)}, members {', '.join(members)}"
+                             for k, (members, mean) in enumerate(clusters, 1)]))
     return EXIT_OK
 
 

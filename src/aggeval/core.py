@@ -319,6 +319,14 @@ class Group(_Record):
     priority: float = 1.0
 
 
+def _usable_priority(priority: float) -> bool:
+    """Whether a group priority is positive and finite as the float the kernels read."""
+    try:
+        return 0 < math.fsum((priority,)) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(init=False, repr=False, eq=False)
 class GroupedSystem(_Record):
     """Evaluation vector partitioned into priority groups.
@@ -345,11 +353,7 @@ class GroupedSystem(_Record):
             group_ids.add(group.id)
             if not group.members:
                 problems.append(f"group {group.id!r} has no members")
-            try:  # the float the kernels read: a fraction can be positive and still round to 0
-                weight = math.fsum((group.priority,))
-            except OverflowError:
-                weight = math.inf
-            if not 0 < weight < math.inf:
+            if not _usable_priority(group.priority):
                 problems.append(f"group {group.id!r} priority must be positive, "
                                 f"got {group.priority!r}")
             for member in group.members:

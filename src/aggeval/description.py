@@ -18,7 +18,8 @@ from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
 from .core import (EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale, _built,
                    _Record)
-from .network import Flow, HierarchyNode, MethodConfig, Network, _check_method, validate_network
+from .network import (Flow, HierarchyNode, MethodConfig, Network, _check_method, _compile_network,
+                      _Net)
 
 __all__ = [
     "DescriptionError",
@@ -118,17 +119,20 @@ class _Parsed:
 class SystemDescription(_Record):
     """Parsed and validated system description.
 
-    A parse keeps the elements as columns and the hierarchy compiled;
-    each becomes its public value on first read.
+    A parse keeps the elements as columns and the hierarchy and network
+    compiled; each becomes its public value on first read.
     """
 
     scale: Scale
     elements: tuple[Element, ...] = _Parsed(  # type: ignore[assignment]
-        _Columns, lambda columns: tuple(map(Element, *columns[:3])))
+        _Columns, lambda columns: tuple([_built(Element, {"id": i, "evaluation": e, "priority": p})
+                                         for i, e, p in zip(*columns[:3])]))
     groups: tuple[Group, ...] | None = None
     hierarchy: HierarchyNode | None = _Parsed(  # type: ignore[assignment]
         _Compiled, _node_tree, None)
-    network: Network | None = None
+    network: Network | None = _Parsed(  # type: ignore[assignment]
+        _Net, lambda net: Network(net.nodes, net.edges, [
+            _built(Flow, {"route": tuple(r), "volume": v}) for r, v in net.flows]), None)
 
     def evaluation_vector(self) -> EvaluationVector:
         ids, evaluations, _, _ = _element_columns(self)
@@ -148,13 +152,14 @@ class SystemDescription(_Record):
         """
         if self.hierarchy is not None:
             return self.hierarchy
-        ids, evaluations, priorities, _ = _element_columns(self)
-        leaves = tuple(map(HierarchyNode, ids, evaluations, priorities))
-        root_id = _synthetic_root_id(ids)
+        columns = _element_columns(self)
+        leaves = tuple([_built(HierarchyNode, {"id": i, "value": v, "priority": p, "children": (),
+                                               "config": None}) for i, v, p in zip(*columns[:3])])
         config = None
         if self.groups:
             config = MethodConfig(Method.HYBRID_GROUPED, groups=self.groups)
-        return HierarchyNode(id=root_id, children=leaves, config=config)
+        return _built(HierarchyNode, {"id": _synthetic_root_id(columns.ids), "value": None,
+                                      "priority": None, "children": leaves, "config": config})
 
 
 def _element_columns(desc: SystemDescription) -> _Columns:
@@ -625,7 +630,7 @@ def _parse_hierarchy(
     return _Compiled(_compile(compiler_frames)), used
 
 
-def _parse_network(raw: Any, diag: _Collector) -> Network | None:
+def _parse_network(raw: Any, diag: _Collector) -> _Net | None:
     if not _check_object(raw, {"nodes", "edges", "flows"}, ("nodes",), "network", diag):
         return None
     nodes_raw = raw["nodes"]
@@ -642,10 +647,12 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
         return None
     ok = True  # no edge or flow dropped
     for index, edge in enumerate(edges_raw):
-        if not _is_id_list(edge) or len(edge) != 2:
+        # json.loads yields exact types: the exact-type test is _is_id_list's.
+        if not (type(edge) is list and len(edge) == 2 and type(edge[0]) is str
+                and type(edge[1]) is str and edge[0] and edge[1]):
             diag.add(f"network.edges[{index}]", f"expected a pair [from, to], got {edge!r}")
             ok = False
-    flows: list[Flow] = []
+    flows: list[tuple[list[str], float]] = []
     for index, entry in enumerate(flows_raw):
         path = f"network.flows[{index}]"
         if not _check_object(entry, {"route", "volume"}, ("route",), path, diag):
@@ -660,11 +667,11 @@ def _parse_network(raw: Any, diag: _Collector) -> Network | None:
         if volume is None:
             ok = False
             continue
-        flows.append(_built(Flow, {"route": tuple(route), "volume": volume}))
+        flows.append((route, volume))
     if not ok:
         return None
-    network = Network(nodes=nodes_raw, edges=edges_raw, flows=flows)
-    for violation in validate_network(network):
+    violations, network = _compile_network(nodes_raw, edges_raw, flows)
+    for violation in violations:
         diag.add("network", violation)
     return network
 
@@ -721,7 +728,7 @@ def _parse(text: str, source: str) -> SystemDescription:
         hierarchy, _ = _parse_hierarchy(doc["hierarchy"], positions, columns, scale, diag)
         columns = columns._replace(positions=None)  # only a flat description plans from them
 
-    network: Network | None = None
+    network: _Net | None = None
     if "network" in doc:
         network = _parse_network(doc["network"], diag)
 
@@ -733,7 +740,7 @@ def _parse(text: str, source: str) -> SystemDescription:
         elements=columns,  # type: ignore[arg-type]
         groups=groups,
         hierarchy=hierarchy,  # type: ignore[arg-type]
-        network=network,
+        network=network,  # type: ignore[arg-type]
     )
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, TypeVar
+from types import SimpleNamespace
+from typing import Iterator, Sequence, TypeVar
 
-from .core import _HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale, _Record
+from .core import (_HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale, _Record,
+                   _usable_priority)
 
 __all__ = [
     "Flow",
@@ -74,37 +76,78 @@ class Network(_Record):
         return {n: tuple(v) for n, v in out.items()}
 
 
-def validate_network(net: Network) -> list[str]:
-    """Check declaration consistency; one message per violation."""
+class _Net(SimpleNamespace):  # not a NamedTuple, whose class the import would compile
+    """A network as lists over its distinct node ids by first declaration; read only."""
+
+    nodes: Sequence[str]  # as declared, repeats included
+    index: dict[str, int]  # each distinct id's number
+    successors: list[list[int]]  # each node's edge ends, in edge order
+    degree: list[int]  # in- plus out-degree
+    stray: list[tuple[str, str]]  # the edges with an undeclared end, left out above
+    edges: Sequence[Sequence[str]]  # as given
+    flows: list[tuple[Sequence[str], float]]  # (route, volume) pairs
+
+
+def _undeclared(a: str, b: str, end: str) -> str:
+    return f"edge ({a!r}, {b!r}) {end} at undeclared node {a if end == 'starts' else b!r}"
+
+
+def _compile_network(nodes: Sequence[str], edges: Sequence[Sequence[str]],
+                     flows: list[tuple[Sequence[str], float]]) -> tuple[list[str], _Net]:
+    """:func:`validate_network`'s violations of a network given as its parts,
+    and the network as lists: one walk."""
     violations: list[str] = []
-    seen_nodes: set[str] = set()
-    for node in net.nodes:
-        if node in seen_nodes:
+    index: dict[str, int] = {}
+    for node in nodes:
+        if node in index:
             violations.append(f"node {node!r} declared more than once")
-        seen_nodes.add(node)
+        else:
+            index[node] = len(index)
+    successors: list[list[int]] = [[] for _ in index]
+    degree = [0] * len(index)
+    stray: list[tuple[str, str]] = []
     seen_edges: set[tuple[str, str]] = set()
-    for a, b in net.edges:
+    for a, b in edges:
+        edge, i, j = (a, b), index.get(a), index.get(b)
         if a == b:
             violations.append(f"self-loop on node {a!r}")
-        if a not in seen_nodes:
-            violations.append(f"edge ({a!r}, {b!r}) starts at undeclared node {a!r}")
-        if b not in seen_nodes:
-            violations.append(f"edge ({a!r}, {b!r}) ends at undeclared node {b!r}")
-        if (a, b) in seen_edges:
+        if i is None:
+            violations.append(_undeclared(a, b, "starts"))
+        if j is None:
+            violations.append(_undeclared(a, b, "ends"))
+        if edge in seen_edges:
             violations.append(f"duplicate edge ({a!r}, {b!r})")
-        seen_edges.add((a, b))
-    for index, flow in enumerate(net.flows):
-        label = f"flow #{index + 1}"
-        if len(flow.route) < 2:
-            violations.append(f"{label}: route needs at least two nodes")
-        if not (math.isfinite(flow.volume) and flow.volume > 0):
-            violations.append(f"{label}: volume must be positive, got {flow.volume!r}")
-        for step in flow.edges():
-            if step not in seen_edges:
-                violations.append(
-                    f"{label}: route uses missing edge ({step[0]!r}, {step[1]!r})"
-                )
-    return violations
+        seen_edges.add(edge)
+        if i is None or j is None:
+            stray.append(edge)
+        else:
+            successors[i].append(j)
+            degree[i] += 1
+            degree[j] += 1
+    for number, (route, volume) in enumerate(flows, 1):
+        try:  # validation never raises: a volume that is no number is no positive one
+            positive = math.isfinite(volume) and volume > 0
+        except TypeError:
+            positive = False
+        if len(route) < 2:
+            violations.append(f"flow #{number}: route needs at least two nodes")
+        if not positive:
+            violations.append(f"flow #{number}: volume must be positive, got {volume!r}")
+        if not seen_edges.issuperset(zip(route, route[1:])):
+            violations += [f"flow #{number}: route uses missing edge ({a!r}, {b!r})"
+                           for a, b in zip(route, route[1:]) if (a, b) not in seen_edges]
+    return violations, _Net(nodes=nodes, index=index, successors=successors, degree=degree,
+                            stray=stray, edges=edges, flows=flows)
+
+
+def _lower(net: Network) -> tuple[list[str], _Net]:
+    """:func:`_compile_network` of a built network."""
+    return _compile_network(net.nodes, net.edges, [(f.route, f.volume) for f in net.flows])
+
+
+def validate_network(net: Network) -> list[str]:
+    """Check declaration consistency; one message per violation."""
+    return _lower(net)[0]
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -262,7 +305,7 @@ def _check_partition(groups: tuple[Group, ...], child_ids: list[str], out: list[
         group_ids.add(group.id)
         if not group.members:
             out.append(f"group {group.id!r} has no members")
-        if not (math.isfinite(group.priority) and group.priority > 0):
+        if not _usable_priority(group.priority):
             out.append(f"group {group.id!r} priority must be positive, got {group.priority!r}")
         for member in group.members:
             if member not in known:

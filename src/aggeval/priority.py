@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .core import EvaluationError, Group, PriorityVector, _built, _Record
-from .network import Network
+from .network import Network, _lower, _Net, _undeclared
 
 __all__ = [
     "MIN_PRIORITY",
@@ -68,23 +69,66 @@ class PriorityStrategy(_Record):
             raise EvaluationError("tie-break chain must not repeat a basis")
 
 
-def _undeclared(a: str, b: str, end: str, node: str) -> EvaluationError:
-    return EvaluationError(f"edge ({a!r}, {b!r}) {end} at undeclared node {node!r}")
+def _degree(net: _Net) -> list[int]:
+    if net.stray:  # the first edge with an undeclared end
+        a, b = net.stray[0]
+        raise EvaluationError(_undeclared(a, b, "ends" if a in net.index else "starts"))
+    return net.degree
 
 
 def degree_centrality(net: Network) -> dict[str, int]:
     """In-degree plus out-degree per node."""
-    degree = {n: 0 for n in net.nodes}
-    for a, b in net.edges:
-        try:
-            degree[a] += 1
-        except KeyError:
-            raise _undeclared(a, b, "starts", a) from None
-        try:
-            degree[b] += 1
-        except KeyError:
-            raise _undeclared(a, b, "ends", b) from None
-    return degree
+    lists = _lower(net)[1]
+    return dict(zip(lists.index, _degree(lists)))
+
+
+def _betweenness(net: _Net) -> list[float]:
+    # Edges from undeclared nodes are skipped, as in Network.successors().
+    for a, b in net.stray:
+        if a in net.index:
+            raise EvaluationError(_undeclared(a, b, "ends"))
+    successors = net.successors
+    n = len(successors)
+    centrality = [0.0] * n
+    for source in range(n):
+        # BFS phase: shortest-path counts sigma and predecessors, an int
+        # while there is one, else a list; the growing visit order doubles
+        # as the queue.
+        distance = [-1] * n
+        distance[source] = 0
+        sigma = [0] * n
+        sigma[source] = 1
+        predecessors: list[int | list[int] | None] = [None] * n
+        order = [source]
+        for v in order:
+            step = distance[v] + 1
+            for w in successors[v]:
+                if distance[w] < 0:
+                    distance[w] = step
+                    sigma[w] = sigma[v]
+                    predecessors[w] = v
+                    order.append(w)
+                elif distance[w] == step:
+                    sigma[w] += sigma[v]
+                    preds = predecessors[w]
+                    if type(preds) is int:
+                        predecessors[w] = [preds, v]
+                    else:
+                        preds.append(v)  # type: ignore[union-attr]
+        # Accumulation phase, farthest nodes first; the source has no
+        # predecessors and earns no credit.  A lone predecessor has w's
+        # sigma, so its term sigma[v] / sigma[w] * (1.0 + delta[w]) is
+        # 1.0 + delta[w], bit for bit.
+        delta = [0.0] * n
+        for w in reversed(order[1:]):
+            preds = predecessors[w]
+            if type(preds) is int:
+                delta[preds] += 1.0 + delta[w]
+            else:
+                for v in preds:  # type: ignore[union-attr]
+                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            centrality[w] += delta[w]
+    return centrality
 
 
 def betweenness_centrality(net: Network) -> dict[str, float]:
@@ -96,47 +140,18 @@ def betweenness_centrality(net: Network) -> dict[str, float]:
     dependencies source by source, which visits each edge O(|V|) times
     instead of enumerating paths.
     """
-    # Index each distinct id once; edges from undeclared nodes are
-    # skipped, as in Network.successors().
-    nodes = list(dict.fromkeys(net.nodes))
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in net.edges:
-        if a in index:
-            try:
-                successors[index[a]].append(index[b])
-            except KeyError:
-                raise _undeclared(a, b, "ends", b) from None
-    centrality = [0.0] * n
-    for source in range(n):
-        # BFS phase: shortest-path counts sigma and predecessor lists;
-        # the growing visit order doubles as the queue.
-        distance = [-1] * n
-        distance[source] = 0
-        sigma = [0] * n
-        sigma[source] = 1
-        predecessors: list[list[int] | None] = [None] * n
-        order = [source]
-        for v in order:
-            step = distance[v] + 1
-            for w in successors[v]:
-                if distance[w] < 0:
-                    distance[w] = step
-                    sigma[w] = sigma[v]
-                    predecessors[w] = [v]
-                    order.append(w)
-                elif distance[w] == step:
-                    sigma[w] += sigma[v]
-                    predecessors[w].append(v)
-        # Accumulation phase, farthest nodes first; the source has no
-        # predecessors and earns no credit.
-        delta = [0.0] * n
-        for w in reversed(order[1:]):
-            for v in predecessors[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            centrality[w] += delta[w]
-    return dict(zip(nodes, centrality))
+    lists = _lower(net)[1]
+    return dict(zip(lists.index, _betweenness(lists)))
+
+
+def _volumes(net: _Net) -> list[float]:
+    """Each node's flow volume: a flow adds its volume once per node of its route."""
+    index, volumes = net.index, [0.0] * len(net.index)
+    for route, volume in net.flows:
+        for node in set(route):
+            if node in index:
+                volumes[index[node]] += volume
+    return volumes
 
 
 @dataclass
@@ -153,16 +168,13 @@ def flow_volume(net: Network) -> FlowVolumes:
     A flow contributes its volume once per node and once per edge of its
     route, even if the route revisits them.
     """
-    nodes = {n: 0.0 for n in net.nodes}
+    lists = _lower(net)[1]
     edges: dict[tuple[str, str], float] = {e: 0.0 for e in net.edges}
     for flow in net.flows:
-        for node in set(flow.route):
-            if node in nodes:
-                nodes[node] += flow.volume
         for edge in set(flow.edges()):
             if edge in edges:
                 edges[edge] += flow.volume
-    return FlowVolumes(nodes=nodes, edges=edges)
+    return FlowVolumes(nodes=dict(zip(lists.index, _volumes(lists))), edges=edges)
 
 
 def route_priority(net: Network) -> dict[tuple[str, ...], float]:
@@ -173,13 +185,13 @@ def route_priority(net: Network) -> dict[tuple[str, ...], float]:
     return totals
 
 
-def _scores(net: Network, basis: PriorityBasis) -> dict[str, float]:
+def _scores(net: _Net, basis: PriorityBasis) -> list[float]:
     if basis is PriorityBasis.DEGREE:
-        return {n: float(d) for n, d in degree_centrality(net).items()}
+        return [float(d) for d in _degree(net)]
     if basis is PriorityBasis.BETWEENNESS:
-        return betweenness_centrality(net)
+        return _betweenness(net)
     if basis is PriorityBasis.FLOW_VOLUME:
-        return flow_volume(net).nodes
+        return _volumes(net)
     # COMBINED: average of the three bases, each rescaled by its own
     # maximum so no basis dominates on units alone.
     parts = [
@@ -190,14 +202,14 @@ def _scores(net: Network, basis: PriorityBasis) -> dict[str, float]:
             PriorityBasis.FLOW_VOLUME,
         )
     ]
-    return {n: math.fsum(p[n] for p in parts) / len(parts) for n in net.nodes}
+    return [math.fsum(p) / len(parts) for p in zip(*parts)]
 
 
-def _max_scaled(scores: dict[str, float]) -> dict[str, float]:
-    top = max(scores.values(), default=0.0)
+def _max_scaled(scores: list[float]) -> list[float]:
+    top = max(scores, default=0.0)
     if top <= 0:
-        return {n: 0.0 for n in scores}
-    return {n: v / top for n, v in scores.items()}
+        return [0.0] * len(scores)
+    return [v / top for v in scores]
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -209,6 +221,26 @@ class RankedNode(_Record):
     priority: float
 
 
+def _ranking(net: _Net, strategy: PriorityStrategy) -> list[tuple[str, float, float]]:
+    """:func:`rank_nodes`' rows as (node, score, priority) triples."""
+    if not net.nodes:
+        raise EvaluationError("empty network: no nodes to prioritize")
+    primary = _scores(net, strategy.basis)
+    chain = [_scores(net, basis) for basis in strategy.tie_break]
+    ids = list(net.index)
+    # Best first: the highest primary score, then down the chain, then the id.
+    keys = list(zip(*[[-v for v in scores] for scores in (primary, *chain)], ids))
+    ordered = sorted(map(net.index.__getitem__, net.nodes), key=keys.__getitem__)
+    top = max(primary)
+    rows = []
+    for i in ordered:
+        weight = primary[i]
+        if strategy.normalization is Normalization.MAX_TO_ONE:
+            weight = 1.0 if top <= 0 else weight / top
+        rows.append((ids[i], primary[i], max(weight, MIN_PRIORITY)))
+    return rows
+
+
 def rank_nodes(net: Network, strategy: PriorityStrategy) -> list[RankedNode]:
     """Rank all nodes by the strategy, best first.
 
@@ -218,26 +250,8 @@ def rank_nodes(net: Network, strategy: PriorityStrategy) -> list[RankedNode]:
     every score is zero (or the network has one node) all priorities
     become 1.
     """
-    if not net.nodes:
-        raise EvaluationError("empty network: no nodes to prioritize")
-    primary = _scores(net, strategy.basis)
-    chain = [_scores(net, basis) for basis in strategy.tie_break]
-
-    def sort_key(node: str) -> tuple:
-        return (-primary[node], *(-c[node] for c in chain), node)
-
-    ordered = sorted(net.nodes, key=sort_key)
-    top = max(primary.values())
-    ranked: list[RankedNode] = []
-    for node in ordered:
-        score = primary[node]
-        if strategy.normalization is Normalization.MAX_TO_ONE:
-            weight = 1.0 if top <= 0 else score / top
-        else:
-            weight = score
-        ranked.append(_built(RankedNode, {
-            "node": node, "score": score, "priority": max(weight, MIN_PRIORITY)}))
-    return ranked
+    return [_built(RankedNode, {"node": node, "score": score, "priority": priority})
+            for node, score, priority in _ranking(_lower(net)[1], strategy)]
 
 
 def derive_priorities(net: Network, strategy: PriorityStrategy) -> PriorityVector:
@@ -252,6 +266,19 @@ def _check_tolerance(tolerance: float) -> None:
         raise EvaluationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
 
+def _clusters(weights: Iterable[tuple[str, float]],
+              tolerance: float) -> list[tuple[tuple[str, ...], float]]:
+    """:func:`group_by_priority`'s groups as (members, priority) pairs."""
+    items = sorted(weights, key=lambda kv: (-kv[1], kv[0]))
+    clusters: list[list[tuple[str, float]]] = [[items[0]]]
+    for previous, current in zip(items, items[1:]):
+        if previous[1] - current[1] > tolerance:
+            clusters.append([])
+        clusters[-1].append(current)
+    return [(tuple(node for node, _ in members),
+             math.fsum(rho for _, rho in members) / len(members)) for members in clusters]
+
+
 def group_by_priority(
     priorities: PriorityVector, tolerance: float
 ) -> tuple[Group, ...]:
@@ -264,20 +291,5 @@ def group_by_priority(
     ``g1, g2, ...``.
     """
     _check_tolerance(tolerance)
-    items = sorted(priorities.weights, key=lambda kv: (-kv[1], kv[0]))
-    clusters: list[list[tuple[str, float]]] = [[items[0]]]
-    for previous, current in zip(items, items[1:]):
-        if previous[1] - current[1] > tolerance:
-            clusters.append([])
-        clusters[-1].append(current)
-    groups = []
-    for index, members in enumerate(clusters, 1):
-        mean = math.fsum(rho for _, rho in members) / len(members)
-        groups.append(
-            Group(
-                id=f"g{index}",
-                members=tuple(node for node, _ in members),
-                priority=mean,
-            )
-        )
-    return tuple(groups)
+    return tuple(_built(Group, {"id": f"g{k}", "members": members, "priority": mean})
+                 for k, (members, mean) in enumerate(_clusters(priorities.weights, tolerance), 1))

@@ -18,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import aggeval.description
 import aggeval.hierarchy
-from aggeval import HierarchyNode, aggregate, cli
+import aggeval.priority
+from aggeval import (Flow, FlowVolumes, HierarchyNode, Network, PriorityVector, RankedNode,
+                     aggregate, cli, group_by_priority, rank_nodes)
 from aggeval.cli import main
 from aggeval.description import _Columns, _Compiled
+from aggeval.network import _Net
 from test_reference_oracle import workloads
 
 
@@ -946,6 +949,126 @@ class TestNoHierarchyNodeObjects:
         root = desc.hierarchy_root()
         assert desc.hierarchy_root() is root is desc.hierarchy is vars(desc)["hierarchy"]
         assert len(built) == sum(1 for _ in root.walk())
+
+
+NETWORK_RECORDS = (Network, Flow, FlowVolumes, RankedNode, PriorityVector)
+
+
+def network_builds(monkeypatch):
+    """The ``NETWORK_RECORDS`` objects built, through ``__init__`` or a module's
+    ``_built``, as a list."""
+    built = []
+    for module in (aggeval.description, aggeval.priority, aggeval.hierarchy):
+        def counting(cls, fields, original=module._built):
+            obj = original(cls, fields)
+            if cls in NETWORK_RECORDS:
+                built.append(obj)
+            return obj
+
+        monkeypatch.setattr(module, "_built", counting)
+    for cls in NETWORK_RECORDS:
+        def init(self, *args, original=cls.__init__, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+class TestNoNetworkObjects:
+    """``priorities`` ranks and groups the parse's index lists: it builds no
+    network, flow, volume, ranked-node or priority record, and the
+    description it loads still holds the lists afterwards.  Reading
+    ``network`` builds the network, once."""
+
+    @pytest.fixture
+    def files(self, tmp_path, fixture_path):
+        workload = workloads.materialize("network-priorities", 1, str(tmp_path / "np"))
+        return [fixture_path("path_network.json"), fixture_path("tie_break_network.json"),
+                workload.path]
+
+    def test_priorities_builds_no_records(self, capsys, monkeypatch, loaded, files):
+        built = network_builds(monkeypatch)
+        for path in files:
+            for strategy in sorted(cli._STRATEGIES):
+                for extra in ([], ["--group-tolerance", "0.05"]):
+                    code, out, _ = run(capsys, "priorities", "--input", path,
+                                       "--strategy", strategy, *extra)
+                    assert code == 0 and out
+                    assert type(vars(loaded.pop())["network"]) is _Net
+        assert built == []
+
+    def test_reading_network_builds_it_once(self, monkeypatch, files):
+        built = network_builds(monkeypatch)
+        desc = aggeval.description.load_description(files[-1])
+        assert built == []
+        net = desc.network
+        assert desc.network is net is vars(desc)["network"]
+        assert [type(obj) for obj in built] == [Flow] * len(net.flows) + [Network]
+
+
+class TestPrioritiesMatchTheLibrary:
+    """On small random networks, ``priorities`` prints what a plain rendering
+    of the library's ``rank_nodes`` and ``group_by_priority`` gives on the
+    document's ``Network``, for every strategy, with and without a tolerance."""
+
+    @st.composite
+    def documents(draw):
+        nodes = [f"n{k}" for k in range(draw(st.integers(1, 6)))]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+        successors = {a: [b for x, b in edges if x == a] for a in nodes}
+        flows = []
+        for _ in range(draw(st.integers(0, 5))):
+            starts = [a for a in nodes if successors[a]]
+            if not starts:
+                break
+            route = [draw(st.sampled_from(starts))]
+            for _ in range(draw(st.integers(1, 6))):  # cycles repeat route nodes
+                if not successors[route[-1]]:
+                    break
+                route.append(draw(st.sampled_from(successors[route[-1]])))
+            flow = {"route": route}
+            volume = draw(st.sampled_from([None, 1, 2, 0.5, 3.25, 1e-3]))  # repeats tie
+            if volume is not None:
+                flow["volume"] = volume
+            flows.append(flow)
+        network = {"nodes": draw(st.permutations(nodes)), "edges": [list(e) for e in edges]}
+        if flows:
+            network["flows"] = flows
+        return {"scale": {"min": 0, "max": 100},
+                "elements": [{"id": "e", "evaluation": 50}], "network": network}
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=documents(), strategy=st.sampled_from(sorted(cli._STRATEGIES)),
+           tolerance=st.sampled_from([None, 0.0, 0.05, 0.3, 2.0]))
+    def test_output_is_the_library_ranking(self, tmp_path_factory, document, strategy, tolerance):
+        path = write_doc(tmp_path_factory.mktemp("net"), document)
+        argv = ["priorities", "--input", path, "--strategy", strategy]
+        if tolerance is not None:
+            argv += ["--group-tolerance", repr(tolerance)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        desc = aggeval.description.load_description(path)
+        ranked = rank_nodes(desc.network, cli._STRATEGIES[strategy])
+        rows = [("rank", "node", "score", "priority")]
+        rows += [(str(k), r.node, f"{r.score:.6g}", f"{r.priority:.6g}")
+                 for k, r in enumerate(ranked, 1)]
+        widths = [max(len(row[c]) for row in rows) for c in range(4)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+        if tolerance is not None:
+            groups = group_by_priority(
+                PriorityVector(tuple((r.node, r.priority) for r in ranked)), tolerance)
+            lines.append(f"groups (tolerance {tolerance:g}):")
+            lines += [f"{g.id}: priority {g.priority:.6g}, members {', '.join(g.members)}"
+                      for g in groups]
+        assert out.getvalue() == "\n".join(lines) + "\n"
+        # The rows the command ranks, float for float.
+        stored = vars(aggeval.description.load_description(path))["network"]
+        assert [(node, repr(score), repr(priority)) for node, score, priority
+                in aggeval.priority._ranking(stored, cli._STRATEGIES[strategy])] == [
+            (r.node, repr(r.score), repr(r.priority)) for r in ranked]
 
 
 class TestStoredEntriesAreNeverWritten:

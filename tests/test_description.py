@@ -14,10 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 import aggeval.description
 from aggeval import (
     DescriptionError,
+    Flow,
     Group,
     HierarchyNode,
     Method,
     MethodConfig,
+    Network,
     load_description,
     parse_description,
     serialize_description,
@@ -473,14 +475,46 @@ PRIORITIES_DOC = doc(
 
 
 def constructed_twin(text):
-    """The parse of ``text`` with its elements constructed from the decoded
-    document instead of parsed."""
+    """The parse of ``text`` with its elements and network constructed from
+    the decoded document instead of parsed."""
     parsed = parse_description(text)
+    decoded = json.loads(text)
     elements = tuple(
         Element(e["id"], float(e["evaluation"]), float(e["priority"]) if "priority" in e else None)
-        for e in json.loads(text)["elements"]
+        for e in decoded["elements"]
     )
-    return SystemDescription(parsed.scale, elements, parsed.groups, parsed.hierarchy, parsed.network)
+    network = None
+    if "network" in decoded:
+        raw = decoded["network"]
+        flows = [Flow(f["route"], float(f.get("volume", 1))) for f in raw.get("flows", [])]
+        network = Network(raw["nodes"], raw.get("edges", []), flows)
+    return SystemDescription(parsed.scale, elements, parsed.groups, parsed.hierarchy, network)
+
+
+class TestBuiltRecordsMatchConstructed:
+    """The parse's elements and ``hierarchy_root()``'s nodes skip ``__init__``:
+    each has the fields, in order, of the record ``__init__`` builds."""
+
+    @staticmethod
+    def same(built, constructed):
+        assert type(built) is type(constructed)
+        assert built == constructed and repr(built) == repr(constructed)
+        assert list(vars(built).items()) == list(vars(constructed).items())
+
+    @pytest.mark.parametrize("name", ["two_group", "weak_element", "element priorities"])
+    def test_elements_and_flat_root(self, fixture_path, name):
+        if name == "element priorities":
+            text = PRIORITIES_DOC
+        else:
+            text = Path(fixture_path(f"{name}.json")).read_text(encoding="utf-8")
+        desc, twin = parse_description(text), constructed_twin(text)
+        for built, constructed in zip(desc.elements, twin.elements, strict=True):
+            self.same(built, constructed)
+        leaves = tuple(HierarchyNode(e.id, e.evaluation, e.priority) for e in twin.elements)
+        config = desc.groups and MethodConfig(Method.HYBRID_GROUPED, groups=desc.groups)
+        root = HierarchyNode(id="system", children=leaves, config=config or None)
+        for built, constructed in zip(desc.hierarchy_root().walk(), root.walk(), strict=True):
+            self.same(built, constructed)
 
 
 class TestParsedDescriptionMatchesConstructed:

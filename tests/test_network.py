@@ -1,6 +1,7 @@
 """Tests for the network and hierarchy structural validators."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,12 @@ from aggeval import (
     Flow,
     Group,
     HierarchyNode,
+    HierarchyValidationError,
     Method,
     MethodConfig,
     Network,
     PERCENT,
+    aggregate,
     validate_hierarchy,
     validate_network,
 )
@@ -80,7 +83,8 @@ class TestValidateNetwork:
         net = Network(("a",), (), (Flow(("a",)),))
         assert "flow #1: route needs at least two nodes" in validate_network(net)
 
-    @pytest.mark.parametrize("volume", [0.0, -1.0, math.inf, math.nan])
+    # Validation never raises: a volume that is no number is reported too.
+    @pytest.mark.parametrize("volume", [0.0, -1.0, math.inf, math.nan, "3", None, 1j])
     def test_flow_volume_must_be_positive(self, volume):
         net = Network(("a", "b"), (("a", "b"),), (Flow(("a", "b"), volume=volume),))
         violations = validate_network(net)
@@ -230,6 +234,17 @@ class TestValidateHierarchy:
             in violations
         )
         assert "subsystem 'root': children not covered by any group: b" in violations
+
+    @pytest.mark.parametrize("priority", [Fraction(1, 10**400), Fraction(10**400)])
+    def test_a_group_priority_that_is_no_positive_finite_float(self, priority):
+        # Positive as given, but the kernels weigh it as 0.0, or cannot convert it.
+        config = MethodConfig(Method.HYBRID_GROUPED, groups=(
+            Group("g1", ("a",), priority), Group("g2", ("b", "c"))))
+        tree = sub("root", [leaf("a", 10), leaf("b", 50), leaf("c", 90)], config=config)
+        message = f"subsystem 'root': group 'g1' priority must be positive, got {priority!r}"
+        assert validate_hierarchy(tree, PERCENT) == [message]
+        with pytest.raises(HierarchyValidationError, match="priority must be positive"):
+            aggregate(tree, PERCENT)
 
     def test_wem_then_requires_a_critical_set(self):
         tree = sub("root", [leaf("a", 10)], config=MethodConfig(Method.WEM_THEN))

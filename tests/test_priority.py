@@ -115,6 +115,27 @@ class TestDegreeCentrality:
         assert str(excinfo.value) == message
 
 
+class TestNetworksThatFailValidation:
+    """The priority functions read a network that fails validation: only a
+    basis that needs the faulty part fails."""
+
+    def test_a_volume_that_is_no_number_fails_only_the_flow_basis(self):
+        net = Network(("a", "b"), (("a", "b"),), (Flow(("a", "b"), volume="3"),))
+        assert validate_network(net) == ["flow #1: volume must be positive, got '3'"]
+        assert degree_centrality(net) == {"a": 1, "b": 1}
+        assert betweenness_centrality(net) == {"a": 0.0, "b": 0.0}
+        for call in (flow_volume, lambda n: rank_nodes(n, PriorityStrategy(PriorityBasis.FLOW_VOLUME))):
+            with pytest.raises(TypeError, match=r"for \+=: 'float' and 'str'"):
+                call(net)
+
+    def test_a_repeated_edge_is_a_second_predecessor(self):
+        # The kernel keeps a lone predecessor as an int; a repeated edge
+        # makes it two, as in the reference kernel.
+        net = Network(("a", "b", "c", "d"), (("a", "b"), ("a", "b"), ("b", "c"), ("a", "d"),
+                                             ("d", "c"), ("c", "a")))
+        assert_bit_identical(betweenness_centrality(net), _reference_betweenness(net))
+
+
 class TestBetweennessCentrality:
     def test_edge_to_an_undeclared_node_is_a_diagnostic(self):
         net = Network(("a",), (("a", "b"),))
