@@ -9,8 +9,9 @@ Four subcommands over a JSON system description:
 * ``priorities`` -- node ranking derived from the network section.
 
 Exit codes (set in ``main`` only): 0 success, 1 usage, a path that cannot
-be opened, output that cannot be written or encoded, or stdout closed early,
-2 validation failure, 3 at least one adequacy warning (``compare`` only).
+be opened, output that cannot be written or encoded, stdout closed early, or
+a request that does not fit in memory, 2 validation failure, 3 at least one
+adequacy warning (``compare`` only).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .core import (
 from .description import (
     DescriptionError,
     SystemDescription,
-    _Compiled,
-    _stored_hierarchy,
+    _compile_flat,
+    _lowered,
     load_description,
 )
 from .hierarchy import (
@@ -44,16 +45,13 @@ from .hierarchy import (
     _check_grid,
     _check_threshold,
     _compare,
-    _compile_flat,
     _comparison,
-    _entries,
     _operate,
     _roll,
     _Sub,
     _sweep,
     _sweep_path,
 )
-from .network import HierarchyNode
 from .priority import (
     PriorityBasis,
     PriorityStrategy,
@@ -171,11 +169,12 @@ def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> 
     _record_out(fields, fmt)
 
 
-def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> list[str]:
-    """The roll-up of a tree or a parsed section as CSV rows, or as the
-    indented text tree with one line per node plus one per warning; a
-    single preorder walk over the compiled entries."""
-    subs, root_id, root_value = _entries(root, scale)
+def _tree_lines(entries: tuple[list[_Sub], str, float | None], scale: Scale,
+                csv: bool) -> list[str]:
+    """The roll-up of compiled entries, with the root's id and value, as CSV
+    rows, or as the indented text tree with one line per node plus one per
+    warning; a single preorder walk over the entries."""
+    subs, root_id, root_value = entries
     rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
     # Every node is the root or some entry's child, so one check over those
@@ -219,26 +218,19 @@ def _tree_lines(root: HierarchyNode | _Compiled, scale: Scale, csv: bool) -> lis
 
 
 # load_description has validated and compiled the description, so the
-# commands below roll up its stored entries past the public functions'
+# commands below roll up its _lowered entries past the public functions'
 # checked lowering, without building the node tree; argument checks still
 # run.  A flat description compiles to hierarchy_root's synthetic root.
 
 
-def _compiled(desc: SystemDescription) -> list[_Sub]:
-    hierarchy = _stored_hierarchy(desc)
-    return _compile_flat(desc) if hierarchy is None else _entries(hierarchy, desc.scale)[0]
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    hierarchy = _stored_hierarchy(desc)
-    if args.method is not None or hierarchy is None:
+    if args.method is not None or vars(desc)["hierarchy"] is None:
         _evaluate_flat(desc, args.method and Method(args.method), args.format)
     elif args.format == "json":
-        report = _aggregate(_entries(hierarchy, desc.scale), desc.scale)
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(_aggregate(_lowered(desc), desc.scale).to_dict(), indent=2))
     else:
-        _line_out(_tree_lines(hierarchy, desc.scale, args.format == "csv"))
+        _line_out(_tree_lines(_lowered(desc), desc.scale, args.format == "csv"))
     return EXIT_OK
 
 
@@ -254,7 +246,7 @@ def _table(rows: list[list[str]]) -> list[str]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     _check_threshold(args.threshold)
-    return _emit_comparison(_compare(_compiled(desc), desc.scale, args.threshold))
+    return _emit_comparison(_compare(_lowered(desc)[0], desc.scale, args.threshold))
 
 
 def _emit_comparison(rows: list[MethodComparison]) -> int:
@@ -280,7 +272,7 @@ def _sweep_csv(rows: list) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    subs = _compiled(desc)
+    subs = _lowered(desc)[0]
     _check_grid(desc.scale, args.start, args.stop, args.steps)
     path = _sweep_path(subs, args.vary)
     _emit_sweep(_sweep(subs, desc.scale, path, args.start, args.stop, args.steps), args.out)
@@ -411,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except UnicodeEncodeError as exc:  # stderr backslash-escapes what it cannot encode
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # as a sweep grid of more points than fit
+        print("error: not enough memory", file=sys.stderr)
         return EXIT_USAGE
     except (DescriptionError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from inspect import Parameter, Signature
@@ -63,6 +64,7 @@ __all__ = [
 # floor near zero.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 # nam switches to log-domain arithmetic beyond these limits so the running
 # product cannot overflow.
@@ -109,12 +111,18 @@ class _InitSignature:
 
 
 class _Record:
-    """The methods of a frozen dataclass declared ``init=False, repr=False, eq=False``.
-    The guards never read the instance dict, which would cost every attribute read its
-    fast path; ``==`` compares the tuples of field values, so a NaN object equals itself
-    (Python 3.13's generated ``==`` differs)."""
+    """The base of the frozen records: a subclass that declares annotated fields becomes a
+    dataclass declared ``init=False, repr=False, eq=False``, which compiles no method at
+    import, with the methods below.  The guards never read the instance dict, which would
+    cost every attribute read its fast path; ``==`` compares the tuples of field values, so
+    a NaN object equals itself (Python 3.13's generated ``==`` differs)."""
 
     __signature__ = _InitSignature()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__annotations__"):
+            dataclass(init=False, repr=False, eq=False)(cls)
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         """Bind and fail as the generated ``__init__``, then run ``__post_init__``."""
@@ -172,7 +180,6 @@ def _built(cls: type, values: dict[str, Any]) -> Any:
     return obj
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Scale(_Record):
     """Admissible evaluation interval ``[min, max]``.
 
@@ -207,7 +214,6 @@ class Scale(_Record):
 PERCENT = Scale(0.0, 100.0)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EvaluationVector(_Record):
     """Per-element evaluations ``(id, value)`` on a shared scale.
 
@@ -279,7 +285,6 @@ class EvaluationVector(_Record):
         return iter(self.entries)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PriorityVector(_Record):
     """Per-element weights ``rho > 0`` keyed by element id."""
 
@@ -310,7 +315,6 @@ class PriorityVector(_Record):
         return tuple(i for i, _ in self.weights)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Group(_Record):
     """Named set of element ids sharing one group priority."""
 
@@ -327,7 +331,6 @@ def _usable_priority(priority: float) -> bool:
         return False
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GroupedSystem(_Record):
     """Evaluation vector partitioned into priority groups.
 
@@ -580,7 +583,6 @@ def adequacy_wem_nam(evals: EvaluationVector) -> float:
     return _masking_ratio(nam(evals), wem(evals))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AdequacyReport(_Record):
     """All aggregates plus both masking measures for one vector."""
 
@@ -615,7 +617,6 @@ def adequacy_report(
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CriticalGroupResult(_Record):
     """Outcome of the two-stage evaluation around a critical subset."""
 
@@ -666,7 +667,6 @@ def wem_then_aggregate(
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ProductBoundCheck(_Record):
     """Product of a vector against the product of its uniform redistribution."""
 
@@ -701,7 +701,6 @@ def check_product_bound(values: Sequence[float]) -> ProductBoundCheck:
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OrderingCheck(_Record):
     """Result of the ``wem <= nam <= wlam`` comparison under unit weights."""
 
@@ -726,7 +725,6 @@ def check_ordering(evals: EvaluationVector) -> OrderingCheck:
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HybridBoundsCheck(_Record):
     """Bounds on the grouped aggregate against wem and an expanded wlam."""
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import gc
 import json
 import math
-import sys
-from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
-from .core import (EvaluationError, EvaluationVector, Group, Method, PriorityVector, Scale, _built,
-                   _Record)
+from .core import (_FLOAT_MAX, EvaluationError, EvaluationVector, Group, Method, PriorityVector,
+                   Scale, _built, _Record)
+from .hierarchy import _compile, _Compiled, _entries, _sub, _Sub
 from .network import (Flow, HierarchyNode, MethodConfig, Network, _check_method, _compile_network,
                       _Net)
 
@@ -35,8 +34,6 @@ _METHODS = {m.value: m for m in Method}
 _PLAIN_METHODS = {name: MethodConfig(m) for name, m in _METHODS.items()}
 _METHOD_NAMES = ", ".join(_METHODS)
 
-_FLOAT_MAX = sys.float_info.max
-
 _ELEMENT_KEYS = frozenset(("id", "evaluation", "priority"))
 _GROUP_KEYS = frozenset(("id", "members", "priority"))
 _METHOD_KEYS = frozenset(("method", "groups", "critical", "fallback", "threshold"))
@@ -51,7 +48,6 @@ class DescriptionError(ValueError):
         super().__init__("\n".join(self.diagnostics))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Element(_Record):
     """One evaluated component: id, evaluation, optional priority."""
 
@@ -67,12 +63,6 @@ class _Columns(NamedTuple):
     evaluations: list[float]
     priorities: list[float | None]
     positions: dict[str, int] | None = None  # each id's position, where the parse kept it
-
-
-class _Compiled(list):
-    """A parsed ``hierarchy`` section: the frame compiler ``hierarchy._compile``'s
-    entries, ending with one with no id whose one child is the root.  Commands
-    read them in place: no pass writes an entry or its value list."""
 
 
 def _node_tree(parsed: _Compiled) -> HierarchyNode:
@@ -115,7 +105,6 @@ class _Parsed:
         obj.__dict__[self.name] = value
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SystemDescription(_Record):
     """Parsed and validated system description.
 
@@ -131,7 +120,7 @@ class SystemDescription(_Record):
     hierarchy: HierarchyNode | None = _Parsed(  # type: ignore[assignment]
         _Compiled, _node_tree, None)
     network: Network | None = _Parsed(  # type: ignore[assignment]
-        _Net, lambda net: Network(net.nodes, net.edges, [
+        _Net, lambda net: Network(net.index, net.edges, [
             _built(Flow, {"route": tuple(r), "volume": v}) for r, v in net.flows]), None)
 
     def evaluation_vector(self) -> EvaluationVector:
@@ -171,9 +160,25 @@ def _element_columns(desc: SystemDescription) -> _Columns:
                     [e.priority for e in stored])
 
 
-def _stored_hierarchy(desc: SystemDescription) -> HierarchyNode | _Compiled | None:
-    """The ``hierarchy`` field as stored, read without building a parsed tree."""
-    return vars(desc)["hierarchy"]
+def _compile_flat(desc: SystemDescription) -> list[_Sub]:
+    """A flat description as one entry: the synthetic root over the
+    element columns, with the groups as its hybrid plan, planned from the
+    parse's positions by id where it kept them; the values are the parse's."""
+    ids, evaluations, priorities, position = _element_columns(desc)
+    config = MethodConfig(Method.HYBRID_GROUPED, groups=desc.groups) if desc.groups else None
+    return [_sub(_synthetic_root_id(position or ids), ids, evaluations, {}, priorities, config,
+                 position)]
+
+
+def _lowered(desc: SystemDescription) -> tuple[list[_Sub], str, float | None]:
+    """The compiled entries every command reads, and the root's id and value (for a leaf
+    root): the ``hierarchy`` field's as stored, through ``_entries``, without building a
+    parsed tree, or a flat description's one entry under its synthetic root."""
+    hierarchy = vars(desc)["hierarchy"]
+    if hierarchy is None:
+        subs = _compile_flat(desc)
+        return subs, subs[0].id, None
+    return _entries(hierarchy, desc.scale)
 
 
 def _synthetic_root_id(element_ids: Collection[str]) -> str:
@@ -553,8 +558,6 @@ def _parse_hierarchy(
     entry is good and the scale is valid, what ``validate_hierarchy``
     finds on the tree.
     """
-    from .hierarchy import _compile  # hierarchy imports this module
-
     _, evaluations, priorities, _ = columns
     used: dict[str, tuple] = {}
     scratch = _Collector()

@@ -11,11 +11,11 @@ value moves across a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Callable, NamedTuple, Sequence
 
 from .core import (
+    _FLOAT_MAX,
     _HYBRID,
     _NAM,
     _WEM,
@@ -25,6 +25,7 @@ from .core import (
     Method,
     Scale,
     _Record,
+    _built,
     _hybrid,
     _log_path,
     _masking_ratio,
@@ -34,8 +35,6 @@ from .core import (
     _summary,
     _wlam,
 )
-from .description import (_FLOAT_MAX, SystemDescription, _built, _Compiled, _element_columns,
-                          _synthetic_root_id)
 from .network import HierarchyNode, MethodConfig, _Tree, _hierarchy_walk
 
 __all__ = [
@@ -59,7 +58,6 @@ class HierarchyValidationError(ValueError):
         )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AggregationReport(_Tree):
     """Aggregation outcome for one node, with its subtree's reports.
 
@@ -100,7 +98,6 @@ class AggregationReport(_Tree):
         return top[0]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MethodComparison(_Record):
     """One table row: every applicable operator at one subsystem node.
 
@@ -120,7 +117,6 @@ class MethodComparison(_Record):
     warnings: tuple[str, ...]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SweepRow(_Record):
     """Root-level metrics at one grid value of the varied leaf."""
 
@@ -192,6 +188,12 @@ def _sub(
                 group_ids, critical, config.adequacy_threshold, priorities, given)
 
 
+class _Compiled(list):
+    """A parsed ``hierarchy`` section: :func:`_compile`'s entries, ending with one
+    with no id whose one child is the root.  Commands read them in place: no pass
+    writes an entry or its value list."""
+
+
 def _compile(frames: list[tuple]) -> list[_Sub]:
     """The frame compiler of the parse and of :func:`_entries`.  Each frame
     holds a subsystem's id and config, its children's ids, values and
@@ -220,16 +222,6 @@ def _entries(hierarchy: HierarchyNode | _Compiled,
                {k: number[c.id] for k, c in enumerate(node.children) if c.children})
               for node in subsystems]
     return _compile(frames), hierarchy.id, hierarchy.value
-
-
-def _compile_flat(desc: SystemDescription) -> list[_Sub]:
-    """A flat description as one entry: the synthetic root over the
-    element columns, with the groups as its hybrid plan, planned from the
-    parse's positions by id where it kept them; the values are the parse's."""
-    ids, evaluations, priorities, position = _element_columns(desc)
-    config = MethodConfig(_HYBRID, groups=desc.groups) if desc.groups else None
-    return [_sub(_synthetic_root_id(position or ids), ids, evaluations, {}, priorities, config,
-                 position)]
 
 
 # One subsystem's roll-up: value, smallest leaf value below, weakest leaf

@@ -13,7 +13,7 @@ sound, so callers can surface every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from types import SimpleNamespace
 from typing import Iterator, Sequence, TypeVar
 
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Flow(_Record):
     """A movement of ``volume`` units along the node sequence ``route``.
 
@@ -48,7 +47,6 @@ class Flow(_Record):
             yield (a, b)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Network(_Record):
     """Directed graph with optional flows.
 
@@ -79,7 +77,6 @@ class Network(_Record):
 class _Net(SimpleNamespace):  # not a NamedTuple, whose class the import would compile
     """A network as lists over its distinct node ids by first declaration; read only."""
 
-    nodes: Sequence[str]  # as declared, repeats included
     index: dict[str, int]  # each distinct id's number
     successors: list[list[int]]  # each node's edge ends, in edge order
     degree: list[int]  # in- plus out-degree
@@ -136,8 +133,8 @@ def _compile_network(nodes: Sequence[str], edges: Sequence[Sequence[str]],
         if not seen_edges.issuperset(zip(route, route[1:])):
             violations += [f"flow #{number}: route uses missing edge ({a!r}, {b!r})"
                            for a, b in zip(route, route[1:]) if (a, b) not in seen_edges]
-    return violations, _Net(nodes=nodes, index=index, successors=successors, degree=degree,
-                            stray=stray, edges=edges, flows=flows)
+    return violations, _Net(index=index, successors=successors, degree=degree, stray=stray,
+                            edges=edges, flows=flows)
 
 
 def _lower(net: Network) -> tuple[list[str], _Net]:
@@ -150,7 +147,6 @@ def validate_network(net: Network) -> list[str]:
     return _lower(net)[0]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MethodConfig(_Record):
     """Aggregation settings for one subsystem node.
 
@@ -226,7 +222,6 @@ class _Tree(_Record):
         return "".join(parts)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HierarchyNode(_Tree):
     """One node of the evaluation hierarchy.
 

@@ -51,7 +51,6 @@ class Normalization(str, Enum):
     MAX_TO_ONE = "max-to-one"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PriorityStrategy(_Record):
     """How to score nodes: primary basis, tie-break chain, normalization.
 
@@ -212,7 +211,6 @@ def _max_scaled(scores: list[float]) -> list[float]:
     return [v / top for v in scores]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RankedNode(_Record):
     """One row of a priority ranking."""
 
@@ -223,14 +221,14 @@ class RankedNode(_Record):
 
 def _ranking(net: _Net, strategy: PriorityStrategy) -> list[tuple[str, float, float]]:
     """:func:`rank_nodes`' rows as (node, score, priority) triples."""
-    if not net.nodes:
+    if not net.index:
         raise EvaluationError("empty network: no nodes to prioritize")
     primary = _scores(net, strategy.basis)
     chain = [_scores(net, basis) for basis in strategy.tie_break]
     ids = list(net.index)
     # Best first: the highest primary score, then down the chain, then the id.
     keys = list(zip(*[[-v for v in scores] for scores in (primary, *chain)], ids))
-    ordered = sorted(map(net.index.__getitem__, net.nodes), key=keys.__getitem__)
+    ordered = sorted(range(len(ids)), key=keys.__getitem__)
     top = max(primary)
     rows = []
     for i in ordered:

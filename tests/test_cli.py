@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -1538,6 +1539,22 @@ class TestErrorBoundary:
         err = done.stderr.decode()
         assert_one_error_line(err)
         assert err.startswith("error: cannot write output: 'ascii' codec can't encode")
+
+    def test_a_sweep_grid_that_does_not_fit_in_memory(self, fixture_path):
+        limit = 300 * 2**20  # address space, in the child only
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "aggeval", "sweep", "--input",
+             fixture_path("plant_hierarchy.json"), "--vary", "press", "--from", "0", "--to",
+             "100", "--steps", "100000000000000000000"],
+            capture_output=True, env=env, preexec_fn=cap, check=False)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"error: not enough memory\n"
 
     def test_closed_pipe_exits_quietly(self, fixture_path):
         read_end, write_end = os.pipe()

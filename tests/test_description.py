@@ -20,6 +20,7 @@ from aggeval import (
     Method,
     MethodConfig,
     Network,
+    Scale,
     load_description,
     parse_description,
     serialize_description,
@@ -445,6 +446,16 @@ class TestRoundTrip:
         text = serialize_description(load_description(fixture_path("two_group.json")))
         assert text.endswith("\n")
         assert json.loads(text)["groups"][1]["priority"] == 0.5
+
+    def test_a_hierarchy_deeper_than_the_encoder_allows_is_a_value_error(self):
+        node = HierarchyNode("s1", 10.0)
+        for k in range(3000):
+            node = HierarchyNode(f"n{k}", children=(node,))
+        desc = SystemDescription(Scale(0.0, 100.0), (Element("s1", 10.0),), hierarchy=node)
+        with pytest.raises(ValueError) as excinfo:
+            serialize_description(desc)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == "hierarchy nests deeper than the JSON encoder allows"
 
 
 # A parsed description keeps its elements as columns until the first read of

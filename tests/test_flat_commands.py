@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aggeval import cli
-from aggeval.description import SystemDescription, load_description
+from aggeval.description import SystemDescription, _lowered, load_description
 from aggeval.hierarchy import compare_methods, sweep
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -261,13 +261,13 @@ class TestFlatSweepLeavesTheDescription:
     def test_sweep_then_compile_again(self, fixture_path, name):
         path = fixture_path(name)
         desc = load_description(path)
-        subs = cli._compiled(desc)
+        subs = _lowered(desc)[0]
         first = copy.deepcopy(subs)
         cli._sweep(subs, desc.scale, cli._sweep_path(subs, subs[0].ids[0]), 0.25, 0.5, 2)
         assert subs == first
         values = [e["evaluation"] for e in json.loads(Path(path).read_text())["elements"]]
         assert [e.evaluation for e in desc.elements] == values
-        assert cli._compiled(desc) == first
+        assert _lowered(desc)[0] == first
 
 
 def _cli_process(*argv):

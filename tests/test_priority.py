@@ -135,6 +135,19 @@ class TestNetworksThatFailValidation:
                                              ("d", "c"), ("c", "a")))
         assert_bit_identical(betweenness_centrality(net), _reference_betweenness(net))
 
+    @pytest.mark.parametrize("basis", list(PriorityBasis))
+    def test_a_repeated_node_ranks_once(self, basis):
+        # The twin declares each id once, in order of first declaration.
+        edges = (("a", "b"), ("b", "c"), ("c", "a"), ("a", "b"))
+        flows = (Flow(("a", "b", "c", "a"), 2.0), Flow(("c", "a"), 0.5), Flow(("c",), 3.0))
+        repeated = Network(("a", "b", "c", "a", "b"), edges, flows)
+        twin = Network(("a", "b", "c"), edges, flows)
+        strategy = PriorityStrategy(basis)
+        assert rank_nodes(repeated, strategy) == rank_nodes(twin, strategy)
+        priorities, twin_priorities = (derive_priorities(net, strategy) for net in (repeated, twin))
+        assert priorities == twin_priorities
+        assert group_by_priority(priorities, 0.1) == group_by_priority(twin_priorities, 0.1)
+
 
 class TestBetweennessCentrality:
     def test_edge_to_an_undeclared_node_is_a_diagnostic(self):

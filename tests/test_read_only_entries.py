@@ -1,12 +1,12 @@
 """No pass writes a compiled entry.
 
 The parse stores a hierarchy section as compiled entries and the elements as
-columns, and every command reads them in place: ``_entries`` and
-``_compile_flat`` hand them out uncopied, a roll-up takes a subsystem
-child's value from its row, and only a sweep's path entries get value lists
-of their own.  Here every fixture and every seed-1 workload document is
-compiled into entries whose value lists refuse writes; each pass must run
-on them and give, bit for bit, what it gives on a plain load.
+columns, and every command reads them in place: ``_lowered``, through
+``_entries`` or ``_compile_flat``, hands them out uncopied, a roll-up takes
+a subsystem child's value from its row, and only a sweep's path entries get
+value lists of their own.  Here every fixture and every seed-1 workload
+document is compiled into entries whose value lists refuse writes; each pass
+must run on them and give, bit for bit, what it gives on a plain load.
 """
 
 from pathlib import Path
@@ -15,9 +15,9 @@ import pytest
 
 from aggeval import Method, cli
 from aggeval.core import EvaluationError
-from aggeval.description import (DescriptionError, _Columns, _Compiled, _element_columns,
-                                 _stored_hierarchy, load_description)
-from aggeval.hierarchy import _aggregate, _compare, _compile_flat, _entries, _roll, _sweep
+from aggeval.description import (DescriptionError, _Columns, _Compiled, _compile_flat,
+                                 _element_columns, _lowered, load_description)
+from aggeval.hierarchy import _aggregate, _compare, _entries, _roll, _sweep
 from test_reference_oracle import workloads
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -61,7 +61,7 @@ def refusing(desc):
     columns = _element_columns(desc)
     vars(desc)["elements"] = _Columns(columns.ids, Refusing(columns.evaluations),
                                       *columns[2:])
-    stored = _stored_hierarchy(desc)
+    stored = vars(desc)["hierarchy"]
     if stored is not None:
         vars(desc)["hierarchy"] = _Compiled(
             sub._replace(values=Refusing(sub.values)) for sub in stored)
@@ -76,14 +76,15 @@ def leaves(subs):
 
 def passes(desc, capsys):
     """The output of every pass on ``desc``'s stored entries, as reprs."""
-    scale, stored = desc.scale, _stored_hierarchy(desc)
+    scale, stored = desc.scale, vars(desc)["hierarchy"]
     if stored is None:
         subs = _compile_flat(desc)
         out = [_aggregate((subs, subs[0].id, None), scale)]
     else:
         subs = stored[:-1]
         out = [_aggregate((subs, stored[-1].ids[0], stored[-1].values[0]), scale),
-               cli._tree_lines(stored, scale, False), cli._tree_lines(stored, scale, True)]
+               cli._tree_lines(_lowered(desc), scale, False),
+               cli._tree_lines(_lowered(desc), scale, True)]
     if subs:
         out += [_roll(subs, scale), _compare(subs, scale, 0.5)]
     for vary in leaves(subs):
@@ -108,11 +109,11 @@ def test_no_pass_writes_an_entry(paths, capsys):
         fresh = load_description(path)
         assert type(_element_columns(desc).evaluations) is Refusing
         assert [*_element_columns(desc).evaluations] == _element_columns(fresh).evaluations
-        stored = _stored_hierarchy(desc)
+        stored = vars(desc)["hierarchy"]
         if stored is not None:
             assert all(type(sub.values) is Refusing for sub in stored)
             assert [sub.values for sub in stored] == [
-                sub.values for sub in _stored_hierarchy(fresh)]
+                sub.values for sub in vars(fresh)["hierarchy"]]
 
 
 def test_the_refusing_list_refuses():
@@ -128,10 +129,14 @@ def test_the_refusing_list_refuses():
 def test_entries_and_flat_compile_hand_out_the_stored_lists(paths):
     for path in paths:
         desc = load_description(path)
-        scale, stored = desc.scale, _stored_hierarchy(desc)
+        scale, stored = desc.scale, vars(desc)["hierarchy"]
         assert _compile_flat(desc)[0].values is _element_columns(desc).evaluations, path
         if stored is None:
+            subs, root_id, root_value = _lowered(desc)
+            assert subs[0].values is _element_columns(desc).evaluations, path
+            assert (root_id, root_value) == (subs[0].id, None), path
             continue
+        assert _lowered(desc) == _entries(stored, scale), path
         subs, root_id, root_value = _entries(stored, scale)
         assert len(subs) == len(stored) - 1, path
         for k, sub in enumerate(subs):

@@ -38,6 +38,7 @@ from aggeval import (
 )
 from aggeval.cli import _tree_lines, main
 from aggeval.description import load_description
+from aggeval.hierarchy import _entries
 from aggeval.network import _check_method
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -244,7 +245,7 @@ class TestTreeEvaluateMatchesLibrary:
         assert violations == []
         report = within_the_stack(aggregate, root, PERCENT)
         expected = within_the_stack(report_csv if csv else report_text, report)
-        lines = within_the_stack(_tree_lines, root, PERCENT, csv)
+        lines = within_the_stack(_tree_lines, _entries(root, PERCENT), PERCENT, csv)
         assert lines == expected
 
 
