@@ -169,20 +169,19 @@ def _evaluate_flat(desc: SystemDescription, method: Method | None, fmt: str) -> 
     _record_out(fields, fmt)
 
 
-def _tree_lines(entries: tuple[list[_Sub], str, float | None], scale: Scale,
-                csv: bool) -> list[str]:
-    """The roll-up of compiled entries, with the root's id and value, as CSV
-    rows, or as the indented text tree with one line per node plus one per
-    warning; a single preorder walk over the entries."""
-    subs, root_id, root_value = entries
+def _tree_lines(subs: list[_Sub], scale: Scale, csv: bool) -> list[str]:
+    """The roll-up of compiled entries as CSV rows, or as the indented text
+    tree with one line per node plus one per warning; a single preorder walk
+    from the top entry's one child, the root."""
     rows = _roll(subs, scale)
     lines = ["node,method,value,adequacy,weakest"] if csv else []
-    # Every node is the root or some entry's child, so one check over those
-    # ids tells whether any id cell needs quoting; most trees need none.
-    quote = csv and _needs_quotes(root_id + "".join(["".join(sub.ids) for sub in subs]))
+    # Every node is some entry's child, the root the top entry's, so one check
+    # over those ids tells whether any id cell needs quoting; most trees need none.
+    quote = csv and _needs_quotes("".join(["".join(sub.ids) for sub in subs]))
     # A run of leaves is pushed as (pad, ids, values), a subsystem as
     # (pad, None, index); a run's lines are made in one comprehension.
-    stack = [("", None, len(subs) - 1) if subs else ("", [root_id], [float(root_value)])]
+    top = subs[-1]
+    stack = [("", None, top.below[0]) if top.below else ("", top.ids, top.values)]
     while stack:
         pad, ids, item = stack.pop()
         if ids is not None:
@@ -246,7 +245,7 @@ def _table(rows: list[list[str]]) -> list[str]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
     _check_threshold(args.threshold)
-    return _emit_comparison(_compare(_lowered(desc)[0], desc.scale, args.threshold))
+    return _emit_comparison(_compare(_lowered(desc)[:-1], desc.scale, args.threshold))
 
 
 def _emit_comparison(rows: list[MethodComparison]) -> int:
@@ -272,7 +271,7 @@ def _sweep_csv(rows: list) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     desc = load_description(args.input)
-    subs = _lowered(desc)[0]
+    subs = _lowered(desc)[:-1]
     _check_grid(desc.scale, args.start, args.stop, args.steps)
     path = _sweep_path(subs, args.vary)
     _emit_sweep(_sweep(subs, desc.scale, path, args.start, args.stop, args.steps), args.out)

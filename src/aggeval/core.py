@@ -323,11 +323,19 @@ class Group(_Record):
     priority: float = 1.0
 
 
+def _finite(value: Any) -> bool:
+    """``math.isfinite(value)``, and False for a value that is no number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _usable_priority(priority: float) -> bool:
     """Whether a group priority is positive and finite as the float the kernels read."""
     try:
         return 0 < math.fsum((priority,)) < math.inf
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 

@@ -16,7 +16,7 @@ from typing import AbstractSet, Any, Callable, Collection, NamedTuple
 
 from .core import (_FLOAT_MAX, EvaluationError, EvaluationVector, Group, Method, PriorityVector,
                    Scale, _built, _Record)
-from .hierarchy import _compile, _Compiled, _entries, _sub, _Sub
+from .hierarchy import _compile, _Compiled, _entries, _sub
 from .network import (Flow, HierarchyNode, MethodConfig, Network, _check_method, _compile_network,
                       _Net)
 
@@ -160,25 +160,22 @@ def _element_columns(desc: SystemDescription) -> _Columns:
                     [e.priority for e in stored])
 
 
-def _compile_flat(desc: SystemDescription) -> list[_Sub]:
-    """A flat description as one entry: the synthetic root over the
-    element columns, with the groups as its hybrid plan, planned from the
-    parse's positions by id where it kept them; the values are the parse's."""
+def _compile_flat(desc: SystemDescription) -> _Compiled:
+    """A flat description lowered: the synthetic root over the element columns, with
+    the groups as its hybrid plan, planned from the parse's positions by id where it
+    kept them, then the top entry; the values are the parse's."""
     ids, evaluations, priorities, position = _element_columns(desc)
     config = MethodConfig(Method.HYBRID_GROUPED, groups=desc.groups) if desc.groups else None
-    return [_sub(_synthetic_root_id(position or ids), ids, evaluations, {}, priorities, config,
-                 position)]
+    root = _sub(_synthetic_root_id(position or ids), ids, evaluations, {}, priorities, config,
+                position)
+    return _Compiled([root, _sub(None, [root.id], [0.0], {0: 0}, [None], None)])
 
 
-def _lowered(desc: SystemDescription) -> tuple[list[_Sub], str, float | None]:
-    """The compiled entries every command reads, and the root's id and value (for a leaf
-    root): the ``hierarchy`` field's as stored, through ``_entries``, without building a
-    parsed tree, or a flat description's one entry under its synthetic root."""
-    hierarchy = vars(desc)["hierarchy"]
-    if hierarchy is None:
-        subs = _compile_flat(desc)
-        return subs, subs[0].id, None
-    return _entries(hierarchy, desc.scale)
+def _lowered(desc: SystemDescription) -> _Compiled:
+    """The compiled entries every command reads: the ``hierarchy`` field's, a parsed
+    section as stored, through ``_entries``, without building a parsed tree, or a flat
+    description's under its synthetic root."""
+    return _entries(vars(desc)["hierarchy"] or _compile_flat(desc), desc.scale)
 
 
 def _synthetic_root_id(element_ids: Collection[str]) -> str:
@@ -630,7 +627,7 @@ def _parse_hierarchy(
             diag.add("hierarchy", violation)
     if diag.diagnostics:  # a faulty method config may name no child: it cannot compile
         return None, used
-    return _Compiled(_compile(compiler_frames)), used
+    return _compile(compiler_frames), used
 
 
 def _parse_network(raw: Any, diag: _Collector) -> _Net | None:

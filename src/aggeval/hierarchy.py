@@ -78,24 +78,20 @@ class AggregationReport(_Tree):
     def to_dict(self) -> dict:
         """This report and its subtree as nested dicts and lists.
 
-        Built without recursion, so depth is bounded by memory only.
+        Built from the preorder read backwards, so depth is bounded by memory only.
         """
-        top: list[dict] = []
-        stack = [(self, top)]
-        while stack:
-            report, out = stack.pop()
-            doc = {
+        docs: list[dict] = []
+        for report in reversed(list(self.walk())):
+            docs.append({
                 "node": report.node_id,
                 "method": report.method,
                 "value": report.value,
                 "weakest": list(report.weakest_ids),
                 "adequacy": report.adequacy,
                 "warnings": list(report.warnings),
-                "children": [],
-            }
-            out.append(doc)
-            stack.extend((child, doc["children"]) for child in reversed(report.children))
-        return top[0]
+                "children": [docs.pop() for _ in report.children],
+            })
+        return docs[0]
 
 
 class MethodComparison(_Record):
@@ -189,39 +185,39 @@ def _sub(
 
 
 class _Compiled(list):
-    """A parsed ``hierarchy`` section: :func:`_compile`'s entries, ending with one
-    with no id whose one child is the root.  Commands read them in place: no pass
-    writes an entry or its value list."""
+    """A lowered hierarchy: :func:`_compile`'s entries, ending with the top entry,
+    which has no id and the root as its one child.  Commands read a parsed section's
+    in place: no pass writes an entry or its value list."""
 
 
-def _compile(frames: list[tuple]) -> list[_Sub]:
+def _compile(frames: list[tuple]) -> _Compiled:
     """The frame compiler of the parse and of :func:`_entries`.  Each frame
     holds a subsystem's id and config, its children's ids, values and
     priorities, and the preorder number of each subsystem child by
-    position.  Frames come in preorder, entries in post-order, children
-    right to left, so frame q is entry ``last - q``."""
+    position; frame 0 is the top frame, with no id and the root as its one
+    child.  Frames come in preorder, entries in post-order, children right
+    to left, so frame q is entry ``last - q``."""
     last = len(frames) - 1
-    return [_sub(node_id, ids, values, {k: last - q for k, q in below.items()}, priorities, config)
-            for node_id, config, ids, values, priorities, below in reversed(frames)]
+    return _Compiled(
+        _sub(node_id, ids, values, {k: last - q for k, q in below.items()}, priorities, config)
+        for node_id, config, ids, values, priorities, below in reversed(frames))
 
 
-def _entries(hierarchy: HierarchyNode | _Compiled,
-             scale: Scale) -> tuple[list[_Sub], str, float | None]:
+def _entries(hierarchy: HierarchyNode | _Compiled, scale: Scale) -> _Compiled:
     """The compiled entries of a parsed section, as stored, or of a tree, which one walk
-    checks and lowers; then the root's id and value (for a leaf root)."""
+    checks and lowers under a top frame 0."""
     if type(hierarchy) is _Compiled:
-        top = hierarchy[-1]
-        return hierarchy[:-1], top.ids[0], top.values[0]
+        return hierarchy
     violations, subsystems = _hierarchy_walk(hierarchy, scale)
     if violations:
         raise HierarchyValidationError(violations)
-    number = {node.id: q for q, node in enumerate(subsystems)}  # ids are unique: no violations
-    frames = [(node.id, node.config, [c.id for c in node.children],
-               [0.0 if c.children else float(c.value) for c in node.children],
-               [c.priority for c in node.children],
-               {k: number[c.id] for k, c in enumerate(node.children) if c.children})
-              for node in subsystems]
-    return _compile(frames), hierarchy.id, hierarchy.value
+    number = {node.id: q for q, node in enumerate(subsystems, 1)}  # ids are unique: no violations
+    nodes = [(None, None, (hierarchy,))] + [(n.id, n.config, n.children) for n in subsystems]
+    return _compile([(node_id, config, [c.id for c in children],
+                      [0.0 if c.children else float(c.value) for c in children],
+                      [c.priority for c in children],
+                      {k: number[c.id] for k, c in enumerate(children) if c.children})
+                     for node_id, config, children in nodes])
 
 
 # One subsystem's roll-up: value, smallest leaf value below, weakest leaf
@@ -316,26 +312,20 @@ def _roll(
     return rows
 
 
-def _leaf_report(node_id: str, value: float) -> AggregationReport:
-    return AggregationReport(node_id, "leaf", value, (node_id,), 0.0, (), ())
-
-
-def _aggregate(entries: tuple[list[_Sub], str, float | None], scale: Scale) -> AggregationReport:
-    """:func:`aggregate` on the compiled entries of :func:`_entries`."""
-    subs, root_id, root_value = entries
-    if not subs:
-        return _leaf_report(root_id, float(root_value))
+def _aggregate(subs: list[_Sub], scale: Scale) -> AggregationReport:
+    """:func:`aggregate` on a lowered list: the report of its top entry's one child."""
     reports: list[AggregationReport] = []
     for sub, (value, _, weakest, adequacy, warnings) in zip(subs, _roll(subs, scale)):
         below = sub.below
         children = tuple(
-            reports[below[k]] if k in below else _leaf_report(child_id, sub.values[k])
+            reports[below[k]] if k in below
+            else AggregationReport(child_id, "leaf", sub.values[k], (child_id,), 0.0, (), ())
             for k, child_id in enumerate(sub.ids)
         )
         reports.append(
             AggregationReport(sub.id, sub.label, value, weakest, adequacy, warnings, children)
         )
-    return reports[-1]
+    return reports[-1].children[0]
 
 
 def aggregate(root: HierarchyNode, scale: Scale) -> AggregationReport:
@@ -429,7 +419,7 @@ def compare_methods(
     weakest leaves underneath.
     """
     _check_threshold(adequacy_threshold)
-    return _compare(_entries(root, scale)[0], scale, adequacy_threshold)
+    return _compare(_entries(root, scale)[:-1], scale, adequacy_threshold)
 
 
 def _check_grid(scale: Scale, start: float, stop: float, steps: int) -> None:
@@ -623,5 +613,5 @@ def sweep(
     node = next((node for node in root.walk() if node.id == vary_id), None)
     if root.is_leaf or node is None or not node.is_leaf:
         raise _vary_error(vary_id, not root.is_leaf, node is not None)
-    subs = _entries(root, scale)[0]
+    subs = _entries(root, scale)[:-1]
     return _sweep(subs, scale, _sweep_path(subs, vary_id), start, stop, steps)

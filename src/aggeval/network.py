@@ -12,13 +12,12 @@ sound, so callers can surface every problem at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from types import SimpleNamespace
 from typing import Iterator, Sequence, TypeVar
 
-from .core import (_HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale, _Record,
-                   _usable_priority)
+from .core import (_HYBRID, _NAM, _WEM, _WEM_THEN, _WLAM, Group, Method, Scale, _finite,
+                   _Record, _usable_priority)
 
 __all__ = [
     "Flow",
@@ -122,13 +121,9 @@ def _compile_network(nodes: Sequence[str], edges: Sequence[Sequence[str]],
             degree[i] += 1
             degree[j] += 1
     for number, (route, volume) in enumerate(flows, 1):
-        try:  # validation never raises: a volume that is no number is no positive one
-            positive = math.isfinite(volume) and volume > 0
-        except TypeError:
-            positive = False
         if len(route) < 2:
             violations.append(f"flow #{number}: route needs at least two nodes")
-        if not positive:
+        if not (_finite(volume) and volume > 0):
             violations.append(f"flow #{number}: volume must be positive, got {volume!r}")
         if not seen_edges.issuperset(zip(route, route[1:])):
             violations += [f"flow #{number}: route uses missing edge ({a!r}, {b!r})"
@@ -155,7 +150,8 @@ class MethodConfig(_Record):
     ``Method.WEM_THEN``, which aggregates all children with ``fallback``
     (wlam when omitted) and measures adequacy against the critical
     minimum.  ``adequacy_threshold``, when set, turns adequacy values
-    above it into report warnings.
+    above it into report warnings.  A method or fallback given by name
+    becomes its ``Method`` member.
     """
 
     method: Method
@@ -165,6 +161,8 @@ class MethodConfig(_Record):
     adequacy_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "fallback", None if self.fallback is None else Method(self.fallback))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(
             self, "critical_ids", tuple(str(i) for i in self.critical_ids)
@@ -323,7 +321,6 @@ def _hierarchy_walk(root: HierarchyNode, scale: Scale) -> tuple[list[str], list[
     violations: list[str] = []
     subsystems: list[HierarchyNode] = []
     seen_ids: set[str] = set()
-    isfinite = math.isfinite
     low, high = scale.min, scale.max
     stack = [root]
     while stack:
@@ -340,7 +337,7 @@ def _hierarchy_walk(root: HierarchyNode, scale: Scale) -> tuple[list[str], list[
             continue
         seen_ids.add(node_id)
         priority = node.priority
-        if priority is not None and not (isfinite(priority) and priority > 0):
+        if priority is not None and not (_finite(priority) and priority > 0):
             violations.append(
                 f"node {node_id!r}: priority must be positive, got {priority!r}"
             )
@@ -348,7 +345,7 @@ def _hierarchy_walk(root: HierarchyNode, scale: Scale) -> tuple[list[str], list[
             value = node.value
             if value is None:
                 violations.append(f"leaf {node_id!r} has no evaluation value")
-            elif not (isfinite(value) and low <= value <= high):
+            elif not (_finite(value) and low <= value <= high):
                 violations.append(
                     f"leaf {node_id!r}: value {value!r} is outside [{low}, {high}]"
                 )

@@ -55,7 +55,8 @@ class PriorityStrategy(_Record):
     """How to score nodes: primary basis, tie-break chain, normalization.
 
     Ties left after the chain are broken by node id, so rankings are
-    always deterministic.
+    always deterministic.  A basis or normalization given by name becomes
+    its member.
     """
 
     basis: PriorityBasis
@@ -63,7 +64,9 @@ class PriorityStrategy(_Record):
     normalization: Normalization = Normalization.MAX_TO_ONE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tie_break", tuple(self.tie_break))
+        object.__setattr__(self, "basis", PriorityBasis(self.basis))
+        object.__setattr__(self, "tie_break", tuple(map(PriorityBasis, self.tie_break)))
+        object.__setattr__(self, "normalization", Normalization(self.normalization))
         if len(set(self.tie_break)) != len(self.tie_break):
             raise EvaluationError("tie-break chain must not repeat a basis")
 

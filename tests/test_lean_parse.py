@@ -429,7 +429,8 @@ def assert_one_walk(tree, scale=PERCENT):
             _entries(tree, scale)
         assert raised.value.violations == tuple(expected)
         return
-    subs, root_id, root_value = _entries(tree, scale)
+    *subs, top = _entries(tree, scale)
+    root_id, root_value = top.ids[0], top.values[0]
     assert subs == two_walk_compile(tree)  # ``below`` included
     assert root_id == tree.id
     if not subs:
@@ -455,7 +456,8 @@ def assert_old_pipeline(document):
         reference = outcome(text)
     parsed = outcome(text)
     if isinstance(parsed, SystemDescription):
-        subs, root_id, root_value = _entries(vars(parsed)["hierarchy"], parsed.scale)
+        *subs, top = _entries(vars(parsed)["hierarchy"], parsed.scale)
+        root_id, root_value = top.ids[0], top.values[0]
         tree = parsed.hierarchy
         compiled = two_walk_compile(tree)
         assert len(subs) == len(compiled)

@@ -77,14 +77,12 @@ def leaves(subs):
 def passes(desc, capsys):
     """The output of every pass on ``desc``'s stored entries, as reprs."""
     scale, stored = desc.scale, vars(desc)["hierarchy"]
-    if stored is None:
-        subs = _compile_flat(desc)
-        out = [_aggregate((subs, subs[0].id, None), scale)]
-    else:
-        subs = stored[:-1]
-        out = [_aggregate((subs, stored[-1].ids[0], stored[-1].values[0]), scale),
-               cli._tree_lines(_lowered(desc), scale, False),
-               cli._tree_lines(_lowered(desc), scale, True)]
+    lowered = _compile_flat(desc) if stored is None else stored
+    subs = lowered[:-1]
+    out = [_aggregate(lowered, scale)]
+    if stored is not None:
+        out += [cli._tree_lines(_lowered(desc), scale, False),
+                cli._tree_lines(_lowered(desc), scale, True)]
     if subs:
         out += [_roll(subs, scale), _compare(subs, scale, 0.5)]
     for vary in leaves(subs):
@@ -132,13 +130,13 @@ def test_entries_and_flat_compile_hand_out_the_stored_lists(paths):
         scale, stored = desc.scale, vars(desc)["hierarchy"]
         assert _compile_flat(desc)[0].values is _element_columns(desc).evaluations, path
         if stored is None:
-            subs, root_id, root_value = _lowered(desc)
+            *subs, top = _lowered(desc)
             assert subs[0].values is _element_columns(desc).evaluations, path
-            assert (root_id, root_value) == (subs[0].id, None), path
+            assert (top.ids[0], top.values[0]) == (subs[0].id, 0.0), path
             continue
-        assert _lowered(desc) == _entries(stored, scale), path
-        subs, root_id, root_value = _entries(stored, scale)
+        assert _lowered(desc) is stored, path
+        *subs, top = _entries(stored, scale)
         assert len(subs) == len(stored) - 1, path
         for k, sub in enumerate(subs):
             assert sub is stored[k], (path, k)
-        assert (root_id, root_value) == (stored[-1].ids[0], stored[-1].values[0])
+        assert top is stored[-1], path
